@@ -692,8 +692,11 @@ func BenchmarkRunBatchBitsliced(b *testing.B) {
 // BenchmarkEnsemble measures the Monte-Carlo ensemble harness end to end:
 // spec in, aggregated takeover report out.  The deterministic variant's
 // replicas share one run spec and ride the bit-sliced batch tier; the noisy
-// variant derives per-replica fault streams and runs replica-at-a-time —
-// the two regimes the dynserve /v1/ensembles endpoint serves.
+// variant derives per-replica fault streams and runs replica-at-a-time on
+// the bitplane tier with word-parallel fault masks — the two regimes the
+// dynserve /v1/ensembles endpoint serves.  noisy-sweep is the same noisy
+// ensemble forced onto the scalar sweep, the within-run reference for the
+// bitplane fault path.
 func BenchmarkEnsemble(b *testing.B) {
 	base := func() *dynmon.EnsembleSpec {
 		return &dynmon.EnsembleSpec{
@@ -732,10 +735,18 @@ func BenchmarkEnsemble(b *testing.B) {
 	b.Run("deterministic-64x64", func(b *testing.B) {
 		run(b, base())
 	})
-	b.Run("noisy-64x64", func(b *testing.B) {
+	noisy := func() *dynmon.EnsembleSpec {
 		spec := base()
 		spec.Run.Noise = &dynmon.NoiseSpec{Eps: 0.02}
 		spec.TakeoverFraction = 0.75
+		return spec
+	}
+	b.Run("noisy-64x64", func(b *testing.B) {
+		run(b, noisy())
+	})
+	b.Run("noisy-sweep-64x64", func(b *testing.B) {
+		spec := noisy()
+		spec.Run.Kernel = "sweep"
 		run(b, spec)
 	})
 }

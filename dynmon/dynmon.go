@@ -67,18 +67,19 @@
 // Dynamics need not be deterministic or synchronous: the WithSchedule /
 // UniformAsync / Sequential / RandomSequential / VertexClock options pick
 // which vertices fire each round, and Noisy(eps, seed) makes the rule
-// ε-faulty (after each application the vertex adopts a uniformly random
-// other color with probability eps).  Every random bit comes from
-// counter-based hashes of (seed, round, vertex), so stochastic runs stay
-// pure functions of their spec — bit-identical across worker counts and
-// checkpoint/resume, with the schedule and noise seeds riding RunSpec and
-// Checkpoint automatically.  The Monte-Carlo harness on top is Ensemble:
-// an EnsembleSpec (system + run + replica count + master seed + optional
-// one-axis sweep over density/eps/p/threshold) fans counter-seeded
-// replicas through a Session — deterministic points ride the bit-sliced
-// batch tier — and aggregates an EnsembleReport with Wilson 95% takeover
-// intervals and rounds-to-takeover quantiles, byte-identical for any
-// worker count.  ParseEnsembleSpec is strict and fuzzed;
+// ε-faulty (with probability eps an application misfires and the vertex
+// takes a color drawn uniformly from the whole palette).  Every random bit
+// comes from counter-based hashes of (seed, round, vertex), so stochastic
+// runs stay pure functions of their spec — bit-identical across worker
+// counts, kernel tiers and checkpoint/resume, with the schedule and noise
+// seeds riding RunSpec and Checkpoint automatically.  The Monte-Carlo
+// harness on top is Ensemble: an EnsembleSpec (system + run + replica
+// count + master seed + optional one-axis sweep over
+// density/eps/p/threshold) fans counter-seeded replicas through a Session —
+// deterministic points ride the bit-sliced batch tier, synchronous noisy
+// replicas the bitplane tier — and aggregates an EnsembleReport with Wilson
+// 95% takeover intervals and rounds-to-takeover quantiles, byte-identical
+// for any worker count.  ParseEnsembleSpec is strict and fuzzed;
 // EnsembleSpec.Digest is the content address dynserve's POST /v1/ensembles
 // caches by.
 //

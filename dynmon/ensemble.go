@@ -121,7 +121,7 @@ func (es *EnsembleSpec) Validate() error {
 		}
 	case "eps":
 		for _, v := range es.Sweep.Values {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) { // also rejects NaN
 				return fmt.Errorf("dynmon: eps %v outside [0, 1]", v)
 			}
 		}

@@ -2,6 +2,7 @@ package dynmon
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,7 @@ func TestParseEnsembleSpecRejects(t *testing.T) {
 		"fractional threshold":   func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{1.5} },
 		"threshold out of range": func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{9} },
 		"eps above one":          func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{1.01} },
+		"eps NaN":                func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{math.NaN()} },
 		"takeover fraction > 1":  func(es *EnsembleSpec) { es.TakeoverFraction = 1.5 },
 	}
 	for label, mutate := range cases {

@@ -467,8 +467,9 @@ var ErrBitplaneIneligible = sim.ErrBitplaneIneligible
 
 // ErrStochasticSweepOnly is the error (wrapped) returned by stochastic runs
 // (a non-synchronous Schedule or an ε-faulty Noise) that force a kernel tier
-// with no stochastic form — bitplane, frontier, sharded, or parallel for the
-// in-place sequential schedules.
+// with no stochastic form — frontier, sharded, bitplane under a schedule, or
+// parallel for the in-place sequential schedules.  Synchronous ε-faulty runs
+// do run on the bitplane tier.
 var ErrStochasticSweepOnly = sim.ErrStochasticSweepOnly
 
 // Kernel forces the run's stepping tier instead of the automatic selection.

@@ -2,6 +2,7 @@ package dynmon
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -389,5 +390,22 @@ func TestReportResultJSONStable(t *testing.T) {
 	}
 	if back.Result == nil || back.Result.Kernel != KernelFrontier || !back.Result.Final.Equal(final) {
 		t.Fatalf("report did not round-trip: %+v", back.Result)
+	}
+}
+
+// TestFileSpecRejectsOverflowingLattice: a spec whose lattice overflows the
+// vertex count must fail to build with grid.ErrTooLarge, never panic (the
+// 2^32 x 2^32 mesh once wrapped N around to 0 and crashed the first step).
+func TestFileSpecRejectsOverflowingLattice(t *testing.T) {
+	for _, size := range []string{"4294967296", "3037000500", "65536"} {
+		body := `{"system": {"substrate": {"topology": {"name": "toroidal-mesh", "rows": ` + size + `, "cols": ` + size + `}},
+			"colors": 2, "rule": "smp"}, "initial": {"config": "random", "seed": 1}, "run": {"max_rounds": 4}}`
+		fs, err := ParseFileSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", size, err)
+		}
+		if _, _, _, err := fs.Build(); !errors.Is(err, grid.ErrTooLarge) {
+			t.Fatalf("%sx%s: Build err = %v, want grid.ErrTooLarge", size, size, err)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -242,6 +244,18 @@ func TestStochasticKernelGatingWire(t *testing.T) {
 	}
 	if _, err := sys.Run(context.Background(), initial, WithSchedule(&ScheduleSpec{Mode: "no-such-mode"})); err == nil {
 		t.Fatal("unknown schedule mode accepted")
+	}
+}
+
+// TestNoisyRejectsNaN: a NaN fault rate is an invalid noise model, not a
+// silently noise-free run.
+func TestNoisyRejectsNaN(t *testing.T) {
+	sys, err := New(Mesh(8, 8), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(context.Background(), sys.RandomColoring(1), Noisy(math.NaN(), 1)); err == nil || !strings.Contains(err.Error(), "noise eps") {
+		t.Fatalf("Noisy(NaN): err = %v, want the noise eps validation error", err)
 	}
 }
 

@@ -267,7 +267,15 @@ func (s *Server) runBuffered(w http.ResponseWriter, seq stepSeq, cacheable bool,
 	}
 	s.observeRunDuration(time.Since(started))
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(resJSON, '\n'))
+	writeLine(w, resJSON)
+}
+
+// writeLine writes b and a newline.  b may be a cached result shared by
+// concurrent requests, so the newline is written separately instead of
+// appended into b's spare capacity.
+func writeLine(w http.ResponseWriter, b []byte) {
+	w.Write(b)
+	io.WriteString(w, "\n")
 }
 
 // runStreaming follows the stream over NDJSON or SSE.  Any error after the
@@ -326,7 +334,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, resJSON []b
 		if cached {
 			w.Header().Set("X-Dynmond-Cache", "hit")
 		}
-		w.Write(append(resJSON, '\n'))
+		writeLine(w, resJSON)
 		return
 	}
 	writerFor(w, r).event(resultEvent(resJSON, cached))

@@ -526,13 +526,15 @@ func (s *Server) park(j *job, cp *dynmon.Checkpoint) {
 		}
 		s.metrics.CheckpointsPersisted.Add(1)
 	}
+	// Counted before the state is published, so whoever sees the job
+	// evicted also sees it in the metrics.
+	s.metrics.JobsEvicted.Add(1)
 	j.mu.Lock()
 	j.state = jobEvicted
 	j.cp = cp
 	j.cancel = nil
 	j.mu.Unlock()
 	s.persistJob(j)
-	s.metrics.JobsEvicted.Add(1)
 	j.closeSubs()
 }
 

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/dynmon"
@@ -120,6 +123,57 @@ func TestRunBufferedColdAndCached(t *testing.T) {
 	}
 	if rate := srv.metrics.CacheHitRate(); rate != 0.5 {
 		t.Fatalf("cache hit rate %v, want 0.5", rate)
+	}
+}
+
+// TestRunBufferedConcurrentHits: concurrent buffered hits for one digest
+// share the cached result bytes, and each must still get exactly those
+// bytes plus one newline — no hit may write into the shared slice (run
+// under -race).
+func TestRunBufferedConcurrentHits(t *testing.T) {
+	spec := goldenSpec(t, "mesh-9x9-minimum.json")
+	want := append(offlineResult(t, spec), '\n')
+	_, ts := newTestServer(t, Config{Workers: 2})
+	if resp := postRun(t, ts.URL, spec, "application/json"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold run status %d", resp.StatusCode)
+	} else {
+		readAll(t, resp)
+	}
+
+	const hits = 48
+	var wg sync.WaitGroup
+	errs := make(chan error, hits)
+	for i := 0; i < hits; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/runs", bytes.NewReader(spec))
+			if err != nil {
+				errs <- err
+				return
+			}
+			req.Header.Set("Accept", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			switch {
+			case err != nil:
+				errs <- err
+			case resp.Header.Get("X-Dynmond-Cache") != "hit":
+				errs <- fmt.Errorf("status %d without a cache hit", resp.StatusCode)
+			case !bytes.Equal(got, want):
+				errs <- fmt.Errorf("hit body differs from the offline result:\n got %q\nwant %q", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -10,7 +10,10 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Degree is the number of neighbors of every vertex in all three torus
@@ -32,11 +35,24 @@ type Dims struct {
 	Rows, Cols int
 }
 
+// ErrTooLarge is wrapped by the errors NewDims returns for lattices whose
+// size the engine cannot index: rows·cols overflows int, or the Degree·N
+// adjacency entries overflow the int32 offsets of CSR.
+var ErrTooLarge = errors.New("grid: lattice too large")
+
 // NewDims validates and returns the dimensions of an m×n torus.  The paper
-// requires m, n >= 2.
+// requires m, n >= 2; the vertex count must also fit the engine's indexes
+// (ErrTooLarge).
 func NewDims(rows, cols int) (Dims, error) {
 	if rows < 2 || cols < 2 {
 		return Dims{}, fmt.Errorf("grid: dimensions must be at least 2x2, got %dx%d", rows, cols)
+	}
+	hi, n := bits.Mul64(uint64(rows), uint64(cols))
+	if hi != 0 || n > math.MaxInt {
+		return Dims{}, fmt.Errorf("%w: %dx%d vertices overflow int", ErrTooLarge, rows, cols)
+	}
+	if n > math.MaxInt32/Degree {
+		return Dims{}, fmt.Errorf("%w: %dx%d = %d vertices; their %d·N adjacency entries overflow the int32 CSR offsets (at most %d vertices)", ErrTooLarge, rows, cols, n, Degree, math.MaxInt32/Degree)
 	}
 	return Dims{Rows: rows, Cols: cols}, nil
 }

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,41 @@ func TestNewDimsValidation(t *testing.T) {
 	}
 	if d.Rows != 3 || d.Cols != 4 || d.N() != 12 {
 		t.Errorf("unexpected dims %+v", d)
+	}
+}
+
+// TestNewDimsRejectsOverflow: lattices whose vertex count overflows int,
+// or whose adjacency overflows the int32 CSR offsets, get ErrTooLarge
+// instead of a wrapped-around N.
+func TestNewDimsRejectsOverflow(t *testing.T) {
+	cases := []struct {
+		rows, cols int
+		ok         bool
+	}{
+		{1 << 32, 1 << 32, false},
+		{math.MaxInt, 2, false},
+		{2, math.MaxInt/2 + 1, false},
+		{3037000500, 3037000500, false},
+		{1 << 16, 1 << 15, false},
+		{23171, 23171, false},
+		{23170, 23170, true},
+		{2, math.MaxInt32 / Degree / 2, true},
+		{4096, 4096, true},
+	}
+	for _, c := range cases {
+		d, err := NewDims(c.rows, c.cols)
+		if c.ok {
+			if err != nil || d.N() != c.rows*c.cols {
+				t.Errorf("NewDims(%d, %d) = %+v, %v; want a valid lattice", c.rows, c.cols, d, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("NewDims(%d, %d) err = %v, want ErrTooLarge", c.rows, c.cols, err)
+		}
+	}
+	if _, err := New(KindToroidalMesh, 1<<32, 1<<32); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("New on a 2^32 x 2^32 mesh: err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -45,12 +45,32 @@ func Mix(z uint64) uint64 {
 // values; the same seed with a different arity never collides with a prefix
 // (each position folds in its index).
 func Hash(seed uint64, ids ...uint64) uint64 {
-	h := Mix(seed + golden)
-	for i, id := range ids {
-		h = Mix(h + golden*uint64(i+1) + Mix(id+golden))
+	p := NewPrefix(seed)
+	for _, id := range ids {
+		p = p.Then(id)
 	}
-	return h
+	return p.Sum()
 }
+
+// Prefix is the fold state of Hash after a seed and a leading run of
+// coordinates, so a loop over the last coordinates can hoist the shared
+// part: Hash(seed, r, v, t) == NewPrefix(seed).Then(r).Then(v).Then(t).Sum().
+type Prefix struct {
+	h, n uint64
+}
+
+// NewPrefix starts a fold over seed with no coordinates yet.
+func NewPrefix(seed uint64) Prefix { return Prefix{h: Mix(seed + golden)} }
+
+// Then folds in the next coordinate.
+func (p Prefix) Then(id uint64) Prefix {
+	p.n++
+	p.h = Mix(p.h + golden*p.n + Mix(id+golden))
+	return p
+}
+
+// Sum returns the hash of the coordinates folded so far.
+func (p Prefix) Sum() uint64 { return p.h }
 
 // Unit maps a 64-bit hash to a uniform float64 in [0, 1), the stateless twin
 // of Source.Float64 (same 53-bit construction).

@@ -249,6 +249,35 @@ func TestHashPureFunction(t *testing.T) {
 	}
 }
 
+// TestHashPrefixMatchesFold pins Hash and its hoisted form to the original
+// one-loop fold, so every stochastic stream stays the same draw for draw.
+func TestHashPrefixMatchesFold(t *testing.T) {
+	fold := func(seed uint64, ids ...uint64) uint64 {
+		h := Mix(seed + golden)
+		for i, id := range ids {
+			h = Mix(h + golden*uint64(i+1) + Mix(id+golden))
+		}
+		return h
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		if got, want := Hash(seed), fold(seed); got != want {
+			t.Fatalf("Hash(%d) = %#x, want %#x", seed, got, want)
+		}
+		for r := uint64(0); r < 8; r++ {
+			p := NewPrefix(seed).Then(r)
+			for v := uint64(0); v < 64; v++ {
+				want := fold(seed, r, v, 1)
+				if got := Hash(seed, r, v, 1); got != want {
+					t.Fatalf("Hash(%d,%d,%d,1) = %#x, want %#x", seed, r, v, got, want)
+				}
+				if got := p.Then(v).Then(1).Sum(); got != want {
+					t.Fatalf("prefix fold of (%d,%d,%d,1) = %#x, want %#x", seed, r, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestHashBitBalance drives the counter-based form over a lattice of
 // (round, vertex) coordinates — exactly the schedule-mask workload — and
 // checks every output bit is balanced.

@@ -1,7 +1,7 @@
 package rules
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/color"
 	"repro/internal/rng"
@@ -15,84 +15,77 @@ const (
 	faultTagColor = 2
 )
 
-// FaultDraw injects an ε-fault into an already-computed next color: with
-// probability eps the (round, vertex) application misfires and returns a
-// uniformly random color from the palette {1..k} instead of next.  The draw
-// is counter-based — a pure function of (seed, round, vertex) via rng.Hash —
-// so the same coordinates misfire identically under any worker count,
-// kernel tier or checkpoint/resume boundary.  It is the single shared
-// definition of the noise model: Faulty wraps it as a rule decorator and the
-// engine's stochastic driver calls it directly on top of the counts fast
-// path, so the two are identical by construction.
-func FaultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
-	if eps <= 0 || k < 1 {
-		return next
-	}
-	if rng.Unit(rng.Hash(seed, round, v, faultTagDraw)) >= eps {
-		return next
-	}
-	pick := rng.Hash(seed, round, v, faultTagColor)
-	return color.Color(1 + pick%uint64(k))
-}
-
-// Faulty is the ε-faulty decorator over a CountRule: each application of the
-// inner rule independently misfires with probability Eps, replacing the
-// computed color with a uniform draw from the palette {1..K}.  It models the
-// transient faults of the fault-tolerance literature the paper points at —
-// a processor that computes the majority correctly but occasionally writes
-// a garbled value.
+// FaultRound is one round of the ε-fault stream: with probability eps the
+// application at vertex v misfires and takes a uniformly random color from
+// the palette {1..k}.  The draws are counter-based — pure functions of
+// (seed, round, vertex) via rng.Hash — so the same coordinates misfire
+// identically under any worker count, kernel tier or checkpoint/resume
+// boundary.
 //
-// The Rule/CountRule methods delegate to the inner rule noise-free: they
-// receive no (round, vertex) coordinates, and the noise model is defined
-// per application, not per neighborhood multiset.  The coordinate-aware
-// forms NextAt/NextFromCountsAt inject the fault; the simulation engine
-// drives those (via FaultDraw) when a run carries a Noise option.
-type Faulty struct {
-	// Inner is the noise-free decision rule.
-	Inner CountRule
-	// Eps is the per-application fault probability in [0, 1].
-	Eps float64
-	// K is the palette size: faulted applications draw uniformly from {1..K}.
-	K int
-	// Seed selects the fault stream.  Two runs with the same seed (and spec)
-	// misfire at exactly the same (round, vertex) coordinates.
-	Seed uint64
+// It is the single definition of the noise model: FaultDraw, the engine's
+// scalar stochastic sweeps and the bitplane tier's word-parallel fault masks
+// all draw through it, so the paths are identical by construction.  Building
+// one per round hoists the (seed, round) prefix of the hash out of the
+// per-vertex loop, and rng.Unit(h) < eps is evaluated in its exact integer
+// form h>>11 < ⌈eps·2⁵³⌉ (Unit(h) is (h>>11)/2⁵³, and both the scaling by
+// 2⁵³ and the ceiling are exact in float64).
+type FaultRound struct {
+	prefix rng.Prefix
+	// thresh is ⌈eps·2⁵³⌉ clamped to 2⁵³; zero means no application faults.
+	thresh uint64
+	k      uint64
 }
 
-// Name returns "faulty-<inner>", e.g. "faulty-smp".
-func (r Faulty) Name() string { return "faulty-" + r.Inner.Name() }
-
-// Next delegates to the inner rule without noise; see the type comment.
-func (r Faulty) Next(current color.Color, neighbors []color.Color) color.Color {
-	return r.Inner.Next(current, neighbors)
-}
-
-// NextFromCounts delegates to the inner rule without noise.
-func (r Faulty) NextFromCounts(current color.Color, cs Counts) color.Color {
-	return r.Inner.NextFromCounts(current, cs)
-}
-
-// NextAt applies the inner rule and then the ε-fault draw for the given
-// (round, vertex) application.
-func (r Faulty) NextAt(round, v uint64, current color.Color, neighbors []color.Color) color.Color {
-	return FaultDraw(r.Seed, round, v, r.Eps, r.K, r.Inner.Next(current, neighbors))
-}
-
-// NextFromCountsAt is the counts fast path of NextAt.
-func (r Faulty) NextFromCountsAt(round, v uint64, current color.Color, cs Counts) color.Color {
-	return FaultDraw(r.Seed, round, v, r.Eps, r.K, r.Inner.NextFromCounts(current, cs))
-}
-
-// Validate reports whether the decorator's parameters are usable.
-func (r Faulty) Validate() error {
-	if r.Inner == nil {
-		return fmt.Errorf("rules: Faulty with nil inner rule")
+// NewFaultRound returns the fault draws of the given round.  eps ≤ 0 (or
+// NaN) or k < 1 yields a round in which nothing faults.
+func NewFaultRound(seed, round uint64, eps float64, k int) FaultRound {
+	if !(eps > 0) || k < 1 {
+		return FaultRound{}
 	}
-	if r.Eps < 0 || r.Eps > 1 {
-		return fmt.Errorf("rules: Faulty eps %v outside [0, 1]", r.Eps)
+	return FaultRound{
+		prefix: rng.NewPrefix(seed).Then(round),
+		thresh: uint64(math.Ceil(math.Min(eps, 1) * (1 << 53))),
+		k:      uint64(k),
 	}
-	if r.K < 1 {
-		return fmt.Errorf("rules: Faulty palette size %d < 1", r.K)
+}
+
+// Fault reports whether the application at vertex v misfires this round
+// and, when it does, the color it takes.
+func (f *FaultRound) Fault(v uint64) (color.Color, bool) {
+	if f.Mask(v, 1) == 0 {
+		return color.None, false
 	}
-	return nil
+	return f.Color(v), true
+}
+
+// Mask returns the misfire mask of the lanes (at most 64) consecutive
+// vertices starting at base: bit i is set when vertex base+i misfires this
+// round.  It is the one definition of the misfire draw: Fault is Mask over
+// a single vertex, and the bitplane tier calls it once per plane word.
+func (f *FaultRound) Mask(base uint64, lanes int) uint64 {
+	var m uint64
+	for i := 0; i < lanes; i++ {
+		h := f.prefix.Then(base + uint64(i)).Then(faultTagDraw).Sum()
+		// h>>11 and thresh are both below 2⁶³, so the difference borrows
+		// into bit 63 exactly when h>>11 < thresh.
+		m |= (h>>11 - f.thresh) >> 63 << i
+	}
+	return m
+}
+
+// Color returns the color vertex v takes when it misfires this round.
+func (f *FaultRound) Color(v uint64) color.Color {
+	return color.Color(1 + f.prefix.Then(v).Then(faultTagColor).Sum()%f.k)
+}
+
+// FaultDraw injects an ε-fault into an already-computed next color: it is
+// next unless the (round, vertex) application misfires (see FaultRound), in
+// which case it is the drawn color.  Loops over many vertices of one round
+// build the FaultRound once instead.
+func FaultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
+	f := NewFaultRound(seed, round, eps, k)
+	if c, ok := f.Fault(v); ok {
+		return c
+	}
+	return next
 }

@@ -5,27 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/color"
+	"repro/internal/rng"
 )
 
 func TestFaultyZeroEpsIsInner(t *testing.T) {
-	inner := SMP{}
-	r := Faulty{Inner: inner, Eps: 0, K: 4, Seed: 9}
-	neighbors := []color.Color{1, 1, 2, 3}
 	for round := uint64(0); round < 16; round++ {
 		for v := uint64(0); v < 64; v++ {
-			want := inner.Next(2, neighbors)
-			if got := r.NextAt(round, v, 2, neighbors); got != want {
-				t.Fatalf("eps=0 NextAt(%d,%d) = %v, want inner %v", round, v, got, want)
+			if got := FaultDraw(9, round, v, 0, 4, 2); got != 2 {
+				t.Fatalf("eps=0 FaultDraw(%d,%d) = %v, want the computed color 2", round, v, got)
 			}
 		}
 	}
 }
 
 func TestFaultyFullEpsAlwaysFaults(t *testing.T) {
-	r := Faulty{Inner: SMP{}, Eps: 1, K: 4, Seed: 3}
 	seen := map[color.Color]bool{}
 	for v := uint64(0); v < 1000; v++ {
-		c := r.NextFromCountsAt(1, v, 2, CountsOf([]color.Color{1, 1, 1, 1}))
+		c := FaultDraw(3, 1, v, 1, 4, 1)
 		if c < 1 || c > 4 {
 			t.Fatalf("faulted color %v outside palette {1..4}", c)
 		}
@@ -39,25 +35,22 @@ func TestFaultyFullEpsAlwaysFaults(t *testing.T) {
 }
 
 func TestFaultyDeterministicAndCoordinateDependent(t *testing.T) {
-	r := Faulty{Inner: SMP{}, Eps: 0.5, K: 4, Seed: 17}
-	cs := CountsOf([]color.Color{1, 2, 3, 4})
-	a := r.NextFromCountsAt(5, 7, 2, cs)
-	if b := r.NextFromCountsAt(5, 7, 2, cs); a != b {
+	a := FaultDraw(17, 5, 7, 0.5, 4, 2)
+	if b := FaultDraw(17, 5, 7, 0.5, 4, 2); a != b {
 		t.Fatal("fault draw is not deterministic for fixed coordinates")
 	}
 	// Across many coordinates, draws must differ (the fault stream is not
 	// constant) while any single coordinate is stable.
 	varied := false
 	for v := uint64(0); v < 100 && !varied; v++ {
-		varied = r.NextFromCountsAt(5, v, 2, cs) != a
+		varied = FaultDraw(17, 5, v, 0.5, 4, 2) != a
 	}
 	if !varied {
 		t.Fatal("fault draw ignores the vertex coordinate")
 	}
-	other := Faulty{Inner: SMP{}, Eps: 0.5, K: 4, Seed: 18}
 	differs := false
 	for v := uint64(0); v < 100 && !differs; v++ {
-		differs = r.NextFromCountsAt(5, v, 2, cs) != other.NextFromCountsAt(5, v, 2, cs)
+		differs = FaultDraw(17, 5, v, 0.5, 4, 2) != FaultDraw(18, 5, v, 0.5, 4, 2)
 	}
 	if !differs {
 		t.Fatal("fault draw ignores the seed")
@@ -66,14 +59,12 @@ func TestFaultyDeterministicAndCoordinateDependent(t *testing.T) {
 
 func TestFaultyRateMatchesEps(t *testing.T) {
 	const eps = 0.1
-	// Pick a neighborhood where the inner rule's answer (1) has only a 1/K
-	// chance of coinciding with a faulted draw, then count deviations.
-	r := Faulty{Inner: SMP{}, Eps: eps, K: 4, Seed: 41}
-	cs := CountsOf([]color.Color{1, 1, 1, 1})
+	// Count deviations from a computed color that a faulted draw matches
+	// only 1 time in K.
 	const trials = 40000
 	faultedAway := 0
 	for v := uint64(0); v < trials; v++ {
-		if r.NextFromCountsAt(2, v, 2, cs) != 1 {
+		if FaultDraw(41, 2, v, eps, 4, 1) != 1 {
 			faultedAway++
 		}
 	}
@@ -85,50 +76,28 @@ func TestFaultyRateMatchesEps(t *testing.T) {
 	}
 }
 
-func TestFaultyNextDelegatesNoiseFree(t *testing.T) {
-	r := Faulty{Inner: SMP{}, Eps: 1, K: 4, Seed: 1}
-	neighbors := []color.Color{3, 3, 3, 1}
-	if got, want := r.Next(1, neighbors), (SMP{}).Next(1, neighbors); got != want {
-		t.Fatalf("Next = %v, want noise-free inner %v", got, want)
-	}
-	if got, want := r.NextFromCounts(1, CountsOf(neighbors)), (SMP{}).NextFromCounts(1, CountsOf(neighbors)); got != want {
-		t.Fatalf("NextFromCounts = %v, want noise-free inner %v", got, want)
-	}
-	if r.Name() != "faulty-smp" {
-		t.Fatalf("Name = %q", r.Name())
-	}
-}
-
-func TestFaultyCountsAgreesWithSlice(t *testing.T) {
-	r := Faulty{Inner: StrongMajority{}, Eps: 0.3, K: 4, Seed: 77}
-	neighborhoods := [][]color.Color{
-		{1, 1, 1, 1}, {1, 2, 3, 4}, {2, 2, 3, 3}, {4, 4, 4, 1},
-	}
-	for _, ns := range neighborhoods {
-		for v := uint64(0); v < 32; v++ {
-			a := r.NextAt(3, v, 2, ns)
-			b := r.NextFromCountsAt(3, v, 2, CountsOf(ns))
-			if a != b {
-				t.Fatalf("NextAt and NextFromCountsAt disagree on %v at v=%d: %v vs %v", ns, v, a, b)
-			}
+// TestFaultDrawMatchesFloatForm pins the integer threshold of FaultRound
+// to the float comparison Unit(h) < eps it replaces, on ordinary rates,
+// extreme ones and eps values that sit exactly on a vertex's draw.
+func TestFaultDrawMatchesFloatForm(t *testing.T) {
+	floatForm := func(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
+		if eps <= 0 || k < 1 || rng.Unit(rng.Hash(seed, round, v, faultTagDraw)) >= eps {
+			return next
 		}
+		return color.Color(1 + rng.Hash(seed, round, v, faultTagColor)%uint64(k))
 	}
-}
-
-func TestFaultyValidate(t *testing.T) {
-	good := Faulty{Inner: SMP{}, Eps: 0.1, K: 4}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	epss := []float64{0, 1e-300, 1e-9, 0.01, 0.5, math.Nextafter(0.5, 0), 0.999, 1}
+	for v := uint64(0); v < 8; v++ {
+		epss = append(epss, rng.Unit(rng.Hash(5, 3, v, faultTagDraw)))
 	}
-	bad := []Faulty{
-		{Inner: nil, Eps: 0.1, K: 4},
-		{Inner: SMP{}, Eps: -0.1, K: 4},
-		{Inner: SMP{}, Eps: 1.1, K: 4},
-		{Inner: SMP{}, Eps: 0.1, K: 0},
-	}
-	for i, r := range bad {
-		if r.Validate() == nil {
-			t.Fatalf("case %d: Validate accepted %+v", i, r)
+	for _, eps := range epss {
+		for _, k := range []int{1, 2, 3, 4, 7} {
+			for v := uint64(0); v < 2000; v++ {
+				want := floatForm(5, 3, v, eps, k, 2)
+				if got := FaultDraw(5, 3, v, eps, k, 2); got != want {
+					t.Fatalf("eps=%v k=%d v=%d: FaultDraw %v, float form %v", eps, k, v, got, want)
+				}
+			}
 		}
 	}
 }

@@ -33,6 +33,12 @@ var ErrBitplaneIneligible = errors.New("sim: combination does not qualify for th
 // Results are bit-identical to the full-sweep oracle; the differential tests
 // in bitplane_test.go pin this on every qualifying rule × topology pair.
 //
+// Synchronous ε-faulty runs (Options.Noise) step here too: after the kernel
+// writes a slab's Next planes, a fault pass overwrites the lanes that
+// misfire this round with their drawn colors.  The draws are the scalar
+// path's rules.FaultRound, so a noisy bitplane run equals the noisy sweep;
+// the palette then also covers the noise colors {1..Noise.Colors}.
+//
 // Like Frontier, a Bitplane is single-goroutine state (the engine stripes
 // kernel words across the worker pool internally on parallel runs); all
 // buffers are allocated at construction and recycled by Reset, so
@@ -63,6 +69,11 @@ type Bitplane struct {
 	// cfg is the lazily unpacked scalar view of the configuration.
 	cfg      *color.Coloring
 	cfgRound int
+	// noise, when non-nil, makes every round ε-faulty; faults holds the
+	// current round's draws, derived before any slab runs and only read by
+	// the slab tasks.
+	noise  *Noise
+	faults rules.FaultRound
 
 	detectCycles bool
 	cycle        bool
@@ -70,9 +81,10 @@ type Bitplane struct {
 	round        int
 }
 
-// bitplaneCheck decides bitplane eligibility for a run over initial and
-// returns the palette size, shift plan and kernel on success.
-func (e *Engine) bitplaneCheck(initial *color.Coloring) (int, *grid.ShiftPlan, rules.BitKernel, error) {
+// bitplaneCheck decides bitplane eligibility for a run over initial (with
+// faults drawn from {1..noiseColors}; 0 for noise-free runs) and returns the
+// palette size, shift plan and kernel on success.
+func (e *Engine) bitplaneCheck(initial *color.Coloring, noiseColors int) (int, *grid.ShiftPlan, rules.BitKernel, error) {
 	if e.bitRule == nil {
 		return 0, nil, nil, fmt.Errorf("%w: rule %q has no word-parallel kernel", ErrBitplaneIneligible, e.rule.Name())
 	}
@@ -83,7 +95,10 @@ func (e *Engine) bitplaneCheck(initial *color.Coloring) (int, *grid.ShiftPlan, r
 	if !ok {
 		return 0, nil, nil, fmt.Errorf("%w: topology %q is not shift-regular", ErrBitplaneIneligible, e.topo.Name())
 	}
-	k := 1
+	if noiseColors > color.MaxPlaneColors {
+		return 0, nil, nil, fmt.Errorf("%w: noise palette {1..%d} exceeds {1..%d}", ErrBitplaneIneligible, noiseColors, color.MaxPlaneColors)
+	}
+	k := max(1, noiseColors)
 	for _, c := range initial.Cells() {
 		if c < 1 || int(c) > color.MaxPlaneColors {
 			return 0, nil, nil, fmt.Errorf("%w: coloring contains color %v outside {1..%d}", ErrBitplaneIneligible, c, color.MaxPlaneColors)
@@ -109,7 +124,7 @@ func (e *Engine) NewBitplane(initial *color.Coloring) (*Bitplane, error) {
 	if initial.Dims() != d {
 		panic(fmt.Sprintf("sim: NewBitplane dimension mismatch %v vs %v", initial.Dims(), d))
 	}
-	k, plan, kern, err := e.bitplaneCheck(initial)
+	k, plan, kern, err := e.bitplaneCheck(initial, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +171,7 @@ func (bp *Bitplane) Reset(initial *color.Coloring) error {
 	if initial.Dims() != bp.e.sub.Dims() {
 		panic(fmt.Sprintf("sim: Bitplane.Reset dimension mismatch %v vs %v", initial.Dims(), bp.e.sub.Dims()))
 	}
-	k, plan, kern, err := bp.e.bitplaneCheck(initial)
+	k, plan, kern, err := bp.e.bitplaneCheck(initial, 0)
 	if err != nil {
 		return err
 	}
@@ -174,6 +189,7 @@ func (bp *Bitplane) resetWith(initial *color.Coloring, k int, plan *grid.ShiftPl
 		return fmt.Errorf("%w: coloring not representable in %d planes", ErrBitplaneIneligible, bp.planes)
 	}
 	bp.round, bp.prevChanged = 0, 0
+	bp.noise = nil
 	bp.cycle, bp.detectCycles = false, false
 	bp.cycleBase = 0
 	bp.cfgRound = -1
@@ -228,8 +244,17 @@ const bitplaneSlabWords = 8192
 // Step applies one synchronous round to all planes and returns the number
 // of vertices that changed color.
 func (bp *Bitplane) Step() int {
+	bp.drawFaults()
 	bp.stepSlabs(0, bp.words, bitplaneSlabWords)
 	return bp.finishStep()
+}
+
+// drawFaults derives the fault draws of the round about to be stepped
+// (rounds are 1-based, as in the scalar drivers).
+func (bp *Bitplane) drawFaults() {
+	if bp.noise != nil {
+		bp.faults = bp.noise.round(uint64(bp.round + 1))
+	}
 }
 
 // stepStriped is Step with the fused slabs striped across the shared worker
@@ -244,6 +269,7 @@ func (bp *Bitplane) stepStriped(st *runState, workers int) int {
 	if workers <= 1 {
 		return bp.Step()
 	}
+	bp.drawFaults()
 	st.stripeAcross(bp.words, workers, func(t *stripeTask, lo, hi int) {
 		*t = stripeTask{run: runBitSlabTask, wg: &st.wg, bp: bp, lo: lo, hi: hi}
 	})
@@ -260,9 +286,9 @@ func (bp *Bitplane) stepSlabs(lo, hi, slab int) {
 }
 
 // stepSlab computes one fused block: the per-port shifted plane words in
-// [wlo, whi), then the kernel over the same range.  The kernel is a pure
-// wordwise map (Next[w] is a function of Cur and Nbr words at w only), so
-// producing Nbr slab-locally is exact.
+// [wlo, whi), then the kernel over the same range, then (under noise) the
+// fault pass.  The kernel is a pure wordwise map (Next[w] is a function of
+// Cur and Nbr words at w only), so producing Nbr slab-locally is exact.
 func (bp *Bitplane) stepSlab(wlo, whi int) {
 	for p := 0; p < rules.BitPorts; p++ {
 		port := &bp.plan.Ports[p]
@@ -271,6 +297,36 @@ func (bp *Bitplane) stepSlab(wlo, whi int) {
 		}
 	}
 	bp.kern.StepWords(&bp.st, wlo, whi)
+	if bp.noise != nil {
+		bp.faultSlab(wlo, whi)
+	}
+}
+
+// faultSlab applies the round's ε-faults to the Next words in [wlo, whi):
+// each word's misfire mask comes from the same per-vertex draws as the
+// scalar sweep (rules.FaultRound.Mask over the word's vertices), and the
+// faulted lanes are overwritten with their drawn colors.  The drawn colors
+// lie in the palette, so they fit the planes.
+func (bp *Bitplane) faultSlab(wlo, whi int) {
+	f := &bp.faults
+	next := &bp.st.Next
+	for w := wlo; w < whi; w++ {
+		base := w << 6
+		mask := f.Mask(uint64(base), min(64, bp.nbits-base))
+		if mask == 0 {
+			continue
+		}
+		var enc [rules.MaxBitPlanes]uint64
+		for m := mask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			c := uint64(f.Color(uint64(base+b)) - 1)
+			enc[0] |= (c & 1) << b
+			enc[1] |= (c >> 1) << b
+		}
+		for p := 0; p < bp.planes; p++ {
+			next[p][w] = next[p][w]&^mask | enc[p]
+		}
+	}
 }
 
 // finishStep masks the kernel output, maintains cycle tracking and the diff

@@ -60,3 +60,53 @@ func BenchmarkBitplaneSlabWords(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBitplaneNoisyStep measures one ε-faulty bit-sliced round on the
+// two-color 128×128 torus of the ensemble-noisy benchmark workload, against
+// the same round without noise and on the scalar stochastic sweep, and
+// reports the cost per vertex.  The fault pass hashes every vertex every
+// round (rules.FaultRound), so it, not the kernel, sets the floor.
+func BenchmarkBitplaneNoisyStep(b *testing.B) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 128, 128)
+	eng := NewEngine(topo, rules.SMP{})
+	src := rng.New(1)
+	initial := color.RandomColoring(topo.Dims(), color.MustPalette(2), func() int { return src.Intn(2) })
+	noise := &Noise{Eps: 0.01, Colors: 2, Seed: 3}
+	n := topo.Dims().N()
+	perVertex := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/vertex")
+	}
+	for _, noisy := range []bool{false, true} {
+		name := "bitplane"
+		if noisy {
+			name = "bitplane-noisy"
+		}
+		b.Run(name, func(b *testing.B) {
+			bp, err := eng.NewBitplane(initial)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if noisy {
+				bp.noise = noise
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bp.Step()
+			}
+			perVertex(b)
+		})
+	}
+	b.Run("sweep-noisy", func(b *testing.B) {
+		cur, next := initial.Clone(), initial.Clone()
+		sched := &Schedule{}
+		scratch := make([]color.Color, 0, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.stepRangeStochastic(i+1, sched, noise, cur.Cells(), next.Cells(), 0, n, scratch)
+			cur, next = next, cur
+		}
+		perVertex(b)
+	})
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/color"
@@ -332,5 +333,155 @@ func TestBitplaneObserversAndHistoryOnForcedTier(t *testing.T) {
 		if !bitRes.History[i].Equal(oracle.History[i]) {
 			t.Fatalf("history round %d differs", i+1)
 		}
+	}
+}
+
+// TestBitplaneNoisyMatchesSweep is the differential oracle of ε-faulty runs
+// on the bitplane tier: on every rule with a kernel × the three tori
+// (including the 2×n degenerates and a multi-word 3×67) × palettes 2..4 ×
+// fault rates from rare to certain, the auto-selected bitplane run —
+// sequential and striped — must equal the forced scalar sweep in every
+// Result field, and must never hand off to the frontier (which has no
+// stochastic form).
+func TestBitplaneNoisyMatchesSweep(t *testing.T) {
+	sizes := [][2]int{{2, 7}, {7, 2}, {3, 67}, {9, 9}}
+	qualified := 0
+	for _, name := range rules.RegisteredNames() {
+		rule, err := rules.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rule.(rules.BitRule); !ok {
+			continue
+		}
+		for _, kind := range grid.Kinds() {
+			for _, sz := range sizes {
+				topo := grid.MustNew(kind, sz[0], sz[1])
+				eng := NewEngine(topo, rule)
+				for _, k := range []int{2, 3, 4} {
+					initial := randomTestColoring(uint64(k), topo.Dims(), k)
+					for _, eps := range []float64{0.01, 0.5, 1} {
+						noise := &Noise{Eps: eps, Colors: k, Seed: uint64(k)*31 + uint64(sz[1])}
+						base := Options{Noise: noise, MaxRounds: 30, Target: 1, StopWhenMonochromatic: true, DetectCycles: true}
+						sweep := base
+						sweep.Kernel = KernelSweep
+						oracle := eng.Run(initial, sweep)
+						for _, workers := range []int{1, 4} {
+							opt := base
+							opt.Parallel, opt.Workers = workers > 1, workers
+							got := eng.Run(initial, opt)
+							label := fmt.Sprintf("%s/%s/%v/k%d/eps%v/w%d", name, topo.Name(), topo.Dims(), k, eps, workers)
+							if got.Kernel != KernelBitplane {
+								if _, ok := rule.(rules.BitRule).BitKernel(k); ok {
+									t.Fatalf("%s: noisy run took the %v tier", label, got.Kernel)
+								}
+								continue
+							}
+							qualified++
+							resultsEqual(t, label, got, oracle)
+							if got.Downshift != 0 {
+								t.Fatalf("%s: noisy run downshifted at round %d", label, got.Downshift)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if qualified < 500 {
+		t.Fatalf("only %d noisy bitplane runs exercised, expected the full matrix", qualified)
+	}
+}
+
+// TestBitplaneNoisyPalette: faults draw from {1..Noise.Colors}, which may
+// exceed the colors of the initial configuration, so the planes must cover
+// the noise palette; a noise palette beyond four colors keeps auto runs on
+// the sweep and refuses a forced bitplane run.
+func TestBitplaneNoisyPalette(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 12, 13)
+	eng := NewEngine(topo, rules.SMP{})
+	for _, colors := range []int{2, 3, 4} {
+		for _, initK := range []int{1, 2} {
+			if initK >= colors {
+				continue
+			}
+			initial := randomTestColoring(7, topo.Dims(), initK)
+			noise := &Noise{Eps: 0.2, Colors: colors, Seed: 5}
+			opt := Options{Noise: noise, MaxRounds: 25, Target: 1}
+			got := eng.Run(initial, opt)
+			opt.Kernel = KernelSweep
+			want := eng.Run(initial, opt)
+			label := fmt.Sprintf("init k=%d noise k=%d", initK, colors)
+			if got.Kernel != KernelBitplane {
+				t.Fatalf("%s: auto run took the %v tier", label, got.Kernel)
+			}
+			resultsEqual(t, label, got, want)
+			if c := maxColor(got.Final); int(c) != colors {
+				t.Fatalf("%s: final coloring tops out at color %d, want the noise palette's %d", label, c, colors)
+			}
+		}
+	}
+	initial := randomTestColoring(7, topo.Dims(), 2)
+	wide := Options{Noise: &Noise{Eps: 0.2, Colors: 5, Seed: 5}, MaxRounds: 10}
+	if res := eng.Run(initial, wide); res.Kernel == KernelBitplane {
+		t.Fatal("a 5-color noise palette ran on the bitplane tier")
+	}
+	wide.Kernel = KernelBitplane
+	if _, err := eng.RunContext(context.Background(), initial, wide); !errors.Is(err, ErrBitplaneIneligible) {
+		t.Fatalf("forced bitplane with a 5-color noise palette: err = %v, want ErrBitplaneIneligible", err)
+	}
+}
+
+func maxColor(c *color.Coloring) color.Color {
+	var top color.Color
+	for _, x := range c.Cells() {
+		top = max(top, x)
+	}
+	return top
+}
+
+// TestBitplaneNoisyCheckpointResume: a checkpoint taken mid-run on the
+// noisy bitplane tier resumes on the scalar path (a checkpoint carries
+// scalar state only) and finishes exactly like the uninterrupted run.
+func TestBitplaneNoisyCheckpointResume(t *testing.T) {
+	topo := grid.MustNew(grid.KindTorusCordalis, 16, 20)
+	eng := NewEngine(topo, rules.SMP{})
+	initial := randomTestColoring(3, topo.Dims(), 3)
+	for _, workers := range []int{1, 4} {
+		opt := Options{Noise: &Noise{Eps: 0.05, Colors: 3, Seed: 9}, MaxRounds: 40, Target: 1, Parallel: workers > 1, Workers: workers}
+		full := eng.Run(initial, opt)
+		if full.Kernel != KernelBitplane {
+			t.Fatalf("workers=%d: uninterrupted run took the %v tier", workers, full.Kernel)
+		}
+		cp := checkpointAt(t, eng, initial, opt, 17)
+		resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Kernel == KernelBitplane {
+			t.Fatalf("workers=%d: resumed run stayed on the bitplane tier", workers)
+		}
+		resultsEqual(t, fmt.Sprintf("workers=%d resumed vs uninterrupted", workers), resumed, full)
+	}
+}
+
+// TestBitplaneNoisyStepDoesNotAllocate pins the zero-allocation steady
+// state with the fault pass on, sequential and striped.
+func TestBitplaneNoisyStepDoesNotAllocate(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 64, 64)
+	eng := NewEngine(topo, rules.SMP{})
+	bp, err := eng.NewBitplane(randomTestColoring(5, topo.Dims(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.noise = &Noise{Eps: 0.01, Colors: 2, Seed: 1}
+	bp.Step()
+	if allocs := testing.AllocsPerRun(100, func() { bp.Step() }); allocs != 0 {
+		t.Fatalf("noisy bitplane step allocates %.1f objects per op, want 0", allocs)
+	}
+	st := eng.getState(true)
+	bp.stepStriped(st, 2)
+	if allocs := testing.AllocsPerRun(100, func() { bp.stepStriped(st, 2) }); allocs != 0 {
+		t.Fatalf("striped noisy bitplane step allocates %.1f objects per op, want 0", allocs)
 	}
 }

@@ -429,7 +429,7 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 	for r, init := range initials {
 		res := &Result{MonotoneTarget: true, Workers: 1, Kernel: KernelFrontier}
 		if e.topo != nil {
-			if _, _, _, err := e.bitplaneCheck(init); err == nil {
+			if _, _, _, err := e.bitplaneCheck(init, 0); err == nil {
 				res.Kernel = KernelBitplane
 				emulate |= 1 << uint(r)
 			}

@@ -30,14 +30,17 @@
 // The synchronous execution model is itself a seam: Options.Schedule
 // selects which vertices fire each round (uniform-async, sequential
 // raster, random-sequential, vertex-clock — see ScheduleKind), and
-// Options.Noise makes the rule ε-faulty, flipping a vertex to a uniformly
-// random other color with probability Eps after each application.  Both
-// draw every random bit from counter-based hashes (internal/rng.Hash) of
-// the seed, the round and the vertex — never from stateful generators —
-// so stochastic runs are pure functions of their Options: bit-identical
-// across kernels, worker counts and checkpoint/resume.  Non-synchronous
-// schedules step on the in-place tiers; forcing the bitplane or sharded
-// kernel under one is rejected with ErrStochasticSweepOnly.
+// Options.Noise makes the rule ε-faulty: with probability Eps an
+// application misfires and the vertex takes a color drawn uniformly from
+// the whole palette.  Both draw every random bit from counter-based hashes
+// (internal/rng.Hash) of the seed, the round and the vertex — never from
+// stateful generators — so stochastic runs are pure functions of their
+// Options: bit-identical across kernels, worker counts and
+// checkpoint/resume.  Synchronous noisy runs take the bitplane tier when it
+// qualifies (word-parallel fault masks, see Bitplane); every other
+// stochastic run steps on the scalar sweep, and forcing the frontier or
+// sharded kernel — or the bitplane kernel under a schedule — is rejected
+// with ErrStochasticSweepOnly.
 //
 // The engine supports fixed-point and period-2-cycle detection,
 // monotonicity tracking with respect to a target color, per-vertex
@@ -81,7 +84,9 @@ const (
 	// smaller parallel runs, the sequential sweep when FullSweep is set,
 	// and the dirty frontier otherwise.  Auto-selected sequential bitplane
 	// runs may additionally downshift to the frontier mid-run once the
-	// change rate gets low (recorded on Result.Downshift).
+	// change rate gets low (recorded on Result.Downshift); noisy runs never
+	// do.  Stochastic runs that the bitplane kernel does not take step on
+	// the sequential or striped sweep.
 	KernelAuto Kernel = iota
 	// KernelBitplane forces the word-parallel bit-sliced stepper.  Runs
 	// error (wrapping ErrBitplaneIneligible) when the combination does not
@@ -279,9 +284,12 @@ type Options struct {
 	// Combining a stochastic schedule with TimeVarying is not supported.
 	Schedule *Schedule
 	// Noise, when non-nil with Eps > 0, makes every rule application ε-faulty
-	// (see Noise).  Noisy runs never stop on a fixed point — a fault can
-	// reignite the dynamics at any round — and follow the same sweep-only
-	// kernel gating as Schedule.
+	// (see Noise).  Noisy runs never stop on a fixed point or a cycle — a
+	// fault can reignite the dynamics at any round.  A synchronous noisy run
+	// takes the bitplane tier (forced, or automatically under the conditions
+	// of a deterministic run) when the rule, topology and the palette of the
+	// initial coloring and Noise.Colors qualify, with no frontier downshift;
+	// otherwise it follows Schedule's sweep-only kernel gating.
 	Noise *Noise
 	// Target, when non-zero, is the color whose spread is tracked: the
 	// engine records per-vertex first-reach times and whether the

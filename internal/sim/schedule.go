@@ -10,14 +10,16 @@ import (
 )
 
 // ErrStochasticSweepOnly is the error (wrapped) returned by stochastic runs —
-// a non-synchronous Schedule or an active Noise — that force an incremental
-// or batch kernel.  The frontier and bitplane tiers assume a vertex can only
-// change when a neighbor changed color in the previous round; under a masked
+// a non-synchronous Schedule or an active Noise — that force a kernel with
+// no stochastic form.  The frontier tier assumes a vertex can only change
+// when a neighbor changed color in the previous round; under a masked
 // schedule a skipped vertex must still be re-evaluated when its clock fires,
-// and under noise any vertex can misfire at any round.  The sharded tier
-// steps shard-local vertex ids, but schedule masks and fault draws are keyed
-// by global ids.  Stochastic runs always sweep every vertex every round (or
-// every vertex once per sweep, for the sequential schedules).
+// and under noise any vertex can misfire at any round.  The bitplane tier
+// evaluates every vertex every round, so it runs synchronous ε-faulty runs
+// (fault masks applied per word, see Bitplane) but no schedule.  The sharded
+// tier steps shard-local vertex ids, but schedule masks and fault draws are
+// keyed by global ids.  Every other stochastic run sweeps every vertex every
+// round (or every vertex once per sweep, for the sequential schedules).
 var ErrStochasticSweepOnly = errors.New("sim: stochastic runs require full-sweep semantics")
 
 // ScheduleKind identifies an update discipline of the engine.
@@ -157,7 +159,8 @@ func (s *Schedule) active(round, v uint64) bool {
 
 // Noise makes every rule application ε-faulty (Options.Noise): with
 // probability Eps the computed color is replaced by a uniform draw from the
-// palette {1..Colors}.  The draw is rules.FaultDraw — counter-based on
+// whole palette {1..Colors}, so a fault changes the color with probability
+// Eps·(Colors−1)/Colors.  The draws are rules.FaultRound — counter-based on
 // (Seed, round, vertex) — so a noisy run is exactly as reproducible as a
 // deterministic one.
 type Noise struct {
@@ -172,13 +175,18 @@ type Noise struct {
 
 // validate checks an active noise model.
 func (n Noise) validate() error {
-	if n.Eps < 0 || n.Eps > 1 {
+	if !(n.Eps >= 0 && n.Eps <= 1) { // also rejects NaN
 		return fmt.Errorf("sim: noise eps %v outside [0, 1]", n.Eps)
 	}
 	if n.Eps > 0 && n.Colors < 1 {
 		return fmt.Errorf("sim: noise over a %d-color palette", n.Colors)
 	}
 	return nil
+}
+
+// round returns the fault draws of one round.
+func (n *Noise) round(r uint64) rules.FaultRound {
+	return rules.NewFaultRound(n.Seed, r, n.Eps, n.Colors)
 }
 
 // stochasticParams normalizes and validates the run's Schedule and Noise
@@ -219,6 +227,10 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 	fwd, off := e.csr.Neighbors, e.csr.Off
 	cr := e.countRule
 	r := uint64(round)
+	var faults rules.FaultRound
+	if noise != nil {
+		faults = noise.round(r)
+	}
 	changed := 0
 	for v := lo; v < hi; v++ {
 		cv := cur[v]
@@ -228,7 +240,9 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 		}
 		nc := e.nextColor(cr, fwd, off, cur, v, cv, &scratch)
 		if noise != nil {
-			nc = rules.FaultDraw(noise.Seed, r, uint64(v), noise.Eps, noise.Colors, nc)
+			if c, ok := faults.Fault(uint64(v)); ok {
+				nc = c
+			}
 		}
 		next[v] = nc
 		if nc != cv {
@@ -373,12 +387,18 @@ func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options)
 	cr := e.countRule
 	scratch := d.st.scratch
 	r := uint64(round)
+	var faults rules.FaultRound
+	if d.noise != nil {
+		faults = d.noise.round(r)
+	}
 	changed := 0
 	step := func(v int) {
 		cv := cells[v]
 		nc := e.nextColor(cr, fwd, off, cells, v, cv, &scratch)
 		if d.noise != nil {
-			nc = rules.FaultDraw(d.noise.Seed, r, uint64(v), d.noise.Eps, d.noise.Colors, nc)
+			if c, ok := faults.Fault(uint64(v)); ok {
+				nc = c
+			}
 		}
 		if nc == cv {
 			return

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -151,21 +152,36 @@ func TestStochasticCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestStochasticKernelGating pins the sweep-only contract: incremental,
-// sharded and (for in-place schedules) striped kernels are rejected with
-// ErrStochasticSweepOnly.
+// TestStochasticKernelGating pins the kernel contract of stochastic runs:
+// incremental, sharded and (for in-place schedules) striped kernels are
+// rejected with ErrStochasticSweepOnly, and so is the bitplane kernel under
+// a schedule; under synchronous noise a forced bitplane run is accepted and
+// equals the sweep.
 func TestStochasticKernelGating(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 8, 8)
 	eng := NewEngine(topo, rules.SMP{})
 	initial := randomColoring(1, 8, 8, 2)
 	sched := &Schedule{Kind: ScheduleUniformAsync, Seed: 1}
+	noise := &Noise{Eps: 0.1, Colors: 2}
 	for _, k := range []Kernel{KernelBitplane, KernelFrontier, KernelSharded} {
 		if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: sched, Kernel: k}); !errors.Is(err, ErrStochasticSweepOnly) {
 			t.Fatalf("kernel %v with schedule: err = %v, want ErrStochasticSweepOnly", k, err)
 		}
-		if _, err := eng.RunContext(context.Background(), initial, Options{Noise: &Noise{Eps: 0.1, Colors: 2}, Kernel: k}); !errors.Is(err, ErrStochasticSweepOnly) {
+		if k == KernelBitplane {
+			continue
+		}
+		if _, err := eng.RunContext(context.Background(), initial, Options{Noise: noise, Kernel: k}); !errors.Is(err, ErrStochasticSweepOnly) {
 			t.Fatalf("kernel %v with noise: err = %v, want ErrStochasticSweepOnly", k, err)
 		}
+	}
+	bit, err := eng.RunContext(context.Background(), initial, Options{Noise: noise, Kernel: KernelBitplane, MaxRounds: 20, Target: 1})
+	if err != nil {
+		t.Fatalf("kernel bitplane with noise: %v", err)
+	}
+	sweep := eng.Run(initial, Options{Noise: noise, Kernel: KernelSweep, MaxRounds: 20, Target: 1})
+	resultsEqual(t, "noisy bitplane vs sweep", bit, sweep)
+	if bit.Kernel != KernelBitplane {
+		t.Fatalf("forced noisy bitplane run recorded kernel %v", bit.Kernel)
 	}
 	if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: &Schedule{Kind: ScheduleSequential}, Kernel: KernelParallel}); !errors.Is(err, ErrStochasticSweepOnly) {
 		t.Fatalf("parallel sequential: err = %v, want ErrStochasticSweepOnly", err)
@@ -192,6 +208,7 @@ func TestStochasticParamValidation(t *testing.T) {
 		{Schedule: &Schedule{Kind: ScheduleKind(99)}},
 		{Noise: &Noise{Eps: 1.5, Colors: 2}},
 		{Noise: &Noise{Eps: -0.5, Colors: 2}},
+		{Noise: &Noise{Eps: math.NaN(), Colors: 2}},
 		{Noise: &Noise{Eps: 0.5, Colors: 0}},
 	}
 	for i, opt := range bad {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/color"
 	"repro/internal/grid"
-	"repro/internal/rules"
 )
 
 // Step is one round of a streaming run, yielded by Engine.Stream (and by the
@@ -362,7 +361,19 @@ type bitplaneDriver struct {
 	lowChurn    int
 }
 
-func (e *Engine) newBitplaneDriver(st *runState, initial *color.Coloring, opt Options, workers int, forced bool, k int, plan *grid.ShiftPlan, kern rules.BitKernel) (*bitplaneDriver, error) {
+// newBitplaneDriver builds the bitplane tier over the pooled state, or
+// returns an error wrapping ErrBitplaneIneligible (before touching any
+// buffer) when the run has no exact word-parallel form.  noise is the run's
+// synchronous ε-fault model, nil for deterministic runs.
+func (e *Engine) newBitplaneDriver(st *runState, initial *color.Coloring, opt Options, noise *Noise, workers int, forced bool) (*bitplaneDriver, error) {
+	noiseColors := 0
+	if noise != nil {
+		noiseColors = noise.Colors
+	}
+	k, plan, kern, err := e.bitplaneCheck(initial, noiseColors)
+	if err != nil {
+		return nil, err
+	}
 	if st.bp == nil {
 		st.bp = e.newBitplaneBuffers()
 	}
@@ -370,7 +381,10 @@ func (e *Engine) newBitplaneDriver(st *runState, initial *color.Coloring, opt Op
 	if err := bp.resetWith(initial, k, plan, kern); err != nil {
 		return nil, err
 	}
-	bp.DetectCycles(opt.DetectCycles)
+	bp.noise = noise
+	// A noisy run never stops on a cycle (see streamRun), so it skips the
+	// tracking.
+	bp.DetectCycles(opt.DetectCycles && noise == nil)
 	d := &bitplaneDriver{e: e, st: st, bp: bp, workers: workers, forced: forced}
 	if opt.Target != color.None {
 		d.trackTarget = true
@@ -420,12 +434,12 @@ func (d *bitplaneDriver) mono() bool  { return d.bp.Monochromatic() }
 func (d *bitplaneDriver) cycle() bool { return d.bp.Cycle() }
 
 // downshift hands the run to the dirty-frontier stepper once the change rate
-// stays low (sequential auto-tier runs only — the frontier is
-// single-goroutine, and a forced tier is a contract).  The handoff is exact:
-// the hybrid run produces the same Result, round for round, as either pure
-// stepper.
+// stays low (sequential auto-tier noise-free runs only — the frontier is
+// single-goroutine and has no stochastic form, and a forced tier is a
+// contract).  The handoff is exact: the hybrid run produces the same Result,
+// round for round, as either pure stepper.
 func (d *bitplaneDriver) downshift(round, changed, maxRounds int, res *Result) runDriver {
-	if d.forced || d.workers != 1 || round >= maxRounds {
+	if d.forced || d.workers != 1 || d.bp.noise != nil || round >= maxRounds {
 		return nil
 	}
 	if changed*downshiftFactor < d.bp.nbits {
@@ -563,9 +577,14 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 				return
 			}
 			switch opt.Kernel {
-			case KernelBitplane, KernelFrontier:
+			case KernelFrontier:
 				yield(nil, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but a masked or faulty vertex must be re-evaluated regardless", ErrStochasticSweepOnly, opt.Kernel))
 				return
+			case KernelBitplane:
+				if sched.Kind != ScheduleSynchronous {
+					yield(nil, fmt.Errorf("%w: kernel %v steps every vertex every round and has no %v schedule", ErrStochasticSweepOnly, opt.Kernel, sched.Kind))
+					return
+				}
 			case KernelSharded:
 				yield(nil, fmt.Errorf("%w: the sharded tier steps shard-local vertex ids, but schedule masks and fault draws are keyed by global ids", ErrStochasticSweepOnly))
 				return
@@ -609,6 +628,11 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 
 		st := e.getState(opt.FreshBuffers)
 		defer e.putState(st, opt.FreshBuffers)
+		// needScalar marks runs the bitplane tier is never auto-selected for:
+		// observers and history would force an unpack per round, erasing its
+		// advantage; FullSweep keeps its contract as the oracle stepper; and
+		// a checkpoint carries scalar state only.
+		needScalar := rs != nil || opt.FullSweep || opt.RecordHistory || len(opt.Observers) > 0
 
 		var (
 			drv    runDriver
@@ -627,12 +651,27 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 				workers = par.EffectiveWorkers(d.N())
 			}
 			drv, kernel = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs), KernelParallel
-		default: // KernelAuto, masked kinds
-			kernel = KernelSweep
-			if workers > 1 {
-				kernel = KernelParallel
+		default: // KernelAuto or KernelBitplane, masked or noisy synchronous
+			// Synchronous ε-faulty runs take the bitplane tier when it is
+			// forced, or when it qualifies under the conditions of the
+			// deterministic automatic selection.
+			if sched.Kind == ScheduleSynchronous && (opt.Kernel == KernelBitplane || !needScalar) {
+				bd, err := e.newBitplaneDriver(st, initial, opt, noise, workers, opt.Kernel == KernelBitplane)
+				switch {
+				case err == nil:
+					drv, kernel = bd, KernelBitplane
+				case opt.Kernel == KernelBitplane:
+					yield(nil, err)
+					return
+				}
 			}
-			drv = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs)
+			if drv == nil {
+				kernel = KernelSweep
+				if workers > 1 {
+					kernel = KernelParallel
+				}
+				drv = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs)
+			}
 		}
 		if drv != nil {
 			res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
@@ -645,12 +684,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		}
 		switch opt.Kernel {
 		case KernelBitplane:
-			k, plan, kern, err := e.bitplaneCheck(initial)
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			bd, err := e.newBitplaneDriver(st, initial, opt, workers, true, k, plan, kern)
+			bd, err := e.newBitplaneDriver(st, initial, opt, nil, workers, true)
 			if err != nil {
 				yield(nil, err)
 				return
@@ -681,18 +715,10 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 			// Automatic selection.  Time-varying runs are pinned to the
 			// full-sweep steppers (see Options.TimeVarying).  Otherwise the
 			// bitplane tier wins whenever it applies and the run does not
-			// need a scalar view of every round (observers and history would
-			// force an unpack per round, erasing its advantage); FullSweep
-			// keeps its contract as the oracle stepper.  Resumed runs skip
-			// the bitplane tier: a checkpoint carries scalar state only.
+			// need a scalar view (needScalar).
 			if tv == nil {
-				if rs == nil && !opt.FullSweep && !opt.RecordHistory && len(opt.Observers) == 0 {
-					if k, plan, kern, err := e.bitplaneCheck(initial); err == nil {
-						bd, err := e.newBitplaneDriver(st, initial, opt, workers, false, k, plan, kern)
-						if err != nil {
-							yield(nil, err)
-							return
-						}
+				if !needScalar {
+					if bd, err := e.newBitplaneDriver(st, initial, opt, nil, workers, false); err == nil {
 						drv, kernel = bd, KernelBitplane
 					}
 				}
