@@ -93,61 +93,43 @@ func BenchmarkEngineStepSequential(b *testing.B) {
 }
 
 // BenchmarkEngineStepParallel measures single-round throughput of the
-// striped parallel stepper.  Steady-state striped stepping is
-// allocation-free (pinned by TestParallelStepDoesNotAllocate and by the CI
-// zero-alloc gate on this benchmark): the warm-up step below moves the
-// one-time pool misses out of the timed window, and the explicit GC keeps a
-// collection triggered by setup debt from evicting the engine's state pool
-// mid-measurement.
+// striped parallel stepper, from cache-resident tori to the 4096x4096 torus
+// whose working set dwarfs any single cache hierarchy.  The CI gate requires
+// the 4-worker 4096x4096 step to beat the 1-worker step by at least 2x
+// within the same run.  Steady-state striped stepping is allocation-free
+// (pinned by TestParallelStepDoesNotAllocate and by the CI zero-alloc gate
+// on this benchmark): the warm-up step below moves the one-time pool misses
+// out of the timed window, and the explicit GC keeps a collection triggered
+// by setup debt from evicting the engine's state pool mid-measurement.  The
+// second warm-up step re-primes the pool after that GC, which empties its
+// per-P slots: on the large tori a run can time a single step, so the slots'
+// reallocation would otherwise show as bytes per step.
 func BenchmarkEngineStepParallel(b *testing.B) {
-	for _, size := range []int{128, 256} {
-		for _, workers := range []int{2, 4, 8} {
-			name := grid.MustDims(size, size).String() + "-workers" + string(rune('0'+workers))
+	for _, c := range []struct {
+		size    int
+		workers []int
+	}{
+		{128, []int{2, 4, 8}},
+		{256, []int{2, 4, 8}},
+		{1024, []int{1, 2, 4, 8}},
+		{4096, []int{1, 2, 4, 8}},
+	} {
+		for _, workers := range c.workers {
+			name := grid.MustDims(c.size, c.size).String() + "-workers" + string(rune('0'+workers))
 			b.Run(name, func(b *testing.B) {
-				topo := grid.MustNew(grid.KindToroidalMesh, size, size)
+				topo := grid.MustNew(grid.KindToroidalMesh, c.size, c.size)
 				eng := sim.NewEngine(topo, rules.SMP{})
 				cur := randomColoring(1, topo.Dims(), 5)
 				next := cur.Clone()
 				eng.StepParallel(cur, next, workers)
 				runtime.GC()
+				eng.StepParallel(cur, next, workers)
 				b.SetBytes(int64(topo.Dims().N()))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					eng.StepParallel(cur, next, workers)
 					cur, next = next, cur
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEngineStepSharded measures single-round throughput of the
-// domain-decomposed stepper at the sizes it exists for: tori whose working
-// set dwarfs any single cache hierarchy.  Each worker steps its own shard
-// from shard-local double buffers; the only cross-shard traffic is the
-// per-round halo exchange (two rows per shard).  The CI gate requires the
-// 4-worker 4096x4096 step to beat the 1-worker step by at least 2x within
-// the same run — the scaling the striped tier never achieved, and the
-// reason the sharded tier exists.  Steady state is allocation-free (the
-// stepper owns its buffers), pinned by the zero-alloc gate.
-func BenchmarkEngineStepSharded(b *testing.B) {
-	for _, size := range []int{1024, 4096} {
-		topo := grid.MustNew(grid.KindToroidalMesh, size, size)
-		eng := sim.NewEngine(topo, rules.SMP{})
-		initial := randomColoring(1, topo.Dims(), 5)
-		for _, workers := range []int{1, 2, 4, 8} {
-			name := topo.Dims().String() + "-workers" + string(rune('0'+workers))
-			b.Run(name, func(b *testing.B) {
-				sh := eng.NewSharded(workers)
-				sh.Reset(initial)
-				sh.Step()
-				runtime.GC()
-				b.SetBytes(int64(topo.Dims().N()))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sh.Step()
 				}
 			})
 		}

@@ -37,12 +37,12 @@
 // the intermittent-network model from the paper's conclusions.
 //
 // Every run picks a stepping tier (word-parallel bitplane, dirty frontier,
-// striped parallel, domain-decomposed sharded, or the sequential sweep
-// oracle) automatically; all tiers are bit-identical, Kernel forces one,
-// and Result.Kernel reports the tier used.  Parallel(n) runs on large
-// substrates take the sharded tier — per-worker shards stepped from
-// shard-local buffers with a per-round halo exchange — which, unlike the
-// striped sweep, actually scales with the worker count.
+// striped parallel, or the sequential sweep oracle) automatically; all
+// tiers are bit-identical, Kernel forces one, and Result.Kernel reports the
+// tier used.  Parallel(n) runs that the bitplane tier does not take step on
+// the striped parallel sweep: one contiguous stripe of vertices per worker,
+// each stripe also recording its own range's target trace and period-2
+// comparison, so no serial pass over the lattice follows a round.
 //
 // Observers (OnRound/OnFinish) watch a run as it evolves; the package ships
 // a history recorder, an ASCII animator and a stats collector.  Observer

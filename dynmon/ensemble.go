@@ -100,7 +100,7 @@ func (es *EnsembleSpec) Validate() error {
 	if es.Initial.Config == "" && es.Initial.Cells == nil {
 		return fmt.Errorf("dynmon: ensemble initial section needs a named config or explicit cells")
 	}
-	if es.TakeoverFraction < 0 || es.TakeoverFraction > 1 {
+	if !(es.TakeoverFraction >= 0 && es.TakeoverFraction <= 1) { // also rejects NaN
 		return fmt.Errorf("dynmon: takeover fraction %v outside [0, 1]", es.TakeoverFraction)
 	}
 	if es.Sweep == nil {
@@ -115,7 +115,7 @@ func (es *EnsembleSpec) Validate() error {
 			return fmt.Errorf("dynmon: the density axis sweeps the bernoulli family's seeding density; initial config is %q", es.Initial.Config)
 		}
 		for _, v := range es.Sweep.Values {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) { // also rejects NaN
 				return fmt.Errorf("dynmon: density %v outside [0, 1]", v)
 			}
 		}
@@ -130,7 +130,7 @@ func (es *EnsembleSpec) Validate() error {
 			return fmt.Errorf("dynmon: the p axis sweeps the uniform-async activation probability; schedule mode is %q", es.Run.Schedule.Mode)
 		}
 		for _, v := range es.Sweep.Values {
-			if v <= 0 || v > 1 {
+			if !(v > 0 && v <= 1) { // also rejects NaN
 				return fmt.Errorf("dynmon: activation probability %v outside (0, 1]", v)
 			}
 		}

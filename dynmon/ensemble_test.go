@@ -41,14 +41,17 @@ func TestParseEnsembleSpecRejects(t *testing.T) {
 		"empty sweep":            func(es *EnsembleSpec) { es.Sweep.Values = nil },
 		"unknown axis":           func(es *EnsembleSpec) { es.Sweep.Axis = "voltage" },
 		"density out of range":   func(es *EnsembleSpec) { es.Sweep.Values = []float64{1.5} },
+		"density NaN":            func(es *EnsembleSpec) { es.Sweep.Values = []float64{math.NaN()} },
 		"density without family": func(es *EnsembleSpec) { es.Initial.Config = "random" },
 		"p on wrong schedule":    func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Run.Schedule = &ScheduleSpec{Mode: "sequential"} },
 		"p zero":                 func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{0} },
+		"p NaN":                  func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{math.NaN()} },
 		"fractional threshold":   func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{1.5} },
 		"threshold out of range": func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{9} },
 		"eps above one":          func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{1.01} },
 		"eps NaN":                func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{math.NaN()} },
 		"takeover fraction > 1":  func(es *EnsembleSpec) { es.TakeoverFraction = 1.5 },
+		"takeover fraction NaN":  func(es *EnsembleSpec) { es.TakeoverFraction = math.NaN() },
 	}
 	for label, mutate := range cases {
 		t.Run(label, func(t *testing.T) {

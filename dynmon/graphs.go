@@ -215,11 +215,3 @@ func (s *System) TargetSet(spec TargetSetSpec) []int {
 	return graphs.GreedyTargetSetEngine(s.engine, spec.Target, spec.Background,
 		spec.MaxSeed, spec.MaxRounds, spec.CandidateSample, rng.New(spec.Seed))
 }
-
-// GreedyTargetSet is the positional-argument form of TargetSet.
-//
-// Deprecated: use TargetSet with a TargetSetSpec; this wrapper remains for
-// source compatibility and applies no defaulting to its arguments.
-func (s *System) GreedyTargetSet(target, background Color, maxSeed, maxRounds, candidateSample int, seed uint64) []int {
-	return graphs.GreedyTargetSetEngine(s.engine, target, background, maxSeed, maxRounds, candidateSample, rng.New(seed))
-}

@@ -123,7 +123,7 @@ func TestGraphSystemTargetSetHelpers(t *testing.T) {
 	if rnd.Count(1) != 7 {
 		t.Fatalf("random seed size = %d, want 7", rnd.Count(1))
 	}
-	seeds := sys.GreedyTargetSet(1, 2, 6, 120, 15, 4)
+	seeds := sys.TargetSet(dynmon.TargetSetSpec{Target: 1, Background: 2, MaxSeed: 6, MaxRounds: 120, CandidateSample: 15, Seed: 4})
 	want := graphs.GreedyTargetSet(g, rules.Threshold{Target: 1, Theta: 2}, 1, 2, 6, 120, 15, rng.New(4))
 	if len(seeds) != len(want) {
 		t.Fatalf("greedy chose %d seeds, internal path %d", len(seeds), len(want))
@@ -225,15 +225,15 @@ func TestTargetSetSpec(t *testing.T) {
 
 	spec := dynmon.TargetSetSpec{Target: 1, Background: 2, MaxSeed: 6, MaxRounds: 120, CandidateSample: 15, Seed: 4}
 	got := sys.TargetSet(spec)
-	want := sys.GreedyTargetSet(1, 2, 6, 120, 15, 4)
+	want := graphs.GreedyTargetSet(g, rules.Threshold{Target: 1, Theta: 2}, 1, 2, 6, 120, 15, rng.New(4))
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("TargetSet(%+v) = %v, positional form %v", spec, got, want)
+		t.Fatalf("TargetSet(%+v) = %v, internal greedy path %v", spec, got, want)
 	}
 
 	// Zero values: target 1 over background 2 (the next palette color), up
 	// to 8 seeds, default budget, full candidate scan, seed 0.
 	defaults := sys.TargetSet(dynmon.TargetSetSpec{})
-	explicit := sys.GreedyTargetSet(1, 2, 8, 0, 0, 0)
+	explicit := sys.TargetSet(dynmon.TargetSetSpec{Target: 1, Background: 2, MaxSeed: 8, MaxRounds: 0, CandidateSample: 0, Seed: 0})
 	if fmt.Sprint(defaults) != fmt.Sprint(explicit) {
 		t.Fatalf("zero spec = %v, explicit defaults %v", defaults, explicit)
 	}

@@ -25,7 +25,7 @@ func TestKernelRunOption(t *testing.T) {
 	if oracle.Kernel != dynmon.KernelSweep {
 		t.Fatalf("oracle ran on %v, want sweep", oracle.Kernel)
 	}
-	for _, tier := range []dynmon.KernelTier{dynmon.KernelBitplane, dynmon.KernelFrontier, dynmon.KernelSharded, dynmon.KernelAuto} {
+	for _, tier := range []dynmon.KernelTier{dynmon.KernelBitplane, dynmon.KernelFrontier, dynmon.KernelParallel, dynmon.KernelAuto} {
 		res, err := sys.Run(ctx, initial, dynmon.MaxRounds(30), dynmon.Target(1), dynmon.Kernel(tier))
 		if err != nil {
 			t.Fatalf("%v: %v", tier, err)
@@ -40,9 +40,8 @@ func TestKernelRunOption(t *testing.T) {
 }
 
 // TestSessionNormalizesParallelKernel: the batch is the session's unit of
-// parallelism, so a per-run Kernel(KernelParallel) or Kernel(KernelSharded)
-// must degrade to the sweep instead of oversubscribing the shared worker
-// pool per item.
+// parallelism, so a per-run Kernel(KernelParallel) must degrade to the
+// sweep instead of oversubscribing the shared worker pool per item.
 func TestSessionNormalizesParallelKernel(t *testing.T) {
 	sys, err := dynmon.New(dynmon.Mesh(8, 8), dynmon.Colors(4))
 	if err != nil {
@@ -50,16 +49,14 @@ func TestSessionNormalizesParallelKernel(t *testing.T) {
 	}
 	se := sys.NewSession(2)
 	initials := []*dynmon.Coloring{sys.RandomColoring(1), sys.RandomColoring(2)}
-	for _, tier := range []dynmon.KernelTier{dynmon.KernelParallel, dynmon.KernelSharded} {
-		results, err := se.RunBatch(context.Background(), initials,
-			dynmon.MaxRounds(5), dynmon.Kernel(tier))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if res.Kernel != dynmon.KernelSweep || res.Workers != 1 {
-				t.Fatalf("%v batch item %d ran on %v with %d workers, want sequential sweep", tier, i, res.Kernel, res.Workers)
-			}
+	results, err := se.RunBatch(context.Background(), initials,
+		dynmon.MaxRounds(5), dynmon.Kernel(dynmon.KernelParallel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Kernel != dynmon.KernelSweep || res.Workers != 1 {
+			t.Fatalf("batch item %d ran on %v with %d workers, want sequential sweep", i, res.Kernel, res.Workers)
 		}
 	}
 }

@@ -143,8 +143,7 @@ type RunSpec struct {
 	// RecordHistory keeps a copy of the configuration after every round.
 	RecordHistory bool `json:"record_history,omitempty"`
 	// Kernel forces a stepping tier by name ("bitplane", "frontier",
-	// "sweep", "parallel", "sharded"); empty or "auto" keeps the automatic
-	// selection.
+	// "sweep", "parallel"); empty or "auto" keeps the automatic selection.
 	Kernel string `json:"kernel,omitempty"`
 	// Parallel enables the striped parallel stepper with Workers goroutines
 	// (0 = GOMAXPROCS).
@@ -452,12 +451,6 @@ const (
 	KernelSweep = sim.KernelSweep
 	// KernelParallel forces the striped parallel sweep.
 	KernelParallel = sim.KernelParallel
-	// KernelSharded forces the domain-decomposed stepper: the substrate is
-	// cut into per-worker shards (row-band slabs on the tori) stepped from
-	// shard-local buffers with a per-round halo exchange.  Auto-selection
-	// picks it for parallel runs on large substrates; Result.Workers
-	// reports the shard count actually used.
-	KernelSharded = sim.KernelSharded
 )
 
 // ErrBitplaneIneligible is the error (wrapped) returned by runs that force
@@ -467,8 +460,8 @@ var ErrBitplaneIneligible = sim.ErrBitplaneIneligible
 
 // ErrStochasticSweepOnly is the error (wrapped) returned by stochastic runs
 // (a non-synchronous Schedule or an ε-faulty Noise) that force a kernel tier
-// with no stochastic form — frontier, sharded, bitplane under a schedule, or
-// parallel for the in-place sequential schedules.  Synchronous ε-faulty runs
+// with no stochastic form — frontier, bitplane under a schedule, or parallel
+// for the in-place sequential schedules.  Synchronous ε-faulty runs
 // do run on the bitplane tier.
 var ErrStochasticSweepOnly = sim.ErrStochasticSweepOnly
 

@@ -88,7 +88,7 @@ func (se *Session) ReusesBuffers() bool { return !se.fresh }
 // reuse.
 func (se *Session) batchOptions(rs RunSpec) (sim.Options, error) {
 	rs.Parallel = false
-	if rs.Kernel == sim.KernelParallel.String() || rs.Kernel == sim.KernelSharded.String() {
+	if rs.Kernel == sim.KernelParallel.String() {
 		rs.Kernel = sim.KernelSweep.String()
 	}
 	opt, err := rs.engineOptions(se.sys.palette.K)
@@ -181,8 +181,8 @@ func (se *Session) runBatchInto(ctx context.Context, initials []*Coloring, opt s
 // system's rule and returns one Report per input, in input order.  Extra
 // run options layer over the standard verification options and get the same
 // normalization as RunBatch (no per-run parallelism: the batch is the unit
-// of parallelism, so a Parallel, KernelParallel or KernelSharded option is
-// demoted to the sequential sweep instead of oversubscribing the pool).  When ctx is
+// of parallelism, so a Parallel or KernelParallel option is demoted to the
+// sequential sweep instead of oversubscribing the pool).  When ctx is
 // canceled mid-batch the call returns ctx.Err(); entries whose simulation
 // did not complete are nil.
 func (se *Session) VerifyBatch(ctx context.Context, initials []*Coloring, target Color, opts ...RunOption) ([]*Report, error) {

@@ -547,7 +547,7 @@ func (s *System) buildTorusInitial(ispec *InitialSpec, target Color) (*Construct
 // is a pure function of the spec — the same on any substrate representation
 // and trivially shardable by ensembles that perturb only the seed.
 func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (*Coloring, error) {
-	if density < 0 || density > 1 {
+	if !(density >= 0 && density <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("dynmon: bernoulli density %v outside [0, 1]", density)
 	}
 	others := s.palette.Others(target)

@@ -158,6 +158,9 @@ func TestBernoulliInitial(t *testing.T) {
 	if _, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: -0.1}, 1); err == nil {
 		t.Fatal("density -0.1 accepted")
 	}
+	if _, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: math.NaN()}, 1); err == nil {
+		t.Fatal("density NaN accepted")
+	}
 
 	all, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: 1, Seed: 9}, 1)
 	if err != nil {

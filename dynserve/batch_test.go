@@ -131,7 +131,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestBatchEndpointErrors pins the failure modes: malformed and invalid
 // specs answer 400 before admission, a batch whose items cannot build on
-// its system answers 422.
+// its system or whose run names no kernel tier answers 422.
 func TestBatchEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, bad := range []string{
@@ -144,9 +144,13 @@ func TestBatchEndpointErrors(t *testing.T) {
 			t.Errorf("bad spec %q: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	unbuildable := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"items":[{"config":"no-such-family"}]}`
-	resp := postBatch(t, ts.URL, []byte(unbuildable))
-	if readAll(t, resp); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("unbuildable batch: status %d, want 422", resp.StatusCode)
+	for _, unrunnable := range []string{
+		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"items":[{"config":"no-such-family"}]}`,
+		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"run":{"kernel":"sharded"},"items":[{"config":"random"}]}`,
+	} {
+		resp := postBatch(t, ts.URL, []byte(unrunnable))
+		if readAll(t, resp); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("unrunnable batch %q: status %d, want 422", unrunnable, resp.StatusCode)
+		}
 	}
 }

@@ -132,6 +132,25 @@ func TestCheckpointWithoutSystemRejected(t *testing.T) {
 	}
 }
 
+// TestRemovedKernelRejected pins that a run naming the deleted sharded tier
+// gets the engine's unknown-kernel error as a 422, not a silent fallback to
+// another tier.
+func TestRemovedKernelRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":5},"initial":{"config":"minimum"},"run":{"kernel":"sharded","workers":2}}`
+	resp := postRun(t, ts.URL, []byte(body), "application/json")
+	respBody := readAll(t, resp)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("kernel sharded status %d (%s), want 422", resp.StatusCode, respBody)
+	}
+	if !strings.Contains(string(respBody), `unknown kernel \"sharded\"`) {
+		t.Fatalf("error body %s does not name the unknown kernel", respBody)
+	}
+	if n := srv.metrics.RunsCompleted.Load(); n != 0 {
+		t.Fatalf("kernel sharded completed %d runs, want 0", n)
+	}
+}
+
 // TestJobSubmissionRejectsCheckpoints pins that the jobs endpoint only
 // takes spec files.
 func TestJobSubmissionRejectsCheckpoints(t *testing.T) {

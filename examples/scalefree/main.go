@@ -70,7 +70,7 @@ func main() {
 
 	// Greedy target set selection baseline, evaluated on the system's
 	// pooled engine.
-	seeds := thrSys.GreedyTargetSet(1, 2, 10, 400, 30, 5)
+	seeds := thrSys.TargetSet(dynmon.TargetSetSpec{Target: 1, Background: 2, MaxSeed: 10, MaxRounds: 400, CandidateSample: 30, Seed: 5})
 	c := thrSys.NewColoring(2)
 	for _, v := range seeds {
 		c.Set(v, 1)

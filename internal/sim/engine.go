@@ -5,16 +5,15 @@
 // The engine follows the paper's execution model (Section III.D): the system
 // is synchronous, every vertex reads its neighbors' colors at time t and all
 // vertices apply the rule simultaneously to produce the configuration at
-// time t+1.  Five stepping tiers produce bit-identical results:
+// time t+1.  Four stepping tiers produce bit-identical results:
 //
 //   - the sequential full sweep, the oracle every other path is tested
 //     against;
 //   - the striped parallel sweep (double-buffered, one contiguous stripe per
-//     worker, executed on a persistent process-wide worker pool);
-//   - the sharded domain-decomposed stepper (see Sharded), which cuts the
-//     substrate into per-worker shards stepped from shard-local buffers
-//     with a per-round halo exchange — the tier that scales with workers
-//     on substrates too large for one cache hierarchy;
+//     worker, executed on a persistent process-wide worker pool), the same
+//     loop as the sequential sweep with more than one stripe; each stripe
+//     also records its own range's target trace and period-2 comparison,
+//     so no serial pass over the lattice follows a parallel round;
 //   - the dirty-frontier stepper (see Frontier), which re-evaluates only the
 //     vertices whose neighborhood changed in the previous round — the
 //     low-churn specialist;
@@ -38,9 +37,9 @@
 // Options: bit-identical across kernels, worker counts and
 // checkpoint/resume.  Synchronous noisy runs take the bitplane tier when it
 // qualifies (word-parallel fault masks, see Bitplane); every other
-// stochastic run steps on the scalar sweep, and forcing the frontier or
-// sharded kernel — or the bitplane kernel under a schedule — is rejected
-// with ErrStochasticSweepOnly.
+// stochastic run steps on the scalar sweep, and forcing the frontier
+// kernel — or the bitplane kernel under a schedule — is rejected with
+// ErrStochasticSweepOnly.
 //
 // The engine supports fixed-point and period-2-cycle detection,
 // monotonicity tracking with respect to a target color, per-vertex
@@ -79,13 +78,11 @@ type Kernel int
 const (
 	// KernelAuto lets the engine pick: the bitplane kernel when the rule,
 	// topology and coloring qualify (and the run needs no per-round scalar
-	// views), the sharded stepper for parallel runs on substrates of
-	// shardedAutoThreshold vertices or more, the striped parallel sweep for
-	// smaller parallel runs, the sequential sweep when FullSweep is set,
-	// and the dirty frontier otherwise.  Auto-selected sequential bitplane
-	// runs may additionally downshift to the frontier mid-run once the
-	// change rate gets low (recorded on Result.Downshift); noisy runs never
-	// do.  Stochastic runs that the bitplane kernel does not take step on
+	// views), the striped parallel sweep for parallel runs, the sequential
+	// sweep when FullSweep is set, and the dirty frontier otherwise.
+	// Auto-selected sequential bitplane runs may additionally downshift to
+	// the frontier mid-run once the change rate gets low (recorded on
+	// Result.Downshift); noisy runs never do.  Stochastic runs that the bitplane kernel does not take step on
 	// the sequential or striped sweep.
 	KernelAuto Kernel = iota
 	// KernelBitplane forces the word-parallel bit-sliced stepper.  Runs
@@ -99,16 +96,6 @@ const (
 	// KernelParallel forces the striped parallel sweep (Workers goroutines,
 	// GOMAXPROCS when unset).
 	KernelParallel
-	// KernelSharded forces the domain-decomposed sweep: the substrate is cut
-	// into contiguous degree-balanced shards (row-band slabs on the dense
-	// tori), each worker steps only its own shard out of shard-local double
-	// buffers, and a per-round halo exchange copies just the boundary cells
-	// between shards.  Workers selects the shard count exactly as on
-	// KernelParallel.  Automatic selection prefers this tier over the striped
-	// sweep on parallel runs of shardedAutoThreshold vertices or more, where
-	// the striped sweep's shared-buffer bandwidth wall makes extra workers
-	// useless.
-	KernelSharded
 )
 
 // String returns the tier name used in logs and experiment tables.
@@ -124,15 +111,13 @@ func (k Kernel) String() string {
 		return "sweep"
 	case KernelParallel:
 		return "parallel"
-	case KernelSharded:
-		return "sharded"
 	default:
 		return fmt.Sprintf("Kernel(%d)", int(k))
 	}
 }
 
 // ParseKernel resolves a tier name ("auto", "bitplane", "frontier", "sweep",
-// "parallel", "sharded"; "" means auto) to its Kernel, the inverse of String.
+// "parallel"; "" means auto) to its Kernel, the inverse of String.
 func ParseKernel(name string) (Kernel, error) {
 	switch name {
 	case "", "auto":
@@ -145,10 +130,8 @@ func ParseKernel(name string) (Kernel, error) {
 		return KernelSweep, nil
 	case "parallel":
 		return KernelParallel, nil
-	case "sharded":
-		return KernelSharded, nil
 	default:
-		return KernelAuto, fmt.Errorf("sim: unknown kernel %q (want auto, bitplane, frontier, sweep, parallel or sharded)", name)
+		return KernelAuto, fmt.Errorf("sim: unknown kernel %q (want auto, bitplane, frontier, sweep or parallel)", name)
 	}
 }
 
@@ -276,8 +259,8 @@ type Options struct {
 	TimeVarying Availability
 	// Schedule, when non-nil with a non-synchronous Kind, replaces the
 	// synchronous update discipline (see ScheduleKind).  Stochastic runs are
-	// pinned to sweep semantics: forcing an incremental or sharded kernel
-	// errors (wrapping ErrStochasticSweepOnly), the sequential kinds
+	// pinned to sweep semantics: forcing an incremental kernel errors
+	// (wrapping ErrStochasticSweepOnly), the sequential kinds
 	// additionally pin the run to one worker, and a zero-change round is a
 	// fixed point only when every vertex was guaranteed a turn (the
 	// sequential kinds, or a degenerate mask that activates everyone).
@@ -468,12 +451,6 @@ type Engine struct {
 	// slicePool recycles bit-sliced ensemble steppers (Bitslice) across
 	// batches the same way.
 	slicePool sync.Pool
-	// shardSets memoizes the immutable partitioned views of the substrate
-	// (grid.CSRShard slices) per shard count.  The mutable per-run shard
-	// buffers live on the pooled runState; only the O(E) local adjacency
-	// rewrite is shared here, so repeated sharded runs at the same worker
-	// count pay it once.
-	shardSets sync.Map // int -> []*grid.CSRShard
 }
 
 // NewEngine builds an engine for the given torus topology and rule.  It is
@@ -559,11 +536,11 @@ func (e *Engine) Topology() grid.Topology { return e.topo }
 func (e *Engine) Rule() rules.Rule { return e.rule }
 
 // runState is the recycled working set of one run: the sweep path's double
-// buffers, the parallel stripe tasks with their WaitGroup and, lazily, the
-// period-2 comparison buffer and the tier steppers (frontier, bitplane) —
-// lazy because a run uses exactly one tier and the others' O(n) bookkeeping
-// would be allocated for nothing, which FreshBuffers callers would pay on
-// every run.
+// buffers and driver, the parallel stripe tasks with their WaitGroup and,
+// lazily, the period-2 comparison buffer and the tier steppers (frontier,
+// bitplane) — lazy because a run uses exactly one tier and the others' O(n)
+// bookkeeping would be allocated for nothing, which FreshBuffers callers
+// would pay on every run.
 type runState struct {
 	f *Frontier
 	// cur and next are the sweep tier's double buffers, allocated lazily by
@@ -574,12 +551,14 @@ type runState struct {
 	cur, next *color.Coloring
 	prevPrev  *color.Coloring
 	bp        *Bitplane
-	shd       *Sharded
+	// sweep is the sweep tier's driver, kept here so that the stripe tasks
+	// can point at it without a per-step allocation.
+	sweep     sweepDriver
 	wg        sync.WaitGroup
 	stripeBuf []stripeTask
-	// scratch backs the sequential generic and time-varying steppers'
-	// neighbor gathering, sized to the substrate's maximum degree so
-	// steady-state stepping allocates nothing.
+	// scratch backs the neighbor gathering of Step's generic path and of
+	// the in-place sequential schedules, sized to the substrate's maximum
+	// degree so steady-state stepping allocates nothing.
 	scratch []color.Color
 }
 
@@ -600,16 +579,6 @@ func (st *runState) buffers(e *Engine) (cur, next *color.Coloring) {
 		st.next = color.NewColoring(d, color.None)
 	}
 	return st.cur, st.next
-}
-
-// sharded returns the state's sharded stepper for the requested worker
-// count, creating (or rebuilding, when the count differs from the previous
-// run's) it on first use.
-func (st *runState) sharded(e *Engine, workers int) *Sharded {
-	if st.shd == nil || st.shd.requested != workers {
-		st.shd = e.NewSharded(workers)
-	}
-	return st.shd
 }
 
 // stripes returns the pre-allocated task buffer grown to n entries; after
@@ -652,13 +621,7 @@ func (e *Engine) stepRange(cur, next []color.Color, lo, hi int, scratch []color.
 // stepRange4 is the unrolled inner loop for dense 4-regular indexes — the
 // hot path of every torus run, kept free of per-vertex offset loads.
 func (e *Engine) stepRange4(cur, next []color.Color, lo, hi int) int {
-	return e.stepRange4On(e.csr.Neighbors, cur, next, lo, hi)
-}
-
-// stepRange4On is stepRange4 over an explicit dense 4-regular neighbor
-// table, the seam that lets the sharded stepper run its shard-local
-// adjacency through the same unrolled loop the global sweep uses.
-func (e *Engine) stepRange4On(fwd []int32, cur, next []color.Color, lo, hi int) int {
+	fwd := e.csr.Neighbors
 	changed := 0
 	if cr := e.countRule; cr != nil {
 		for v := lo; v < hi; v++ {
@@ -697,12 +660,7 @@ func (e *Engine) stepRange4On(fwd []int32, cur, next []color.Color, lo, hi int) 
 // path when the multiset fits a Counts vector exactly, and gathered into
 // scratch for the rule's slice path otherwise.
 func (e *Engine) stepRangeGeneric(cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	return e.stepRangeGenericOn(e.csr.Neighbors, e.csr.Off, cur, next, lo, hi, scratch)
-}
-
-// stepRangeGenericOn is stepRangeGeneric over an explicit offset-framed
-// neighbor table (the sharded stepper's local adjacency seam).
-func (e *Engine) stepRangeGenericOn(fwd, off []int32, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
+	fwd, off := e.csr.Neighbors, e.csr.Off
 	changed := 0
 	cr := e.countRule
 	for v := lo; v < hi; v++ {

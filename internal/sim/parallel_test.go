@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -126,4 +130,201 @@ func TestParallelPropertyEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parallelOpts returns base with the striped parallel tier forced at the
+// given worker count.
+func parallelOpts(base Options, workers int) Options {
+	base.Kernel = KernelParallel
+	base.Parallel = true
+	base.Workers = workers
+	return base
+}
+
+// resultJSONEqual pins two Results byte-identical on the full JSON wire
+// form, after normalizing the fields that name the tier itself (Kernel,
+// Workers, Downshift): everything a consumer can observe about the run —
+// rounds, verdicts, traces, final configuration — must match exactly.
+func resultJSONEqual(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	na, nb := *a, *b
+	na.Kernel, nb.Kernel = KernelSweep, KernelSweep
+	na.Workers, nb.Workers = 1, 1
+	na.Downshift, nb.Downshift = 0, 0
+	ja, err := json.Marshal(&na)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(&nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ja) != string(jb) {
+		t.Fatalf("%s: result JSON differs\n a: %s\n b: %s", label, ja, jb)
+	}
+}
+
+// TestParallelBitIdenticalAllRulesAllTopologies is the striped tier's
+// differential oracle with the in-stripe trace on: on every registered
+// rule × topology kind, over random colorings on several sizes including
+// the degenerate 2×n and m×2 tori (whose stripes are uneven), the striped
+// sweep at 2, 3 and 4 workers must produce Results byte-identical (full
+// JSON) to the sequential full sweep, with target tracking and cycle
+// detection on so every stripe edge carries FirstReached, monotonicity and
+// period-2 bookkeeping.
+func TestParallelBitIdenticalAllRulesAllTopologies(t *testing.T) {
+	sizes := [][2]int{{2, 7}, {7, 2}, {3, 3}, {4, 6}, {6, 6}}
+	for _, name := range rules.RegisteredNames() {
+		rule, err := rules.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range grid.Kinds() {
+			for _, sz := range sizes {
+				topo := grid.MustNew(kind, sz[0], sz[1])
+				eng := NewEngine(topo, rule)
+				for seed := uint64(1); seed <= 3; seed++ {
+					initial := randomTestColoring(seed, topo.Dims(), 5)
+					base := Options{MaxRounds: 40, Target: 1, DetectCycles: true}
+					sweep := base
+					sweep.Kernel = KernelSweep
+					oracle := eng.Run(initial, sweep)
+					for _, k := range []int{2, 3, 4} {
+						par := eng.Run(initial, parallelOpts(base, k))
+						label := fmt.Sprintf("%s/%s/%v/workers=%d", name, topo.Name(), topo.Dims(), k)
+						resultsEqual(t, label, par, oracle)
+						resultJSONEqual(t, label, par, oracle)
+						if par.Kernel != KernelParallel {
+							t.Fatalf("%s: kernel %v, want parallel", label, par.Kernel)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelCycleAcrossStripeBoundary pins period-2 cycle detection when
+// the oscillating set spans stripe boundaries: every stripe's local verdict
+// must AND into the global one at the same round the sweep detects, and
+// the oscillation must actually cross a stripe boundary at every worker
+// count for the test to mean anything.
+func TestParallelCycleAcrossStripeBoundary(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 6, 6)
+	rule, err := rules.ByName("generalized-smp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(topo, rule)
+	initial := randomTestColoring(1, topo.Dims(), 3)
+	base := Options{MaxRounds: 60, DetectCycles: true, RecordHistory: true}
+	sweep := base
+	sweep.Kernel = KernelSweep
+	oracle := eng.Run(initial, sweep)
+	if !oracle.Cycle {
+		t.Fatal("expected the oracle run to detect a cycle (seed drifted?)")
+	}
+	h := oracle.History
+	last, before := h[len(h)-1], h[len(h)-2]
+	n := last.N()
+	for _, k := range []int{2, 3, 4} {
+		// The last round's changed vertices must fall in more than one of
+		// the k stripes (stripeAcross cuts [0, n) into chunks of ceil(n/k)),
+		// otherwise the scenario does not cross a boundary.
+		chunk := (n + k - 1) / k
+		stripes := map[int]bool{}
+		for v := 0; v < n; v++ {
+			if last.At(v) != before.At(v) {
+				stripes[v/chunk] = true
+			}
+		}
+		if len(stripes) < 2 {
+			t.Fatalf("workers=%d: oscillation confined to stripes %v; pick a different seed", k, stripes)
+		}
+		par := eng.Run(initial, parallelOpts(base, k))
+		if !par.Cycle {
+			t.Fatalf("workers=%d: parallel run missed the cycle", k)
+		}
+		label := fmt.Sprintf("cycle/workers=%d", k)
+		resultsEqual(t, label, par, oracle)
+		resultJSONEqual(t, label, par, oracle)
+	}
+}
+
+// TestParallelResumeMidRun checkpoints a striped run at every round —
+// including rounds where the dynamics straddle stripe boundaries — and
+// resumes it on the striped tier; the stitched Result must equal both an
+// uninterrupted striped run and the sequential sweep, for target-tracked,
+// cycle-detecting runs.
+func TestParallelResumeMidRun(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 6, 6)
+	for _, ruleName := range []string{"smp", "generalized-smp"} {
+		rule, err := rules.ByName(ruleName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(topo, rule)
+		initial := randomTestColoring(2, topo.Dims(), 3)
+		opt := parallelOpts(Options{MaxRounds: 60, Target: 1, DetectCycles: true}, 3)
+		sweep := Options{MaxRounds: 60, Target: 1, DetectCycles: true, Kernel: KernelSweep}
+		oracle := eng.Run(initial, sweep)
+		full := eng.Run(initial, opt)
+		resultsEqual(t, ruleName+"/uninterrupted", full, oracle)
+
+		for cutAt := 1; cutAt < full.Rounds; cutAt++ {
+			var cp *Resume
+			for st, err := range eng.Stream(context.Background(), initial, opt) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Round == cutAt {
+					cp = st.Checkpoint()
+					break
+				}
+			}
+			if cp == nil {
+				t.Fatalf("%s: no checkpoint at round %d", ruleName, cutAt)
+			}
+			resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Kernel != KernelParallel {
+				t.Fatalf("%s: resumed kernel %v, want parallel", ruleName, resumed.Kernel)
+			}
+			resultsEqual(t, ruleName+"/resumed", resumed, oracle)
+			resultJSONEqual(t, ruleName+"/resumed", resumed, oracle)
+		}
+	}
+}
+
+// TestParallelConcurrentRuns is the race-stress case behind the CI
+// `-race -count=2` step: several goroutines run striped simulations
+// concurrently over one shared engine (shared stripe pool, pooled run
+// states, in-stripe traces written by pool workers), each pinned against
+// the sweep oracle.
+func TestParallelConcurrentRuns(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 24, 24)
+	eng := NewEngine(topo, rules.SMP{})
+	oracle := make([]*Result, 4)
+	initials := make([]*color.Coloring, 4)
+	for i := range initials {
+		initials[i] = randomTestColoring(uint64(10+i), topo.Dims(), 3)
+		oracle[i] = eng.Run(initials[i], Options{MaxRounds: 50, Target: 1, DetectCycles: true, Kernel: KernelSweep})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(initials)
+			opt := parallelOpts(Options{MaxRounds: 50, Target: 1, DetectCycles: true}, 1+g%4)
+			res := eng.Run(initials[i], opt)
+			// t.Fatalf must not be called off the test goroutine.
+			if res.Rounds != oracle[i].Rounds || !res.Final.Equal(oracle[i].Final) || fmt.Sprint(res.FirstReached) != fmt.Sprint(oracle[i].FirstReached) {
+				t.Errorf("goroutine %d: parallel run diverged from oracle", g)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/color"
@@ -13,50 +14,55 @@ import (
 // pointers to the shared worker pool and waits on the run's WaitGroup.
 //
 // run is one of the package-level method expressions below, chosen by the
-// tier: the scalar stripe uses (e, cur, next), the bitplane stripe uses bp.
-// changed is written by the worker and read by the submitter after the
-// WaitGroup settles.
+// tier: the scalar stripes step the round their sweep driver sw describes,
+// the bitplane stripe uses bp.  The outputs (changed, lost, same) are
+// written by the worker and read by the submitter after the WaitGroup
+// settles.
 type stripeTask struct {
 	run func(*stripeTask)
 	wg  *sync.WaitGroup
 
-	e         *Engine
-	cur, next []color.Color
+	// sw parameterizes the scalar stripes: every stripe of a round reads the
+	// same driver, which does not change until the round's barrier.
+	sw *sweepDriver
 
 	// bp parameterizes the bitplane stripe: the task steps the word range
 	// [lo, hi) in fused shift+kernel cache blocks.
 	bp *Bitplane
 
-	// shd parameterizes the sharded stripe: the task's lo field carries the
-	// shard index and the per-shard outputs land in the shard's own state.
-	shd *Sharded
-
-	// round and avail parameterize the time-varying stripe; scratch backs
-	// the generic and time-varying stripes' neighbor gathering.  scratch is
-	// owned by the task slot and survives across steps (stripeAcross's fill
-	// callbacks preserve it), so steady-state parallel stepping stays
-	// allocation-free on irregular substrates too.
-	round   int
-	avail   Availability
+	// scratch backs the scalar stripes' neighbor gathering.  It is owned by
+	// the task slot and survives across steps (stripeAcross's fill callbacks
+	// preserve it), so steady-state parallel stepping stays allocation-free
+	// on irregular substrates too.
 	scratch []color.Color
-
-	// sched and noise parameterize the stochastic stripe; both are read-only
-	// during a step, so stripes share them without coordination.
-	sched *Schedule
-	noise *Noise
 
 	lo, hi  int
 	changed int
+	// lost reports that a target-colored vertex of the stripe lost the
+	// color this round; same, that the stripe's range equals its slice of
+	// the configuration two rounds back (see trace).
+	lost, same bool
 }
 
 func (t *stripeTask) runSweep() {
+	d := t.sw
 	t.growScratch()
-	t.changed = t.e.stepRange(t.cur, t.next, t.lo, t.hi, t.scratch)
+	t.changed = d.e.stepRange(d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.trace()
 }
 
 func (t *stripeTask) runSweepTV() {
+	d := t.sw
 	t.growScratch()
-	t.changed = t.e.stepRangeTV(t.round, t.avail, t.cur, t.next, t.lo, t.hi, t.scratch)
+	t.changed = d.e.stepRangeTV(d.round, d.tv, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.trace()
+}
+
+func (t *stripeTask) runStochastic() {
+	d := t.sw
+	t.growScratch()
+	t.changed = d.e.stepRangeStochastic(d.round, d.sched, d.noise, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.trace()
 }
 
 // growScratch sizes the task's scratch buffer to the substrate's maximum
@@ -64,22 +70,44 @@ func (t *stripeTask) runSweepTV() {
 // buffer across steps); the WaitGroup handoff orders the write against the
 // submitter's next reuse of the slot.
 func (t *stripeTask) growScratch() {
-	if cap(t.scratch) < t.e.maxDeg {
-		t.scratch = make([]color.Color, 0, t.e.maxDeg)
+	if maxDeg := t.sw.e.maxDeg; cap(t.scratch) < maxDeg {
+		t.scratch = make([]color.Color, 0, maxDeg)
 	}
 }
 
-func (t *stripeTask) runStochastic() {
-	t.growScratch()
-	t.changed = t.e.stepRangeStochastic(t.round, t.sched, t.noise, t.cur, t.next, t.lo, t.hi, t.scratch)
+// trace is the round's per-vertex bookkeeping over the stripe's own range,
+// done by the stripe that stepped it while the range is still warm in that
+// core's cache: the FirstReached entries of the vertices that took the
+// target color this round, whether one lost it and, with cycle detection
+// on, the period-2 comparison against the configuration two rounds back,
+// which then advances one round.  Stripes write disjoint ranges of
+// FirstReached and prevPrev.
+func (t *stripeTask) trace() {
+	d := t.sw
+	cur, next := d.cur.Cells()[t.lo:t.hi], d.next.Cells()[t.lo:t.hi]
+	t.lost = false
+	if d.firstReached != nil {
+		fr := d.firstReached[t.lo:t.hi]
+		target, round := d.target, d.round
+		for v, c := range next {
+			if c == target {
+				if fr[v] < 0 {
+					fr[v] = round
+				}
+			} else if cur[v] == target {
+				t.lost = true
+			}
+		}
+	}
+	if d.prevPrev != nil {
+		pp := d.prevPrev[t.lo:t.hi]
+		t.same = slices.Equal(next, pp)
+		copy(pp, cur)
+	}
 }
 
 func (t *stripeTask) runBitSlab() {
 	t.bp.stepSlabs(t.lo, t.hi, bitplaneSlabWords)
-}
-
-func (t *stripeTask) runShard() {
-	t.shd.stepShard(t.lo)
 }
 
 // Method expressions, bound once: assigning them to stripeTask.run does not
@@ -89,7 +117,6 @@ var (
 	runSweepTVTask    = (*stripeTask).runSweepTV
 	runStochasticTask = (*stripeTask).runStochastic
 	runBitSlabTask    = (*stripeTask).runBitSlab
-	runShardTask      = (*stripeTask).runShard
 )
 
 // stripePool is the process-wide persistent worker pool behind every
@@ -129,9 +156,11 @@ func stripeWorker(ch chan *stripeTask) {
 // stripeAcross partitions [0, n) into up to `workers` contiguous stripes,
 // fills one task per stripe through fill and runs them all on the shared
 // pool.  It returns the filled tasks so callers can collect per-stripe
-// results (e.g. change counts).  Both parallel tiers — the scalar sweep
+// results (e.g. change counts).  Both striped tiers — the scalar sweep
 // over vertex ranges and the bitplane kernel over word ranges — share this
-// single partitioning protocol.
+// single partitioning protocol.  A single stripe runs inline on the calling
+// goroutine (see runStriped), so the sequential sweep is the one-worker case
+// of the same dispatch.
 func (st *runState) stripeAcross(n, workers int, fill func(t *stripeTask, lo, hi int)) []stripeTask {
 	if workers > n {
 		workers = n

@@ -16,10 +16,10 @@ import (
 // schedule a skipped vertex must still be re-evaluated when its clock fires,
 // and under noise any vertex can misfire at any round.  The bitplane tier
 // evaluates every vertex every round, so it runs synchronous ε-faulty runs
-// (fault masks applied per word, see Bitplane) but no schedule.  The sharded
-// tier steps shard-local vertex ids, but schedule masks and fault draws are
-// keyed by global ids.  Every other stochastic run sweeps every vertex every
-// round (or every vertex once per sweep, for the sequential schedules).
+// (fault masks applied per word, see Bitplane) but no schedule.  Every other
+// stochastic run sweeps every vertex every round, sequentially or striped
+// (or every vertex once per sweep, for the sequential schedules, which
+// cannot be striped).
 var ErrStochasticSweepOnly = errors.New("sim: stochastic runs require full-sweep semantics")
 
 // ScheduleKind identifies an update discipline of the engine.
@@ -121,7 +121,7 @@ func (s Schedule) validate() error {
 	switch s.Kind {
 	case ScheduleSynchronous, ScheduleSequential, ScheduleRandomSequential:
 	case ScheduleUniformAsync:
-		if s.P <= 0 || s.P > 1 {
+		if !(s.P > 0 && s.P <= 1) { // also rejects NaN
 			return fmt.Errorf("sim: uniform-async activation probability %v outside (0, 1]", s.P)
 		}
 	case ScheduleVertexClock:
@@ -279,42 +279,20 @@ func (e *Engine) nextColor(cr rules.CountRule, fwd, off []int32, cells []color.C
 	return e.rule.Next(cv, s)
 }
 
-// stepParallelStochastic is stepRangeStochastic striped across workers,
-// bit-identical to the sequential form because schedule masks and fault
-// draws are pure functions of (round, vertex).
-func (e *Engine) stepParallelStochastic(round int, sched *Schedule, noise *Noise, cur, next []color.Color, workers int, st *runState) int {
-	n := len(cur)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return e.stepRangeStochastic(round, sched, noise, cur, next, 0, n, st.scratch)
-	}
-	done := st.stripeAcross(n, workers, func(t *stripeTask, lo, hi int) {
-		*t = stripeTask{run: runStochasticTask, wg: &st.wg, e: e, cur: cur, next: next, lo: lo, hi: hi, round: round, sched: sched, noise: noise}
-	})
-	total := 0
-	for i := range done {
-		total += done[i].changed
-	}
-	return total
-}
-
-// stochasticDriver is the stochastic tier behind drive: masked schedules run
-// the double-buffered sweep with a per-(round, vertex) activation mask, and
-// the sequential schedules run the in-place sweep (each vertex commits
-// immediately).  Either way every random draw is counter-based, so the
-// driver carries no generator state and a resumed run continues
-// bit-identically from just (configuration, round).
-type stochasticDriver struct {
+// inPlaceDriver is the tier behind drive for the sequential schedules: one
+// in-place sweep per round in which each vertex commits immediately, so
+// later vertices observe earlier commits and the sweep cannot be striped.
+// Every random draw is counter-based, so the driver carries no generator
+// state and a resumed run continues bit-identically from just
+// (configuration, round).  The masked schedules run on sweepDriver.
+type inPlaceDriver struct {
 	e         *Engine
 	st        *runState
 	cur, next *color.Coloring
 	sched     Schedule
 	noise     *Noise
-	workers   int
-	// order is the sequential kinds' sweep-order buffer, identity for raster
-	// and a per-round derived permutation for random-sequential.
+	// order is the sweep-order buffer of ScheduleRandomSequential, a
+	// per-round derived permutation.
 	order []int
 	// prevPrev backs period-2 cycle detection, maintained only for the
 	// deterministic raster-sequential noise-free case (every other stochastic
@@ -325,9 +303,9 @@ type stochasticDriver struct {
 	seedPrev  *color.Coloring
 }
 
-func (e *Engine) newStochasticDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, rs *Resume) *stochasticDriver {
+func (e *Engine) newInPlaceDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, rs *Resume) *inPlaceDriver {
 	cur, next := st.buffers(e)
-	d := &stochasticDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise, workers: workers}
+	d := &inPlaceDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise}
 	d.cur.CopyFrom(initial)
 	if opt.DetectCycles && sched.Kind == ScheduleSequential && noise == nil {
 		if st.prevPrev == nil {
@@ -346,39 +324,11 @@ func (e *Engine) newStochasticDriver(st *runState, initial *color.Coloring, opt 
 	return d
 }
 
-func (d *stochasticDriver) stepRound(round int, res *Result, opt Options) int {
-	if d.sched.inPlace() {
-		return d.stepSweepInPlace(round, res, opt)
-	}
-	e, st := d.e, d.st
-	cur, next := d.cur, d.next
-	var changed int
-	if d.workers > 1 {
-		changed = e.stepParallelStochastic(round, &d.sched, d.noise, cur.Cells(), next.Cells(), d.workers, st)
-	} else {
-		changed = e.stepRangeStochastic(round, &d.sched, d.noise, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
-	}
-	if opt.Target != color.None {
-		for v, n := 0, cur.N(); v < n; v++ {
-			got, had := next.At(v) == opt.Target, cur.At(v) == opt.Target
-			if had && !got {
-				res.MonotoneTarget = false
-			}
-			if got && res.FirstReached[v] < 0 {
-				res.FirstReached[v] = round
-			}
-		}
-	}
-	d.cur, d.next = next, cur
-	d.stepped = true
-	return changed
-}
-
-// stepSweepInPlace runs one sequential sweep: the configuration before the
-// sweep is snapshotted into the spare buffer (it becomes prevConfig), then
-// each vertex in this round's order recomputes its color against the live
-// cells so later vertices observe earlier commits.
-func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options) int {
+// stepRound runs one sequential sweep: the configuration before the sweep
+// is snapshotted into the spare buffer (it becomes prevConfig), then each
+// vertex in this round's order recomputes its color against the live cells
+// so later vertices observe earlier commits.
+func (d *inPlaceDriver) stepRound(round int, res *Result, opt Options) int {
 	e := d.e
 	cells := d.cur.Cells()
 	n := len(cells)
@@ -434,7 +384,7 @@ func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options)
 
 // orderFor returns this round's sweep permutation, derived statelessly from
 // (Seed, round) so any resumed run replays the identical order.
-func (d *stochasticDriver) orderFor(round uint64, n int) []int {
+func (d *inPlaceDriver) orderFor(round uint64, n int) []int {
 	if cap(d.order) < n {
 		d.order = make([]int, n)
 	}
@@ -447,26 +397,25 @@ func (d *stochasticDriver) orderFor(round uint64, n int) []int {
 	return order
 }
 
-func (d *stochasticDriver) config() *color.Coloring { return d.cur }
+func (d *inPlaceDriver) config() *color.Coloring { return d.cur }
 
-func (d *stochasticDriver) prevConfig() *color.Coloring {
+func (d *inPlaceDriver) prevConfig() *color.Coloring {
 	if !d.stepped {
 		if d.seedPrev != nil {
 			return d.seedPrev.Clone()
 		}
 		return nil
 	}
-	// Both paths leave the previous configuration in the spare buffer: the
-	// masked path by the double-buffer swap, the in-place path by the
-	// pre-sweep snapshot.
+	// The pre-sweep snapshot left the previous configuration in the spare
+	// buffer.
 	return d.next.Clone()
 }
 
-func (d *stochasticDriver) mono() bool {
+func (d *inPlaceDriver) mono() bool {
 	_, ok := d.cur.IsMonochromatic()
 	return ok
 }
 
-func (d *stochasticDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
+func (d *inPlaceDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
 
-func (d *stochasticDriver) downshift(int, int, int, *Result) runDriver { return nil }
+func (d *inPlaceDriver) downshift(int, int, int, *Result) runDriver { return nil }

@@ -153,8 +153,7 @@ func TestStochasticCheckpointResume(t *testing.T) {
 }
 
 // TestStochasticKernelGating pins the kernel contract of stochastic runs:
-// incremental, sharded and (for in-place schedules) striped kernels are
-// rejected with ErrStochasticSweepOnly, and so is the bitplane kernel under
+// incremental and (for in-place schedules) striped kernels are rejected with ErrStochasticSweepOnly, and so is the bitplane kernel under
 // a schedule; under synchronous noise a forced bitplane run is accepted and
 // equals the sweep.
 func TestStochasticKernelGating(t *testing.T) {
@@ -163,7 +162,7 @@ func TestStochasticKernelGating(t *testing.T) {
 	initial := randomColoring(1, 8, 8, 2)
 	sched := &Schedule{Kind: ScheduleUniformAsync, Seed: 1}
 	noise := &Noise{Eps: 0.1, Colors: 2}
-	for _, k := range []Kernel{KernelBitplane, KernelFrontier, KernelSharded} {
+	for _, k := range []Kernel{KernelBitplane, KernelFrontier} {
 		if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: sched, Kernel: k}); !errors.Is(err, ErrStochasticSweepOnly) {
 			t.Fatalf("kernel %v with schedule: err = %v, want ErrStochasticSweepOnly", k, err)
 		}
@@ -204,6 +203,7 @@ func TestStochasticParamValidation(t *testing.T) {
 	bad := []Options{
 		{Schedule: &Schedule{Kind: ScheduleUniformAsync, P: 1.5}},
 		{Schedule: &Schedule{Kind: ScheduleUniformAsync, P: -0.2}},
+		{Schedule: &Schedule{Kind: ScheduleUniformAsync, P: math.NaN()}},
 		{Schedule: &Schedule{Kind: ScheduleVertexClock, Period: -1}},
 		{Schedule: &Schedule{Kind: ScheduleKind(99)}},
 		{Noise: &Noise{Eps: 1.5, Colors: 2}},

@@ -85,9 +85,10 @@ type Resume struct {
 
 // runDriver is one stepping tier viewed through the single round loop of
 // drive: it advances rounds, exposes the post-round configuration and the
-// stop-detector verdicts, and snapshots resumable state.  The three
-// implementations (sweep, frontier, bitplane) carry exactly the per-tier
-// bookkeeping their former standalone run loops carried.
+// stop-detector verdicts, and snapshots resumable state.  The four
+// implementations (sweep, in-place sequential, frontier, bitplane) carry
+// exactly the per-tier bookkeeping their former standalone run loops
+// carried.
 type runDriver interface {
 	// stepRound applies round `round`, updating the result's target trace,
 	// and returns the number of vertices that changed color.
@@ -205,38 +206,67 @@ func initTargetTrace(res *Result, initial *color.Coloring, target color.Color) {
 }
 
 // sweepDriver is the full-sweep tier behind drive: the double-buffered loop
-// over all n vertices every round, sequentially or striped across workers,
-// including the time-varying mode (which is pinned to sweep semantics).
+// over all n vertices every round, striped across workers (one worker is a
+// single stripe, run inline).  Its stripe kind — plain, time-varying or
+// masked stochastic — is fixed when the driver is built, and every stripe
+// also does the round's per-vertex bookkeeping for its own range (see
+// stripeTask.trace), so no serial pass over the lattice follows the
+// round's barrier.
 type sweepDriver struct {
 	e         *Engine
 	st        *runState
-	cur, next *color.Coloring
-	prevPrev  *color.Coloring
-	tv        Availability
+	run       func(*stripeTask)
 	workers   int
+	cur, next *color.Coloring
+
+	// The round's inputs, read by every stripe: the round number, the
+	// availability model of time-varying runs, the schedule and noise of
+	// stochastic runs, the tracked target color with the result's
+	// FirstReached trace (nil when no target is tracked), and the cells two
+	// rounds back (nil when cycle detection is off).
+	round        int
+	tv           Availability
+	sched        *Schedule
+	noise        *Noise
+	target       color.Color
+	firstReached []int
+	prevPrev     []color.Color
+
 	cycleFlag bool
 	stepped   bool
 	seedPrev  *color.Coloring
 }
 
-func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, workers int, rs *Resume) *sweepDriver {
+// newSweepDriver builds the sweep tier over the pooled state; sched and
+// noise are the run's stochastic parameters, both nil for a deterministic
+// run.
+func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, rs *Resume) *sweepDriver {
 	cur, next := st.buffers(e)
-	d := &sweepDriver{e: e, st: st, cur: cur, next: next, tv: opt.TimeVarying, workers: workers}
+	d := &st.sweep
+	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next,
+		tv: opt.TimeVarying, sched: sched, noise: noise, target: opt.Target}
+	switch {
+	case sched != nil:
+		d.run = runStochasticTask
+	case opt.TimeVarying != nil:
+		d.run = runSweepTVTask
+	}
 	d.cur.CopyFrom(initial)
 	// The period-2 trace is maintained only when the verdict can ever be
 	// consulted: under a non-static availability model cycle detection is
-	// inert (see Options.TimeVarying), so paying an O(n) compare-and-copy
-	// per round for it would be pure waste.
-	if opt.DetectCycles && (opt.TimeVarying == nil || staticAvailability(opt.TimeVarying)) {
+	// inert (see Options.TimeVarying), and a stochastic run never stops on
+	// a cycle, so paying an O(n) compare-and-copy per round for it would be
+	// pure waste.
+	if opt.DetectCycles && sched == nil && (opt.TimeVarying == nil || staticAvailability(opt.TimeVarying)) {
 		if st.prevPrev == nil {
 			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
 		}
-		d.prevPrev = st.prevPrev
 		if rs != nil && rs.Prev != nil {
-			d.prevPrev.CopyFrom(rs.Prev)
+			st.prevPrev.CopyFrom(rs.Prev)
 		} else {
-			d.prevPrev.CopyFrom(initial)
+			st.prevPrev.CopyFrom(initial)
 		}
+		d.prevPrev = st.prevPrev.Cells()
 	}
 	if rs != nil && rs.Prev != nil {
 		d.seedPrev = rs.Prev
@@ -244,36 +274,32 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 	return d
 }
 
+// step applies one round from cur into next, one stripe per worker, and
+// returns the number of vertices that changed color and whether a
+// target-colored vertex lost the color; it records the stripes' joint
+// period-2 verdict in cycleFlag.
+func (d *sweepDriver) step() (changed int, lost bool) {
+	st := d.st
+	done := st.stripeAcross(d.cur.N(), d.workers, func(t *stripeTask, lo, hi int) {
+		*t = stripeTask{run: d.run, wg: &st.wg, sw: d, lo: lo, hi: hi}
+	})
+	same := true
+	for i := range done {
+		changed += done[i].changed
+		lost = lost || done[i].lost
+		same = same && done[i].same
+	}
+	d.cycleFlag = same
+	return changed, lost
+}
+
 func (d *sweepDriver) stepRound(round int, res *Result, opt Options) int {
-	e, st := d.e, d.st
-	cur, next := d.cur, d.next
-	var changed int
-	switch {
-	case d.tv != nil && d.workers > 1:
-		changed = e.stepParallelTV(round, d.tv, cur.Cells(), next.Cells(), d.workers, st)
-	case d.tv != nil:
-		changed = e.stepRangeTV(round, d.tv, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
-	case d.workers > 1:
-		changed = e.stepParallel(cur.Cells(), next.Cells(), d.workers, st)
-	default:
-		changed = e.stepRange(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
+	d.round, d.firstReached = round, res.FirstReached
+	changed, lost := d.step()
+	if lost {
+		res.MonotoneTarget = false
 	}
-	if opt.Target != color.None {
-		for v, n := 0, cur.N(); v < n; v++ {
-			got, had := next.At(v) == opt.Target, cur.At(v) == opt.Target
-			if had && !got {
-				res.MonotoneTarget = false
-			}
-			if got && res.FirstReached[v] < 0 {
-				res.FirstReached[v] = round
-			}
-		}
-	}
-	if d.prevPrev != nil {
-		d.cycleFlag = next.Equal(d.prevPrev)
-		d.prevPrev.CopyFrom(cur)
-	}
-	d.cur, d.next = next, cur
+	d.cur, d.next = d.next, d.cur
 	d.stepped = true
 	return changed
 }
@@ -299,6 +325,33 @@ func (d *sweepDriver) mono() bool {
 func (d *sweepDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
 
 func (d *sweepDriver) downshift(int, int, int, *Result) runDriver { return nil }
+
+// StepParallel applies one synchronous round using the striped parallel
+// stepper, reading from cur and writing into next, and returns the number of
+// vertices that changed color.  It produces exactly the same result as Step;
+// it exists so benchmarks and throughput experiments can drive the parallel
+// path without going through Run.
+//
+// Stripes run on the process-wide persistent worker pool (see pool.go)
+// through the run state's pre-allocated task buffer, so steady-state
+// parallel stepping performs zero heap allocations (pinned by
+// TestParallelStepDoesNotAllocate).  OS-level parallelism is naturally
+// capped at the pool size, GOMAXPROCS; requesting more workers than that
+// still computes every stripe, just not all at once.
+func (e *Engine) StepParallel(cur, next *color.Coloring, workers int) int {
+	if cur.Dims() != e.sub.Dims() || next.Dims() != e.sub.Dims() {
+		panic(fmt.Sprintf("sim: StepParallel dimension mismatch (%v, %v) vs %v", cur.Dims(), next.Dims(), e.sub.Dims()))
+	}
+	if workers <= 0 {
+		workers = 1
+	}
+	st := e.getState(false)
+	defer e.putState(st, false)
+	d := &st.sweep
+	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next}
+	changed, _ := d.step()
+	return changed
+}
 
 // frontierDriver is the dirty-frontier tier behind drive, with all per-round
 // bookkeeping done on the change journal instead of the full lattice.
@@ -561,39 +614,18 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		if maxRounds <= 0 {
 			maxRounds = e.sub.DefaultMaxRounds()
 		}
-		workers := opt.EffectiveWorkers(d.N())
 		tv := opt.TimeVarying
 		fixedPointStops := tv == nil || staticAvailability(tv)
 
 		sched, noise, err := opt.stochasticParams()
+		if err == nil {
+			err = kernelConflict(opt, sched, rs != nil)
+		}
 		if err != nil {
 			yield(nil, err)
 			return
 		}
-		stoch := sched != nil
-		if stoch {
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: stochastic schedules and noise cannot be combined with time-varying availability", ErrStochasticSweepOnly))
-				return
-			}
-			switch opt.Kernel {
-			case KernelFrontier:
-				yield(nil, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but a masked or faulty vertex must be re-evaluated regardless", ErrStochasticSweepOnly, opt.Kernel))
-				return
-			case KernelBitplane:
-				if sched.Kind != ScheduleSynchronous {
-					yield(nil, fmt.Errorf("%w: kernel %v steps every vertex every round and has no %v schedule", ErrStochasticSweepOnly, opt.Kernel, sched.Kind))
-					return
-				}
-			case KernelSharded:
-				yield(nil, fmt.Errorf("%w: the sharded tier steps shard-local vertex ids, but schedule masks and fault draws are keyed by global ids", ErrStochasticSweepOnly))
-				return
-			case KernelParallel:
-				if sched.inPlace() {
-					yield(nil, fmt.Errorf("%w: the %v schedule commits updates within a sweep and cannot be striped", ErrStochasticSweepOnly, sched.Kind))
-					return
-				}
-			}
+		if sched != nil {
 			// A zero-change round proves a fixed point only when every vertex
 			// was guaranteed a rule application that round: always true for
 			// the sequential kinds, true for the masked kinds only when the
@@ -609,23 +641,6 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 			}
 		}
 
-		switch opt.Kernel {
-		case KernelBitplane, KernelFrontier:
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but link churn can change a vertex's input without any color changing", ErrTimeVaryingSweepOnly, opt.Kernel))
-				return
-			}
-		case KernelSharded:
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: the sharded tier steps shard-local neighbor ids, but availability models are keyed by global vertex ids", ErrTimeVaryingSweepOnly))
-				return
-			}
-		}
-		if rs != nil && opt.Kernel == KernelBitplane {
-			yield(nil, fmt.Errorf("%w: a checkpoint carries scalar state only; resumed runs use the scalar tiers", ErrBitplaneIneligible))
-			return
-		}
-
 		st := e.getState(opt.FreshBuffers)
 		defer e.putState(st, opt.FreshBuffers)
 		// needScalar marks runs the bitplane tier is never auto-selected for:
@@ -633,121 +648,47 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		// advantage; FullSweep keeps its contract as the oracle stepper; and
 		// a checkpoint carries scalar state only.
 		needScalar := rs != nil || opt.FullSweep || opt.RecordHistory || len(opt.Observers) > 0
+		// A forced parallel run takes its worker count as if Parallel were
+		// set.
+		par := opt
+		par.Parallel = opt.Parallel || opt.Kernel == KernelParallel
+		workers := par.EffectiveWorkers(d.N())
 
+		// Tier selection; kernelConflict has already rejected every forced
+		// tier that cannot step the run.  Automatic selection takes the
+		// bitplane tier whenever it qualifies and the run needs no scalar
+		// view (synchronous ε-faulty runs included, with word-parallel fault
+		// masks), then the frontier for sequential deterministic runs on a
+		// static network, and the sweep otherwise.
 		var (
 			drv    runDriver
 			kernel Kernel
 		)
-		switch {
-		case !stoch:
-			// Deterministic synchronous runs: the tier switch below.
-		case sched.inPlace() || opt.Kernel == KernelSweep:
-			workers = 1
-			drv, kernel = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs), KernelSweep
-		case opt.Kernel == KernelParallel:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			drv, kernel = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs), KernelParallel
-		default: // KernelAuto or KernelBitplane, masked or noisy synchronous
-			// Synchronous ε-faulty runs take the bitplane tier when it is
-			// forced, or when it qualifies under the conditions of the
-			// deterministic automatic selection.
-			if sched.Kind == ScheduleSynchronous && (opt.Kernel == KernelBitplane || !needScalar) {
-				bd, err := e.newBitplaneDriver(st, initial, opt, noise, workers, opt.Kernel == KernelBitplane)
-				switch {
-				case err == nil:
-					drv, kernel = bd, KernelBitplane
-				case opt.Kernel == KernelBitplane:
-					yield(nil, err)
-					return
-				}
-			}
-			if drv == nil {
-				kernel = KernelSweep
-				if workers > 1 {
-					kernel = KernelParallel
-				}
-				drv = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs)
-			}
-		}
-		if drv != nil {
-			res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
-			from := 1
-			if rs != nil {
-				from = rs.Round + 1
-			}
-			e.drive(ctx, drv, res, opt, from, maxRounds, fixedPointStops, yield)
-			return
-		}
-		switch opt.Kernel {
-		case KernelBitplane:
-			bd, err := e.newBitplaneDriver(st, initial, opt, nil, workers, true)
-			if err != nil {
+		if opt.Kernel == KernelBitplane || (opt.Kernel == KernelAuto && tv == nil && !needScalar && (sched == nil || sched.Kind == ScheduleSynchronous)) {
+			bd, err := e.newBitplaneDriver(st, initial, opt, noise, workers, opt.Kernel == KernelBitplane)
+			switch {
+			case err == nil:
+				drv, kernel = bd, KernelBitplane
+			case opt.Kernel == KernelBitplane:
 				yield(nil, err)
 				return
 			}
-			drv, kernel = bd, KernelBitplane
-		case KernelFrontier:
-			drv, kernel = e.newFrontierDriver(st, initial, rs), KernelFrontier
-			workers = 1
-		case KernelSweep:
-			workers = 1
-			drv, kernel = e.newSweepDriver(st, initial, opt, workers, rs), KernelSweep
-		case KernelParallel:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			drv, kernel = e.newSweepDriver(st, initial, opt, workers, rs), KernelParallel
-		case KernelSharded:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			sd := e.newShardedDriver(st, initial, opt, workers, rs)
-			drv, kernel, workers = sd, KernelSharded, sd.sh.Shards()
-		case KernelAuto:
-			// Automatic selection.  Time-varying runs are pinned to the
-			// full-sweep steppers (see Options.TimeVarying).  Otherwise the
-			// bitplane tier wins whenever it applies and the run does not
-			// need a scalar view (needScalar).
-			if tv == nil {
-				if !needScalar {
-					if bd, err := e.newBitplaneDriver(st, initial, opt, nil, workers, false); err == nil {
-						drv, kernel = bd, KernelBitplane
-					}
-				}
-				if drv == nil && workers == 1 && !opt.FullSweep {
-					drv, kernel = e.newFrontierDriver(st, initial, rs), KernelFrontier
-				}
-				// Parallel runs on large substrates take the sharded tier:
-				// above the threshold the striped sweep is bandwidth-bound on
-				// its shared buffers and extra workers stop helping, while
-				// shard-local buffers restore cache locality.  FullSweep keeps
-				// its oracle contract (the striped sweep, as before).
-				if drv == nil && workers > 1 && !opt.FullSweep && d.N() >= shardedAutoThreshold {
-					sd := e.newShardedDriver(st, initial, opt, workers, rs)
-					drv, kernel, workers = sd, KernelSharded, sd.sh.Shards()
-				}
-			}
-			if drv == nil {
-				kernel = KernelSweep
-				if workers > 1 {
-					kernel = KernelParallel
-				}
-				drv = e.newSweepDriver(st, initial, opt, workers, rs)
-			}
-		default:
-			yield(nil, fmt.Errorf("sim: unknown kernel %v", opt.Kernel))
-			return
 		}
-		if kernel == KernelFrontier {
-			workers = 1
+		switch {
+		case drv != nil:
+		case opt.Kernel == KernelFrontier || (opt.Kernel == KernelAuto && sched == nil && tv == nil && workers == 1 && !opt.FullSweep):
+			drv, kernel, workers = e.newFrontierDriver(st, initial, rs), KernelFrontier, 1
+		case sched != nil && sched.inPlace():
+			drv, kernel, workers = e.newInPlaceDriver(st, initial, opt, sched, noise, rs), KernelSweep, 1
+		default:
+			if opt.Kernel == KernelSweep {
+				workers = 1
+			}
+			kernel = KernelSweep
+			if workers > 1 || opt.Kernel == KernelParallel {
+				kernel = KernelParallel
+			}
+			drv = e.newSweepDriver(st, initial, opt, sched, noise, workers, rs)
 		}
 
 		res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
@@ -757,6 +698,31 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		}
 		e.drive(ctx, drv, res, opt, from, maxRounds, fixedPointStops, yield)
 	}
+}
+
+// kernelConflict returns the error of a run whose forced tier cannot step
+// it, wrapping the sentinel that names the reason, or nil.  sched is the
+// run's normalized stochastic schedule (nil for a deterministic run) and
+// resumed marks a run continuing from a checkpoint.
+func kernelConflict(opt Options, sched *Schedule, resumed bool) error {
+	k, tv := opt.Kernel, opt.TimeVarying
+	switch {
+	case k < KernelAuto || k > KernelParallel:
+		return fmt.Errorf("sim: unknown kernel %v", k)
+	case sched != nil && tv != nil:
+		return fmt.Errorf("%w: stochastic schedules and noise cannot be combined with time-varying availability", ErrStochasticSweepOnly)
+	case sched != nil && k == KernelFrontier:
+		return fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but a masked or faulty vertex must be re-evaluated regardless", ErrStochasticSweepOnly, k)
+	case sched != nil && k == KernelBitplane && sched.Kind != ScheduleSynchronous:
+		return fmt.Errorf("%w: kernel %v steps every vertex every round and has no %v schedule", ErrStochasticSweepOnly, k, sched.Kind)
+	case sched != nil && k == KernelParallel && sched.inPlace():
+		return fmt.Errorf("%w: the %v schedule commits updates within a sweep and cannot be striped", ErrStochasticSweepOnly, sched.Kind)
+	case tv != nil && (k == KernelBitplane || k == KernelFrontier):
+		return fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but link churn can change a vertex's input without any color changing", ErrTimeVaryingSweepOnly, k)
+	case resumed && k == KernelBitplane:
+		return fmt.Errorf("%w: a checkpoint carries scalar state only; resumed runs use the scalar tiers", ErrBitplaneIneligible)
+	}
+	return nil
 }
 
 // initRunResult builds the Result shell of a run — effective workers and
