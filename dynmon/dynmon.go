@@ -39,10 +39,11 @@
 // Every run picks a stepping tier (word-parallel bitplane, dirty frontier,
 // striped parallel, or the sequential sweep oracle) automatically; all
 // tiers are bit-identical, Kernel forces one, and Result.Kernel reports the
-// tier used.  Parallel(n) runs that the bitplane tier does not take step on
-// the striped parallel sweep: one contiguous stripe of vertices per worker,
-// each stripe also recording its own range's target trace and period-2
-// comparison, so no serial pass over the lattice follows a round.
+// tier used (in process only; the Result's JSON never says how it ran).
+// Parallel(n) runs that the bitplane tier does not take step on the striped
+// parallel sweep: one contiguous stripe of vertices per worker, each stripe
+// also recording its own range's target trace and period-2 comparison, so
+// no serial pass over the lattice follows a round.
 //
 // Observers (OnRound/OnFinish) watch a run as it evolves; the package ships
 // a history recorder, an ASCII animator and a stats collector.  Observer
@@ -344,5 +345,5 @@ func (s *System) PredictedRounds() int {
 	return dynamo.PredictedRounds(s.topo.Kind(), s.topo.Dims())
 }
 
-// NewPalette returns the palette {1..k}, or an error for k < 1.
+// NewPalette returns the palette {1..k}, or an error for k < 1 or k > 255.
 func NewPalette(k int) (Palette, error) { return color.NewPalette(k) }

@@ -415,8 +415,8 @@ func RecordHistory() RunOption {
 
 // Parallel enables the striped parallel stepper with the given worker
 // count (0 selects GOMAXPROCS).  The effective count — capped at the vertex
-// count — is reported on Result.Workers.  Parallel and sequential runs are
-// bit-identical.
+// count — is reported on Result.Workers, an in-process diagnostic that the
+// Result's JSON omits.  Parallel and sequential runs are bit-identical.
 func Parallel(workers int) RunOption {
 	return func(rs *RunSpec) { rs.Parallel, rs.Workers = true, workers }
 }
@@ -432,7 +432,8 @@ func FullSweep() RunOption {
 // KernelTier identifies one of the engine's stepping tiers.  All tiers are
 // bit-identical; they differ only in speed.  Result.Kernel reports the tier
 // a run actually used (with Result.Downshift marking an auto-tier mid-run
-// handoff from the bitplane to the frontier).
+// handoff from the bitplane to the frontier).  Both are in-process
+// diagnostics: the Result's JSON says what happened, never how it ran.
 type KernelTier = sim.Kernel
 
 const (
@@ -466,7 +467,8 @@ var ErrBitplaneIneligible = sim.ErrBitplaneIneligible
 var ErrStochasticSweepOnly = sim.ErrStochasticSweepOnly
 
 // Kernel forces the run's stepping tier instead of the automatic selection.
-// See the KernelTier constants; the tier used is reported on Result.Kernel.
+// See the KernelTier constants; the tier used is reported on Result.Kernel,
+// which stays in process and never reaches the Result's JSON.
 func Kernel(k KernelTier) RunOption {
 	return func(rs *RunSpec) {
 		if k == sim.KernelAuto {

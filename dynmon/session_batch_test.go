@@ -10,7 +10,7 @@ import (
 )
 
 // resultJSON flattens a Result to its wire form, the strongest equality the
-// API promises: every exported field, including kernel/worker metadata.
+// API promises: every field the wire carries.
 func resultJSON(t *testing.T, res *dynmon.Result) string {
 	t.Helper()
 	b, err := json.Marshal(res)

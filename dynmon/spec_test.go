@@ -344,14 +344,17 @@ func TestFileSpecAcceptsBareSystemSpec(t *testing.T) {
 }
 
 // TestReportResultJSONStable pins the wire contract of Report and Result:
-// exact field names, kernel as tier name, colorings as {rows, cols, cells}.
+// exact field names, colorings as {rows, cols, cells}, and no trace of how
+// the run executed — Workers, Kernel and Downshift are set below but never
+// serialized.
 // A change that breaks this test breaks every consumer of the JSON API.
 func TestReportResultJSONStable(t *testing.T) {
 	final := color.NewColoring(grid.MustDims(2, 2), 2)
 	res := &Result{
 		Rounds:          3,
-		Workers:         1,
-		Kernel:          KernelFrontier,
+		Workers:         2,
+		Kernel:          KernelBitplane,
+		Downshift:       2,
 		FixedPoint:      true,
 		Monochromatic:   true,
 		FinalColor:      2,
@@ -376,8 +379,8 @@ func TestReportResultJSONStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"construction":"unit","seed_size":2,"lower_bound":2,"rounds":3,"predicted_rounds":4,` +
-		`"is_dynamo":true,"monotone":true,"conditions_ok":true,"result":{"rounds":3,"workers":1,` +
-		`"kernel":"frontier","fixed_point":true,"cycle":false,"monochromatic":true,"final_color":2,` +
+		`"is_dynamo":true,"monotone":true,"conditions_ok":true,"result":{"rounds":3,` +
+		`"fixed_point":true,"cycle":false,"monochromatic":true,"final_color":2,` +
 		`"monotone_target":true,"first_reached":[0,1,1,2],"changes_per_round":[2,1,0],` +
 		`"final":{"rows":2,"cols":2,"cells":[2,2,2,2]}}}`
 	if string(got) != want {
@@ -388,7 +391,7 @@ func TestReportResultJSONStable(t *testing.T) {
 	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Result == nil || back.Result.Kernel != KernelFrontier || !back.Result.Final.Equal(final) {
+	if back.Result == nil || back.Result.Rounds != 3 || !back.Result.Final.Equal(final) {
 		t.Fatalf("report did not round-trip: %+v", back.Result)
 	}
 }
@@ -407,5 +410,20 @@ func TestFileSpecRejectsOverflowingLattice(t *testing.T) {
 		if _, _, _, err := fs.Build(); !errors.Is(err, grid.ErrTooLarge) {
 			t.Fatalf("%sx%s: Build err = %v, want grid.ErrTooLarge", size, size, err)
 		}
+	}
+}
+
+// TestFileSpecRejectsOversizedPalette: a billion-color palette on an 8x8
+// mesh once ran out of memory growing the frontier's color histogram; it
+// must fail to build with color.ErrPaletteTooLarge.
+func TestFileSpecRejectsOversizedPalette(t *testing.T) {
+	body := `{"system": {"substrate": {"topology": {"name": "toroidal-mesh", "rows": 8, "cols": 8}},
+		"colors": 1000000000, "rule": "smp"}, "initial": {"config": "random", "seed": 1}}`
+	fs, err := ParseFileSpec([]byte(body))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, _, _, err := fs.Build(); !errors.Is(err, color.ErrPaletteTooLarge) {
+		t.Fatalf("Build err = %v, want color.ErrPaletteTooLarge", err)
 	}
 }

@@ -27,7 +27,7 @@ type batchItem struct {
 // admission slot and runs its misses over a shared Session, where eligible
 // two-color ensembles step 64 replicas per word on the bit-sliced tier —
 // which cannot change a single byte of any Result (the tier is bit-exact
-// and emulates the scalar path's metadata), so cache entries written here
+// and the wire carries no tier metadata), so cache entries written here
 // are indistinguishable from /v1/runs ones.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Add(1)

@@ -63,9 +63,11 @@
 // restarted server re-attaches parked jobs and restarts previously-running
 // ones from their last checkpoint, and — because resumed runs are pinned
 // bit-identical to uninterrupted ones — the recovered terminal Result is
-// byte-for-byte the one the crash interrupted.  Failure paths (worker
-// panics, checkpoint I/O errors, dropped streams) are testable via the
-// repro/dynserve/fault failpoint package; injected worker panics and
+// byte-for-byte the one the crash interrupted.  A done job's stored Result
+// is decoded and re-encoded at boot, so bytes written under an older Result
+// wire never answer a digest differently from a fresh run.  Failure paths
+// (worker panics, checkpoint I/O errors, dropped streams) are testable via
+// the repro/dynserve/fault failpoint package; injected worker panics and
 // checkpoint-write errors fail only the affected job.
 package dynserve
 
@@ -191,8 +193,7 @@ type Server struct {
 // cachedResult is one terminal result by digest: the exact bytes a fresh run
 // marshals to.
 type cachedResult struct {
-	json   []byte
-	kernel string
+	json []byte
 }
 
 // New returns a ready Server.  With Config.DataDir set it opens the durable
@@ -484,12 +485,21 @@ func (s *Server) rebuildJob(pj persistedJob) (*job, bool) {
 	}
 	switch pj.meta.State {
 	case jobDone:
+		// Re-encode the persisted bytes before serving or caching them, so
+		// a Result stored under an older wire form answers with exactly the
+		// bytes a fresh run of the same digest marshals to.
+		var res dynmon.Result
+		if err := json.Unmarshal(pj.result, &res); err != nil {
+			return fail(fmt.Errorf("persisted result corrupted: %w", err))
+		}
+		resJSON, err := json.Marshal(&res)
+		if err != nil {
+			return fail(fmt.Errorf("persisted result unencodable: %w", err))
+		}
 		j.state = jobDone
-		j.resultJSON = pj.result
+		j.resultJSON = resJSON
 		j.finishedAt = finishedAtOf(pj.meta)
-		// Warm the result cache: equal digests still imply byte-identical
-		// Results, so the persisted bytes are exactly servable.
-		s.results.Put(j.digest, &cachedResult{json: pj.result, kernel: kernelOf(pj.result)})
+		s.results.Put(j.digest, &cachedResult{json: resJSON}) // warm the cache
 		return j, false
 	case jobFailed, jobCanceled:
 		j.state = pj.meta.State
@@ -530,16 +540,4 @@ func finishedAtOf(m jobMeta) time.Time {
 		return time.Unix(0, m.FinishedAtNanos)
 	}
 	return time.Now()
-}
-
-// kernelOf extracts the kernel tier name from terminal Result bytes, for
-// the per-kernel metrics of cache hits served from a recovered store.
-func kernelOf(resJSON []byte) string {
-	var probe struct {
-		Kernel string `json:"kernel"`
-	}
-	if err := json.Unmarshal(resJSON, &probe); err != nil {
-		return "unknown"
-	}
-	return probe.Kernel
 }

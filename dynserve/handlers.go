@@ -317,11 +317,10 @@ func (s *Server) settleInline(res *dynmon.Result, cacheable bool, digest string)
 		s.metrics.RunsFailed.Add(1)
 		return nil, err
 	}
-	kernel := res.Kernel.String()
 	s.metrics.RunsCompleted.Add(1)
-	s.metrics.CountKernel(kernel)
+	s.metrics.CountKernel(res.Kernel.String())
 	if cacheable {
-		s.results.Put(digest, &cachedResult{json: b, kernel: kernel})
+		s.results.Put(digest, &cachedResult{json: b})
 	}
 	return b, nil
 }

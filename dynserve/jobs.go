@@ -547,7 +547,6 @@ func (s *Server) settleDone(j *job, res *dynmon.Result) {
 		s.settleErr(j, err)
 		return
 	}
-	kernel := res.Kernel.String()
 	j.mu.Lock()
 	j.state = jobDone
 	j.resultJSON = b
@@ -559,8 +558,8 @@ func (s *Server) settleDone(j *job, res *dynmon.Result) {
 		s.persistJob(j)
 	}
 	s.metrics.RunsCompleted.Add(1)
-	s.metrics.CountKernel(kernel)
-	s.results.Put(j.digest, &cachedResult{json: b, kernel: kernel})
+	s.metrics.CountKernel(res.Kernel.String())
+	s.results.Put(j.digest, &cachedResult{json: b})
 	j.closeSubs()
 }
 

@@ -151,6 +151,32 @@ func TestRemovedKernelRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedPaletteRejected pins the palette cap at the HTTP boundary:
+// a billion-color spec on an 8x8 mesh once killed the process by running
+// out of memory; it gets a 422 naming the limit and the server stays ready.
+func TestOversizedPaletteRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":8,"cols":8}},"colors":1000000000,"rule":"smp"},"initial":{"config":"random","seed":1}}`
+	resp := postRun(t, ts.URL, []byte(body), "application/json")
+	respBody := readAll(t, resp)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized palette status %d (%s), want 422", resp.StatusCode, respBody)
+	}
+	if !strings.Contains(string(respBody), "limit of 255 colors") {
+		t.Fatalf("error body %s does not name the palette limit", respBody)
+	}
+	if n := srv.metrics.RunsStarted.Load(); n != 0 {
+		t.Fatalf("oversized palette started %d runs, want 0", n)
+	}
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, ready); ready.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after oversized palette %d, want 200", ready.StatusCode)
+	}
+}
+
 // TestJobSubmissionRejectsCheckpoints pins that the jobs endpoint only
 // takes spec files.
 func TestJobSubmissionRejectsCheckpoints(t *testing.T) {

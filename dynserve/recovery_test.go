@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,6 +142,104 @@ func TestRecoveryRestartsInterruptedJobBitIdentical(t *testing.T) {
 	}
 	if n := srv2.metrics.RunsStarted.Load(); n != 0 {
 		t.Fatalf("restart re-executed a done job (%d runs started)", n)
+	}
+}
+
+// TestRecoveryReencodesLegacyResultWire pins the upgrade path of the
+// Result wire: a done job persisted while Results still said how the run
+// executed ("workers":2,"kernel":"parallel") boots ready, and both its job
+// id and a /v1/runs cache hit for its digest answer with exactly the bytes
+// a fresh run marshals to.  The checkpoint wire is untouched: the persisted
+// checkpoint bytes stay as they were and serve verbatim.
+func TestRecoveryReencodesLegacyResultWire(t *testing.T) {
+	spec := []byte(`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":5,"rule":"smp"},` +
+		`"initial":{"config":"minimum","seed":1},"run":{"target":1,"stop_when_monochromatic":true,"detect_cycles":true,"parallel":true}}`)
+	want := offlineResult(t, spec)
+	// The older wire put the metadata right after "rounds".
+	i := bytes.IndexByte(want, ',') + 1
+	legacy := append(append(append([]byte(nil), want[:i]...), `"workers":2,"kernel":"parallel",`...), want[i:]...)
+
+	dir := t.TempDir()
+	id, digest := fabricateCrash(t, dir, spec, 2)
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveResult(id, legacy); err != nil {
+		t.Fatal(err)
+	}
+	meta := jobMeta{ID: id, Digest: digest, State: jobDone, Detached: true, Round: 8, CheckpointRound: 2, FinishedAtNanos: time.Now().UnixNano()}
+	if err := st.SaveMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	cpPath := filepath.Join(dir, "jobs", id, storeCheckpointFile)
+	cpBefore, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	waitReady(t, srv)
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, ready); ready.StatusCode != http.StatusOK {
+		t.Fatalf("readyz %d, want 200", ready.StatusCode)
+	}
+
+	code, got := attachBuffered(t, ts.URL, id)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("recovered job answered %d %s, want the fresh-run bytes %s", code, got, want)
+	}
+	resp := postRun(t, ts.URL, spec, "application/json")
+	body := bytes.TrimSuffix(readAll(t, resp), []byte("\n"))
+	if resp.Header.Get("X-Dynmond-Cache") != "hit" {
+		t.Fatal("resubmitting the recovered digest missed the warmed cache")
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("cache hit answered %s, want the fresh-run bytes %s", body, want)
+	}
+	if n := srv.metrics.RunsStarted.Load(); n != 0 {
+		t.Fatalf("recovery re-executed a done job (%d runs started)", n)
+	}
+
+	cpResp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := readAll(t, cpResp); !bytes.Equal(served, cpBefore) {
+		t.Fatalf("served checkpoint differs from the persisted bytes:\n got %s\nwant %s", served, cpBefore)
+	}
+	if cpAfter, err := os.ReadFile(cpPath); err != nil || !bytes.Equal(cpAfter, cpBefore) {
+		t.Fatalf("recovery rewrote the persisted checkpoint (err %v)", err)
+	}
+}
+
+// TestRecoveryCorruptResult: a done job whose persisted Result no longer
+// decodes fails at boot with the damage named, instead of serving or
+// caching the bytes, and the server still comes up ready.
+func TestRecoveryCorruptResult(t *testing.T) {
+	dir := t.TempDir()
+	id, digest := fabricateCrash(t, dir, goldenSpec(t, "mesh-9x9-minimum.json"), 2)
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveResult(id, []byte(`{"rounds":8,"final":{"rows":`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveMeta(jobMeta{ID: id, Digest: digest, State: jobDone, Detached: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	waitReady(t, srv)
+	if cur := jobStatus(t, srv, id); cur.State != jobFailed || !strings.Contains(cur.Error, "persisted result corrupted") {
+		t.Fatalf("job recovered as %q (%q), want failed naming the corrupted result", cur.State, cur.Error)
+	}
+	if _, ok := srv.results.Get(digest); ok {
+		t.Fatal("a corrupted result warmed the cache")
 	}
 }
 

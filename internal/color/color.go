@@ -8,6 +8,7 @@
 package color
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -53,10 +54,19 @@ type Palette struct {
 	K int
 }
 
-// NewPalette returns the palette {1..k}.  It returns an error for k < 1.
+// ErrPaletteTooLarge reports a palette of more than 255 colors, the most one
+// byte per vertex can carry.  The cap bounds the per-color tables a run
+// keeps (the frontier's color histogram) whatever a spec asks for.
+var ErrPaletteTooLarge = errors.New("color: palette exceeds the limit of 255 colors")
+
+// NewPalette returns the palette {1..k}.  It returns an error for k < 1 and
+// one wrapping ErrPaletteTooLarge for k > 255.
 func NewPalette(k int) (Palette, error) {
 	if k < 1 {
 		return Palette{}, fmt.Errorf("color: palette must have at least 1 color, got %d", k)
+	}
+	if k > 255 {
+		return Palette{}, fmt.Errorf("%w: got %d", ErrPaletteTooLarge, k)
 	}
 	return Palette{K: k}, nil
 }

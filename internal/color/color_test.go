@@ -1,6 +1,7 @@
 package color
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -51,6 +52,14 @@ func TestColorRune(t *testing.T) {
 func TestPaletteConstruction(t *testing.T) {
 	if _, err := NewPalette(0); err == nil {
 		t.Error("expected error for empty palette")
+	}
+	if _, err := NewPalette(255); err != nil {
+		t.Errorf("NewPalette(255): %v", err)
+	}
+	for _, k := range []int{256, 1_000_000_000} {
+		if _, err := NewPalette(k); !errors.Is(err, ErrPaletteTooLarge) {
+			t.Errorf("NewPalette(%d) = %v, want ErrPaletteTooLarge", k, err)
+		}
 	}
 	p, err := NewPalette(4)
 	if err != nil {

@@ -52,7 +52,6 @@ type Bitslice struct {
 
 	// Per-round bookkeeping, refreshed by Step and valid until the next one.
 	counts          [BitsliceLanes]int // per-lane changed-vertex counts
-	laneChanged     uint64             // lanes with at least one change
 	monoAnd, monoOr uint64             // AND/OR folds of the new state over all vertices
 	cycleEq         uint64             // lanes whose new state equals the state two rounds ago
 	lostTarget      uint64             // lanes where some vertex left the tracked target color
@@ -183,7 +182,7 @@ func (bs *Bitslice) reset(initials []*color.Coloring) error {
 	bs.detectCycles = false
 	bs.targetEnc = trackOff
 	bs.counts = [BitsliceLanes]int{}
-	bs.laneChanged, bs.monoAnd, bs.monoOr, bs.cycleEq, bs.lostTarget = 0, 0, 0, 0, 0
+	bs.monoAnd, bs.monoOr, bs.cycleEq, bs.lostTarget = 0, 0, 0, 0
 	for i := range bs.cnt {
 		bs.cnt[i] = 0
 	}
@@ -216,9 +215,6 @@ func (bs *Bitslice) Lanes() int { return bs.lanes }
 // Round returns the number of rounds stepped so far.
 func (bs *Bitslice) Round() int { return bs.round }
 
-// Active returns the mask of lanes still stepping.
-func (bs *Bitslice) Active() uint64 { return bs.active }
-
 // Freeze removes the masked lanes from the update: their bits keep their
 // current state through every later Step while the remaining lanes run.
 func (bs *Bitslice) Freeze(mask uint64) { bs.active &^= mask }
@@ -226,14 +222,6 @@ func (bs *Bitslice) Freeze(mask uint64) { bs.active &^= mask }
 // DetectCycles enables the two-rounds-ago comparison behind Cycle.  Call it
 // before the first Step.
 func (bs *Bitslice) DetectCycles(on bool) { bs.detectCycles = on }
-
-// LaneChanges returns the number of vertices lane r changed in the last
-// Step (frozen lanes report 0 from their final active round onward).
-func (bs *Bitslice) LaneChanges(r int) int { return bs.counts[r] }
-
-// LaneChanged returns the mask of lanes that changed at least one vertex in
-// the last Step.
-func (bs *Bitslice) LaneChanged() uint64 { return bs.laneChanged }
 
 // Monochromatic reports whether lane r's configuration was monochromatic
 // after the last Step.
@@ -294,7 +282,7 @@ func (bs *Bitslice) Step() {
 	act, lm := bs.active, bs.laneMask
 	monoAnd, monoOr := ^uint64(0), uint64(0)
 	cycleEq := ^uint64(0)
-	var changed, lost uint64
+	var lost uint64
 	pp := bs.prevPrev
 	dc := bs.detectCycles
 	enc := bs.targetEnc
@@ -303,7 +291,6 @@ func (bs *Bitslice) Step() {
 		nx := next[v]&act | cv&^act
 		next[v] = nx
 		if d := cv ^ nx; d != 0 {
-			changed |= d
 			bs.countAdd(d)
 		}
 		monoAnd &= nx
@@ -330,7 +317,6 @@ func (bs *Bitslice) Step() {
 			}
 		}
 	}
-	bs.laneChanged = changed
 	bs.monoAnd, bs.monoOr = monoAnd, monoOr
 	bs.cycleEq = cycleEq
 	bs.lostTarget = lost
@@ -384,14 +370,15 @@ func (bs *Bitslice) unpackPrev(r int) *color.Coloring {
 }
 
 // RunBatchSliced evolves up to 64 initial colorings to their terminal
-// Results in one bit-sliced word stream, bit-identical — field for field,
-// including the kernel/downshift metadata a scalar auto-tier run would
-// report — to running each replica through RunContext with the same
-// options.  Per-lane termination masks let replicas stop on their own round
-// (fixed point, monochromatic, cycle or budget) while the rest keep
-// stepping.  Ineligible batches (wrong substrate, rule, options or colors)
-// return an error wrapping ErrBitsliceIneligible without side effects, so
-// callers can fall back to the per-run loop.
+// Results in one bit-sliced word stream, byte-identical on the JSON wire
+// (and in the checkpoint seed) to running each replica through RunContext
+// with the same options.  Only the in-process diagnostics say how the
+// lanes ran: Kernel reads KernelBitsliced and Downshift stays 0.  Per-lane
+// termination masks let replicas stop on their own round (fixed point,
+// monochromatic, cycle or budget) while the rest keep stepping.  Ineligible
+// batches (wrong substrate, rule, options or colors) return an error
+// wrapping ErrBitsliceIneligible without side effects, so callers can fall
+// back to the per-run loop.
 //
 // When ctx is canceled mid-batch the call returns ctx.Err() together with
 // the results of the lanes that already terminated; still-active lanes are
@@ -416,30 +403,15 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 		bs.setTarget(opt.Target)
 	}
 
-	// Per-lane Results carry the metadata the scalar auto tier would have
-	// chosen for that replica alone: the bitplane kernel (with its
-	// low-churn downshift round) where bitplaneCheck passes, the dirty
-	// frontier otherwise.  The numerical fields agree across tiers by the
-	// kernels' exactness, so emulating the metadata keeps sliced results
-	// byte-identical to scalar ones — the invariant the dynserve result
-	// cache is built on.
 	results := make([]*Result, len(initials))
 	resBuf := make([]*Result, len(initials))
-	var emulate uint64 // lanes whose scalar run would report the bitplane tier
 	for r, init := range initials {
-		res := &Result{MonotoneTarget: true, Workers: 1, Kernel: KernelFrontier}
-		if e.topo != nil {
-			if _, _, _, err := e.bitplaneCheck(init, 0); err == nil {
-				res.Kernel = KernelBitplane
-				emulate |= 1 << uint(r)
-			}
-		}
+		res := &Result{MonotoneTarget: true, Workers: 1, Kernel: KernelBitsliced}
 		initTargetTrace(res, init, opt.Target)
 		bs.first[r] = res.FirstReached
 		resBuf[r] = res
 	}
 
-	lowChurn := make([]int, len(initials))
 	for {
 		if err := ctx.Err(); err != nil {
 			return results, err
@@ -471,17 +443,6 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 				done = true
 			}
 			if !done {
-				if emulate>>uint(r)&1 == 1 && res.Downshift == 0 {
-					// The scalar bitplane driver's low-churn handoff.
-					if c*downshiftFactor < bs.n {
-						lowChurn[r]++
-					} else {
-						lowChurn[r] = 0
-					}
-					if lowChurn[r] >= downshiftRounds {
-						res.Downshift = round + 1
-					}
-				}
 				continue
 			}
 			freeze |= 1 << uint(r)

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -12,31 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/rules"
 )
-
-// batchResultsEqual pins a sliced lane's Result byte-identical to the
-// scalar run's — the JSON wire form covers every exported field including
-// the kernel/downshift metadata the dynserve cache keys on, and the
-// unexported prev (the checkpoint seed) is compared directly.
-func batchResultsEqual(t *testing.T, label string, sliced, scalar *Result) {
-	t.Helper()
-	sj, err := json.Marshal(sliced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oj, err := json.Marshal(scalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, oj) {
-		t.Fatalf("%s: results differ\nsliced: %s\nscalar: %s", label, sj, oj)
-	}
-	if (sliced.prev == nil) != (scalar.prev == nil) {
-		t.Fatalf("%s: prev nil-ness differs (sliced %v, scalar %v)", label, sliced.prev == nil, scalar.prev == nil)
-	}
-	if sliced.prev != nil && !sliced.prev.Equal(scalar.prev) {
-		t.Fatalf("%s: prev configurations differ", label)
-	}
-}
 
 // ensembleLanes builds a 64-replica ensemble with deliberately mixed
 // termination behavior: monochromatic lanes, a near-fixed-point lane and
@@ -65,7 +38,7 @@ func ensembleLanes(d grid.Dims, lanes int) []*color.Coloring {
 // 64-lane ensembles with mixed termination rounds and an options matrix
 // covering fixed points, monochromatic stops, cycle detection, target
 // traces and budget exhaustion, RunBatchSliced must produce per-lane
-// Results byte-identical (JSON form, metadata included) to 64 scalar
+// Results byte-identical (JSON form and checkpoint seed) to 64 scalar
 // RunContext runs.  Rule × substrate pairs without a two-color kernel are
 // skipped, but the core matrix must qualify.
 func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
@@ -104,7 +77,7 @@ func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: scalar lane %d: %v", label, r, err)
 						}
-						batchResultsEqual(t, label, res, scalar)
+						resultBytesEqual(t, label, res, scalar)
 						if res.Cycle {
 							cycles++
 						}
@@ -140,8 +113,8 @@ func circulant4(n int) Substrate {
 
 // TestBitsliceGraphDifferential runs the same oracle on a 4-regular
 // non-torus substrate, where the scalar auto tier is the dirty frontier
-// (no bitplane exists): sliced lanes must match it byte for byte,
-// including Kernel == frontier and no downshift.
+// (no bitplane exists): sliced lanes must match it byte for byte, and
+// report the bit-sliced tier in process.
 func TestBitsliceGraphDifferential(t *testing.T) {
 	sub := circulant4(129)
 	for _, name := range rules.RegisteredNames() {
@@ -160,18 +133,32 @@ func TestBitsliceGraphDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r, res := range sliced {
-			if res.Kernel != KernelFrontier {
-				t.Fatalf("%s lane %d: kernel %v, want frontier metadata on a non-torus substrate", name, r, res.Kernel)
-			}
-			if res.Downshift != 0 {
-				t.Fatalf("%s lane %d: downshift %d recorded on a frontier-tier lane", name, r, res.Downshift)
+			if res.Kernel != KernelBitsliced {
+				t.Fatalf("%s lane %d: kernel %v, want bitsliced", name, r, res.Kernel)
 			}
 			scalar, err := eng.RunContext(context.Background(), lanes[r], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchResultsEqual(t, name+"/circulant4", res, scalar)
+			resultBytesEqual(t, name+"/circulant4", res, scalar)
 		}
+	}
+}
+
+// TestKernelBitslicedCannotBeForced: the bit-sliced tier names batch lanes
+// only, so its name does not parse and a run forcing it errors.
+func TestKernelBitslicedCannotBeForced(t *testing.T) {
+	if KernelBitsliced.String() != "bitsliced" {
+		t.Fatalf("String() = %q, want bitsliced", KernelBitsliced.String())
+	}
+	if _, err := ParseKernel("bitsliced"); err == nil {
+		t.Fatal("ParseKernel accepted the batch-only tier")
+	}
+	topo := grid.MustNew(grid.KindToroidalMesh, 8, 8)
+	eng := NewEngine(topo, rules.SMP{})
+	initial := randomTestColoring(1, topo.Dims(), 2)
+	if _, err := eng.RunContext(context.Background(), initial, Options{Kernel: KernelBitsliced}); err == nil {
+		t.Fatal("a single run forced the batch-only tier")
 	}
 }
 
@@ -235,7 +222,7 @@ func TestBitsliceCancellationMidBatch(t *testing.T) {
 			if res == nil {
 				t.Fatalf("lane %d terminated at round %d <= %d but was dropped", r, full[r].Rounds, limit)
 			}
-			batchResultsEqual(t, "canceled batch", res, full[r])
+			resultBytesEqual(t, "canceled batch", res, full[r])
 			done++
 		} else {
 			if res != nil {

@@ -50,7 +50,6 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -82,8 +81,9 @@ const (
 	// sweep when FullSweep is set, and the dirty frontier otherwise.
 	// Auto-selected sequential bitplane runs may additionally downshift to
 	// the frontier mid-run once the change rate gets low (recorded on
-	// Result.Downshift); noisy runs never do.  Stochastic runs that the bitplane kernel does not take step on
-	// the sequential or striped sweep.
+	// Result.Downshift, which like Result.Kernel stays off the JSON wire);
+	// noisy runs never do.  Stochastic runs that the bitplane kernel does
+	// not take step on the sequential or striped sweep.
 	KernelAuto Kernel = iota
 	// KernelBitplane forces the word-parallel bit-sliced stepper.  Runs
 	// error (wrapping ErrBitplaneIneligible) when the combination does not
@@ -96,6 +96,10 @@ const (
 	// KernelParallel forces the striped parallel sweep (Workers goroutines,
 	// GOMAXPROCS when unset).
 	KernelParallel
+	// KernelBitsliced is reported by the lanes of a bit-sliced ensemble
+	// batch (Engine.RunBatchSliced), which steps 64 replicas per word.  A
+	// single run cannot force it, so ParseKernel rejects its name.
+	KernelBitsliced
 )
 
 // String returns the tier name used in logs and experiment tables.
@@ -111,13 +115,16 @@ func (k Kernel) String() string {
 		return "sweep"
 	case KernelParallel:
 		return "parallel"
+	case KernelBitsliced:
+		return "bitsliced"
 	default:
 		return fmt.Sprintf("Kernel(%d)", int(k))
 	}
 }
 
-// ParseKernel resolves a tier name ("auto", "bitplane", "frontier", "sweep",
-// "parallel"; "" means auto) to its Kernel, the inverse of String.
+// ParseKernel resolves the name of a tier a run can force ("auto",
+// "bitplane", "frontier", "sweep", "parallel"; "" means auto) to its
+// Kernel, the inverse of String on those tiers.
 func ParseKernel(name string) (Kernel, error) {
 	switch name {
 	case "", "auto":
@@ -133,29 +140,6 @@ func ParseKernel(name string) (Kernel, error) {
 	default:
 		return KernelAuto, fmt.Errorf("sim: unknown kernel %q (want auto, bitplane, frontier, sweep or parallel)", name)
 	}
-}
-
-// MarshalJSON encodes the kernel as its tier name, the stable wire form.
-func (k Kernel) MarshalJSON() ([]byte, error) {
-	name := k.String()
-	if _, err := ParseKernel(name); err != nil {
-		return nil, fmt.Errorf("sim: cannot marshal %s", name)
-	}
-	return json.Marshal(name)
-}
-
-// UnmarshalJSON decodes a tier name produced by MarshalJSON.
-func (k *Kernel) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	parsed, err := ParseKernel(name)
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
 }
 
 // Substrate is the minimal seam between an interaction substrate and the
@@ -333,22 +317,24 @@ func DefaultMaxRounds(d grid.Dims) int { return d.N() + 2*(d.Rows+d.Cols) + 16 }
 
 // Result describes a finished simulation run.  The JSON field tags are a
 // stable wire contract: reports built over results are served directly, with
-// no second DTO layer (colorings marshal as {rows, cols, cells} objects and
-// the kernel as its tier name).
+// no second DTO layer (colorings marshal as {rows, cols, cells} objects).
+// The wire says what happened, never how it ran: Workers, Kernel and
+// Downshift are in-process diagnostics, so equal runs marshal to equal
+// bytes on any host, worker count and tier.
 type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds int `json:"rounds"`
 	// Workers is the effective number of stepping goroutines used: 1 on
 	// the sequential path, Options.EffectiveWorkers on the parallel path.
-	Workers int `json:"workers"`
+	Workers int `json:"-"`
 	// Kernel is the stepping tier that executed the run (never KernelAuto).
 	// A hybrid auto run that started on the bitplane kernel and downshifted
 	// reports KernelBitplane with the switch round in Downshift.
-	Kernel Kernel `json:"kernel"`
+	Kernel Kernel `json:"-"`
 	// Downshift is the round at which an auto-tier bitplane run handed the
 	// remaining rounds to the dirty-frontier stepper, or 0 when it never
 	// did.  The handoff is exact: the result is bit-identical either way.
-	Downshift int `json:"downshift,omitempty"`
+	Downshift int `json:"-"`
 	// FixedPoint reports that the last round changed no vertex.
 	FixedPoint bool `json:"fixed_point"`
 	// Cycle reports that a period-2 oscillation was detected.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -141,26 +142,29 @@ func parallelOpts(base Options, workers int) Options {
 	return base
 }
 
-// resultJSONEqual pins two Results byte-identical on the full JSON wire
-// form, after normalizing the fields that name the tier itself (Kernel,
-// Workers, Downshift): everything a consumer can observe about the run —
-// rounds, verdicts, traces, final configuration — must match exactly.
-func resultJSONEqual(t *testing.T, label string, a, b *Result) {
+// resultBytesEqual pins two Results byte-identical on the JSON wire, which
+// carries every field a consumer can observe about the run — rounds,
+// verdicts, traces, final configuration — and compares the unexported prev
+// (the checkpoint seed) directly.  Nothing is normalized: the in-process
+// tier diagnostics (Kernel, Workers, Downshift) are off the wire.
+func resultBytesEqual(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	na, nb := *a, *b
-	na.Kernel, nb.Kernel = KernelSweep, KernelSweep
-	na.Workers, nb.Workers = 1, 1
-	na.Downshift, nb.Downshift = 0, 0
-	ja, err := json.Marshal(&na)
+	gj, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := json.Marshal(&nb)
+	wj, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ja) != string(jb) {
-		t.Fatalf("%s: result JSON differs\n a: %s\n b: %s", label, ja, jb)
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("%s: result JSON differs\n got: %s\nwant: %s", label, gj, wj)
+	}
+	if (got.prev == nil) != (want.prev == nil) {
+		t.Fatalf("%s: prev nil-ness differs (got %v, want %v)", label, got.prev == nil, want.prev == nil)
+	}
+	if got.prev != nil && !got.prev.Equal(want.prev) {
+		t.Fatalf("%s: prev configurations differ", label)
 	}
 }
 
@@ -192,8 +196,7 @@ func TestParallelBitIdenticalAllRulesAllTopologies(t *testing.T) {
 					for _, k := range []int{2, 3, 4} {
 						par := eng.Run(initial, parallelOpts(base, k))
 						label := fmt.Sprintf("%s/%s/%v/workers=%d", name, topo.Name(), topo.Dims(), k)
-						resultsEqual(t, label, par, oracle)
-						resultJSONEqual(t, label, par, oracle)
+						resultBytesEqual(t, label, par, oracle)
 						if par.Kernel != KernelParallel {
 							t.Fatalf("%s: kernel %v, want parallel", label, par.Kernel)
 						}
@@ -246,8 +249,7 @@ func TestParallelCycleAcrossStripeBoundary(t *testing.T) {
 			t.Fatalf("workers=%d: parallel run missed the cycle", k)
 		}
 		label := fmt.Sprintf("cycle/workers=%d", k)
-		resultsEqual(t, label, par, oracle)
-		resultJSONEqual(t, label, par, oracle)
+		resultBytesEqual(t, label, par, oracle)
 	}
 }
 
@@ -292,8 +294,7 @@ func TestParallelResumeMidRun(t *testing.T) {
 			if resumed.Kernel != KernelParallel {
 				t.Fatalf("%s: resumed kernel %v, want parallel", ruleName, resumed.Kernel)
 			}
-			resultsEqual(t, ruleName+"/resumed", resumed, oracle)
-			resultJSONEqual(t, ruleName+"/resumed", resumed, oracle)
+			resultBytesEqual(t, ruleName+"/resumed", resumed, oracle)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func Variance(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs))
 }
@@ -90,14 +90,14 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median returns the 0.5-quantile of xs.

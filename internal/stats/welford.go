@@ -18,7 +18,9 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	// Each float64(...) around a product in this package rounds it, so no
+	// architecture fuses it into a multiply-add and changes report bytes.
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the number of observations.
@@ -88,7 +90,7 @@ func Wilson(k, n int, z float64) (lo, hi float64) {
 	z2 := z * z
 	denom := 1 + z2/nf
 	center := (p + z2/(2*nf)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
+	half := float64(z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)))
 	lo, hi = center-half, center+half
 	if lo < 0 {
 		lo = 0

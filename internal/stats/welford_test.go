@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -143,6 +146,30 @@ func TestWilsonProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWilsonBitsPinned pins the exact bits of every 95% interval with
+// 0 <= k <= n <= 64, the replica counts of the golden ensemble specs, to
+// their values on an architecture with no fused multiply-add (amd64).  A
+// compiler that fused a product into Wilson's sums would round differently
+// and change the ensemble report bytes; the explicit float64 conversions in
+// Wilson forbid that.
+func TestWilsonBitsPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	for n := 0; n <= 64; n++ {
+		for k := 0; k <= n; k++ {
+			lo, hi := Wilson(k, n, WilsonZ95)
+			for _, x := range []float64{lo, hi} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+				h.Write(buf[:])
+			}
+		}
+	}
+	const want = "94de90f724304d380db7994c3f2a9d1258af4ceafaa7bbb7032c1b5f6c972b43"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Wilson bits sha256 = %s, want %s", got, want)
 	}
 }
 
