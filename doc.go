@@ -21,9 +21,8 @@
 //     paper — internal/analysis and bench_test.go;
 //   - the extensions sketched in the paper's conclusions, all running on the
 //     unified engine: general graphs with a cached CSR view and target-set
-//     heuristics (internal/graphs), link-availability models for the
-//     time-varying mode (internal/tvg), bounded-confidence opinions
-//     (internal/opinion);
+//     heuristics (internal/graphs) and link-availability models for the
+//     time-varying mode (internal/tvg);
 //   - the public, context-aware façade with pluggable rule/topology/
 //     generator registries, graph and time-varying systems, observers and
 //     batched sessions — dynmon (which replaced the deleted internal/core

@@ -130,7 +130,6 @@ func TestFileSpecDigestSeparatesRuns(t *testing.T) {
 	// Non-wire attachments must not contribute to the address.
 	attached := base()
 	attached.Run.observers = []Observer{NewHistoryRecorder()}
-	attached.Run.freshBuffers = true
 	attached.Run.cpEvery, attached.Run.cpSink = 4, func(*Checkpoint) error { return nil }
 	if d3, _ := attached.Digest(); d3 != d1 {
 		t.Errorf("process-local attachments changed the file digest: %s vs %s", d3, d1)

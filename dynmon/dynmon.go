@@ -4,8 +4,7 @@
 // rules and topologies the paper compares against, and the general-graph
 // and time-varying extensions its conclusions call for.
 //
-// It replaces the former internal/core façade as the supported surface.  A
-// System bundles a substrate, a palette and a recoloring rule, built with
+// A System bundles a substrate, a palette and a recoloring rule, built with
 // functional options:
 //
 //	sys, err := dynmon.New(dynmon.Mesh(9, 9), dynmon.Colors(5), dynmon.WithRule("smp"))

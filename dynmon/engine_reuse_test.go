@@ -7,35 +7,35 @@ import (
 	"repro/dynmon"
 )
 
-// TestSessionBufferReuseParity runs the same batch through a buffer-reusing
-// session, a fresh-buffers session and one-at-a-time full-sweep runs, and
-// requires bit-identical results from all three.
+// TestSessionBufferReuseParity runs the same batch twice through one
+// session, so the second pass steps on the engine's warm pooled buffers,
+// and once through the session of a newly built system, and requires
+// bit-identical results from both and from one-at-a-time full-sweep runs.
 func TestSessionBufferReuseParity(t *testing.T) {
-	sys, err := dynmon.New(dynmon.Mesh(12, 12), dynmon.Colors(5))
-	if err != nil {
-		t.Fatal(err)
+	newSystem := func() *dynmon.System {
+		sys, err := dynmon.New(dynmon.Mesh(12, 12), dynmon.Colors(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
 	}
+	sys := newSystem()
 	initials := make([]*dynmon.Coloring, 8)
 	for i := range initials {
 		initials[i] = sys.RandomColoring(uint64(100 + i))
 	}
 
 	ctx := context.Background()
-	reuse := sys.NewSession(3)
-	if !reuse.ReusesBuffers() {
-		t.Fatal("sessions must reuse engine buffers by default")
-	}
-	fresh := sys.NewSession(3, dynmon.ReuseEngineBuffers(false))
-	if fresh.ReusesBuffers() {
-		t.Fatal("ReuseEngineBuffers(false) did not stick")
-	}
-
 	opts := []dynmon.RunOption{dynmon.MaxRounds(60), dynmon.DetectCycles()}
-	got, err := reuse.RunBatch(ctx, initials, opts...)
+	session := sys.NewSession(3)
+	if _, err := session.RunBatch(ctx, initials, opts...); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := session.RunBatch(ctx, initials, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFresh, err := fresh.RunBatch(ctx, initials, opts...)
+	cold, err := newSystem().NewSession(3).RunBatch(ctx, initials, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSessionBufferReuseParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for label, res := range map[string]*dynmon.Result{"reuse": got[i], "fresh": gotFresh[i]} {
+		for label, res := range map[string]*dynmon.Result{"warm": warm[i], "new-engine": cold[i]} {
 			if res.Rounds != oracle.Rounds || !res.Final.Equal(oracle.Final) || res.Cycle != oracle.Cycle {
 				t.Fatalf("batch item %d (%s session) diverged from the full-sweep oracle", i, label)
 			}

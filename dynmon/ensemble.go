@@ -64,7 +64,7 @@ type SweepSpec struct {
 	Values []float64 `json:"values"`
 }
 
-// seed-derivation tags, one stream per consumer (cf. rules.FaultDraw).
+// seed-derivation tags, one stream per consumer (cf. rules.FaultRound).
 const (
 	ensTagInit uint64 = iota + 1
 	ensTagSchedule

@@ -163,13 +163,12 @@ type RunSpec struct {
 
 	// Non-wire attachments, set through run options: observers watch the
 	// run, availability overrides TimeVarying with an arbitrary
-	// implementation, freshBuffers opts out of the engine's buffer pool,
-	// cpEvery/cpSink periodically snapshot the run (see CheckpointEvery).
+	// implementation, cpEvery/cpSink periodically snapshot the run (see
+	// CheckpointEvery).
 	// They do not serialize — a checkpoint or spec file carries run
 	// semantics, not process-local callbacks.
 	observers    []Observer
 	availability Availability
-	freshBuffers bool
 	cpEvery      int
 	cpSink       func(*Checkpoint) error
 }
@@ -189,7 +188,7 @@ func runSpecOf(opts []RunOption) RunSpec {
 
 // WithRunSpec overlays a complete RunSpec: its wire fields replace the ones
 // accumulated so far, while non-wire attachments (observers, an explicit
-// availability model, the buffer-pool opt-out) are merged.  It is how
+// availability model, a checkpoint sink) are merged.  It is how
 // spec-file-driven callers pass a parsed RunSpec through the same option
 // path everything else uses.
 func WithRunSpec(spec RunSpec) RunOption {
@@ -199,13 +198,12 @@ func WithRunSpec(spec RunSpec) RunOption {
 		if availability == nil {
 			availability = rs.availability
 		}
-		fresh := rs.freshBuffers || spec.freshBuffers
 		cpEvery, cpSink := spec.cpEvery, spec.cpSink
 		if cpSink == nil {
 			cpEvery, cpSink = rs.cpEvery, rs.cpSink
 		}
 		*rs = spec
-		rs.observers, rs.availability, rs.freshBuffers = observers, availability, fresh
+		rs.observers, rs.availability = observers, availability
 		rs.cpEvery, rs.cpSink = cpEvery, cpSink
 	}
 }
@@ -229,7 +227,6 @@ func (rs RunSpec) engineOptions(colors int) (sim.Options, error) {
 		Parallel:              rs.Parallel,
 		Workers:               rs.Workers,
 		FullSweep:             rs.FullSweep,
-		FreshBuffers:          rs.freshBuffers,
 		Observers:             rs.observers,
 	}
 	switch {
@@ -258,7 +255,7 @@ func (rs RunSpec) engineOptions(colors int) (sim.Options, error) {
 // wireClone returns the RunSpec with only its serializable fields, deep.
 func (rs RunSpec) wireClone() RunSpec {
 	out := rs
-	out.observers, out.availability, out.freshBuffers = nil, nil, false
+	out.observers, out.availability = nil, nil
 	out.cpEvery, out.cpSink = 0, nil
 	if rs.TimeVarying != nil {
 		tv := *rs.TimeVarying
@@ -306,7 +303,7 @@ func (ss *ScheduleSpec) Build() (*sim.Schedule, error) {
 // rule application independently misfires with probability Eps, replacing
 // the computed color with a uniform draw from the system's palette.  The
 // palette size is supplied by the system at run time, not repeated here.
-// Fault draws are counter-based on Seed — see rules.FaultDraw — so noisy
+// Fault draws are counter-based on Seed — see rules.FaultRound — so noisy
 // runs are exactly as reproducible as deterministic ones.
 type NoiseSpec struct {
 	// Eps is the per-application fault probability in [0, 1]; zero disables
@@ -527,12 +524,6 @@ func Noisy(eps float64, seed uint64) RunOption {
 		}
 		rs.Noise = &NoiseSpec{Eps: eps, Seed: seed}
 	}
-}
-
-// FreshBuffers makes the run allocate its own working buffers instead of
-// borrowing from the engine's per-run buffer pool.
-func FreshBuffers() RunOption {
-	return func(rs *RunSpec) { rs.freshBuffers = true }
 }
 
 // CheckpointEvery invokes sink with a serializable Checkpoint after every

@@ -38,35 +38,15 @@ import (
 type Session struct {
 	sys     *System
 	workers int
-	// fresh disables the engine's per-run buffer reuse for this session's
-	// batches; see ReuseEngineBuffers.
-	fresh bool
-}
-
-// SessionOption configures NewSession.
-type SessionOption func(*Session)
-
-// ReuseEngineBuffers controls whether the session's batch runs borrow the
-// engine's pooled per-run working buffers (double buffers, frontier queues).
-// Reuse is the default and is what makes steady-state stepping across batch
-// runs allocation-free; disabling it makes every run allocate a private
-// working set, which callers may prefer when a session's batches are rare
-// and the pooled buffers would only pin memory between them.
-func ReuseEngineBuffers(enabled bool) SessionOption {
-	return func(se *Session) { se.fresh = !enabled }
 }
 
 // NewSession returns a session running at most workers simulations of a
 // batch concurrently (workers <= 0 selects runtime.GOMAXPROCS(0)).
-func (s *System) NewSession(workers int, opts ...SessionOption) *Session {
+func (s *System) NewSession(workers int) *Session {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	se := &Session{sys: s, workers: workers}
-	for _, opt := range opts {
-		opt(se)
-	}
-	return se
+	return &Session{sys: s, workers: workers}
 }
 
 // System returns the session's system.
@@ -75,28 +55,17 @@ func (se *Session) System() *System { return se.sys }
 // Workers returns the pool bound.
 func (se *Session) Workers() int { return se.workers }
 
-// ReusesBuffers reports whether batch runs borrow the engine's pooled
-// working buffers (the default).
-func (se *Session) ReusesBuffers() bool { return !se.fresh }
-
 // batchOptions folds run options into the engine options every batch item
 // runs with, applying the session's normalization: per-run parallel stepping
 // would oversubscribe the pool — the batch is the unit of parallelism — so
 // Parallel is cleared and a forced parallel tier is normalized to the sweep
-// it would otherwise degrade to.  The session's buffer-reuse default
-// composes with a per-run FreshBuffers() option: either opting out disables
-// reuse.
+// it would otherwise degrade to.
 func (se *Session) batchOptions(rs RunSpec) (sim.Options, error) {
 	rs.Parallel = false
 	if rs.Kernel == sim.KernelParallel.String() {
 		rs.Kernel = sim.KernelSweep.String()
 	}
-	opt, err := rs.engineOptions(se.sys.palette.K)
-	if err != nil {
-		return sim.Options{}, err
-	}
-	opt.FreshBuffers = opt.FreshBuffers || se.fresh
-	return opt, nil
+	return rs.engineOptions(se.sys.palette.K)
 }
 
 // RunBatch evolves every initial coloring under the system's rule and

@@ -31,10 +31,26 @@ func twoColorSystem(t *testing.T, opts ...dynmon.Option) *dynmon.System {
 	return sys
 }
 
+// slicedCount reports how many results stepped on the bit-sliced tier, and
+// fails on a nil result.
+func slicedCount(t *testing.T, results []*dynmon.Result) int {
+	t.Helper()
+	n := 0
+	for i, res := range results {
+		if res == nil {
+			t.Fatalf("result %d is nil", i)
+		}
+		if res.Kernel == sim.KernelBitsliced {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSessionRunBatchSlicedTransparent pins the tentpole contract: an
-// eligible ≤64-item batch takes the bit-sliced ensemble tier (observable
-// through the sim package's batch counter) and every Result is
-// byte-identical to a one-at-a-time System.Run with the same options.
+// eligible ≤64-item batch takes the bit-sliced ensemble tier (every lane's
+// Result.Kernel says so) and every Result is byte-identical to a
+// one-at-a-time System.Run with the same options.
 func TestSessionRunBatchSlicedTransparent(t *testing.T) {
 	sys := twoColorSystem(t, dynmon.Mesh(24, 24))
 	initials := make([]*dynmon.Coloring, 64)
@@ -43,13 +59,12 @@ func TestSessionRunBatchSlicedTransparent(t *testing.T) {
 	}
 	opts := []dynmon.RunOption{dynmon.Target(1), dynmon.StopWhenMonochromatic(), dynmon.DetectCycles()}
 
-	before := sim.BitsliceBatches()
 	results, err := sys.NewSession(4).RunBatch(context.Background(), initials, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.BitsliceBatches() - before; got != 1 {
-		t.Errorf("sliced batches = %d, want 1 (fast path not engaged)", got)
+	if got := slicedCount(t, results); got != len(initials) {
+		t.Errorf("%d of %d lanes sliced, want all (fast path not engaged)", got, len(initials))
 	}
 	for i, initial := range initials {
 		want, err := sys.Run(context.Background(), initial, opts...)
@@ -75,13 +90,12 @@ func TestSessionRunBatchTilesLargeBatches(t *testing.T) {
 		initials[i] = sys.RandomColoring(uint64(i + 1))
 	}
 
-	before := sim.BitsliceBatches()
 	results, err := sys.NewSession(4).RunBatch(context.Background(), initials, dynmon.MaxRounds(80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.BitsliceBatches() - before; got != 3 {
-		t.Errorf("sliced batches = %d, want 3 tiles", got)
+	if got := slicedCount(t, results); got != len(initials) {
+		t.Errorf("%d of %d lanes sliced, want all three tiles", got, len(initials))
 	}
 	// Spot-check the tile seams and ends; full-matrix parity is pinned by
 	// the 64-lane test above and the internal/sim differential suite.
@@ -98,7 +112,7 @@ func TestSessionRunBatchTilesLargeBatches(t *testing.T) {
 
 // TestSessionRunBatchFallbackParity pins the fallback: a palette the slicer
 // cannot pack (5 colors) keeps the per-run loop, with identical results and
-// no sliced batches counted.
+// no lane on the sliced tier.
 func TestSessionRunBatchFallbackParity(t *testing.T) {
 	sys, err := dynmon.New(dynmon.Mesh(12, 12)) // default 5-color palette
 	if err != nil {
@@ -109,13 +123,12 @@ func TestSessionRunBatchFallbackParity(t *testing.T) {
 		initials[i] = sys.RandomColoring(uint64(i + 1))
 	}
 
-	before := sim.BitsliceBatches()
 	results, err := sys.NewSession(4).RunBatch(context.Background(), initials, dynmon.Target(1), dynmon.DetectCycles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.BitsliceBatches() - before; got != 0 {
-		t.Errorf("sliced batches = %d, want 0 for a 5-color ensemble", got)
+	if got := slicedCount(t, results); got != 0 {
+		t.Errorf("%d lanes sliced, want 0 for a 5-color ensemble", got)
 	}
 	for i, initial := range initials {
 		want, err := sys.Run(context.Background(), initial, dynmon.Target(1), dynmon.DetectCycles())
@@ -149,13 +162,15 @@ func TestSessionRunBatchMixedTiles(t *testing.T) {
 	// Poison one lane of the second tile with the third color.
 	initials[100].Cells()[7] = 3
 
-	before := sim.BitsliceBatches()
 	results, err := sys.NewSession(4).RunBatch(context.Background(), initials, dynmon.MaxRounds(60))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.BitsliceBatches() - before; got != 1 {
-		t.Errorf("sliced batches = %d, want 1 (first tile sliced, second fell back)", got)
+	if got := slicedCount(t, results[:64]); got != 64 {
+		t.Errorf("%d of the first tile's 64 lanes sliced, want all", got)
+	}
+	if got := slicedCount(t, results[64:]); got != 0 {
+		t.Errorf("%d of the second tile's lanes sliced, want 0 (it fell back)", got)
 	}
 	for _, i := range []int{0, 63, 64, 100, 127} {
 		want, err := sys.Run(context.Background(), initials[i], dynmon.MaxRounds(60))
@@ -177,19 +192,18 @@ func TestSessionVerifyBatchSliced(t *testing.T) {
 		initials[i] = sys.RandomColoring(uint64(i + 1))
 	}
 
-	before := sim.BitsliceBatches()
 	reports, err := sys.NewSession(4).VerifyBatch(context.Background(), initials, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := sim.BitsliceBatches() - before; got != 1 {
-		t.Errorf("sliced batches = %d, want 1", got)
 	}
 	for i, initial := range initials {
 		want := sys.VerifyColoring(initial, 1)
 		got := reports[i]
 		if got == nil {
 			t.Fatalf("report %d is nil", i)
+		}
+		if got.Result.Kernel != sim.KernelBitsliced {
+			t.Errorf("report %d stepped on %v, want the bit-sliced tier", i, got.Result.Kernel)
 		}
 		if got.IsDynamo != want.IsDynamo || got.Rounds != want.Rounds ||
 			got.Monotone != want.Monotone || got.SeedSize != want.SeedSize {

@@ -435,7 +435,7 @@ func GeneratorNames() []string { return graphs.GeneratorNames() }
 // InitialSpec describes an initial configuration declaratively: either a
 // named construction family with a size and seed, or explicit cells.  It is
 // the third leg of a spec file — system, initial, run — and the library
-// form of what the CLI tools' -config flag used to assemble imperatively.
+// form of the CLI tools' -config flag.
 type InitialSpec struct {
 	// Config names a construction family.  On tori: "minimum" (the paper's
 	// tight construction), "cross", "comb", "blocked", "frozen", "random",

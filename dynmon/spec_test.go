@@ -1,6 +1,7 @@
 package dynmon
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -425,5 +426,51 @@ func TestFileSpecRejectsOversizedPalette(t *testing.T) {
 	}
 	if _, _, _, err := fs.Build(); !errors.Is(err, color.ErrPaletteTooLarge) {
 		t.Fatalf("Build err = %v, want color.ErrPaletteTooLarge", err)
+	}
+}
+
+// TestFileSpecRejectsOversizedCellColor: explicit initial cells are bounded
+// by the color cap, not by the palette.  A 4x4, two-color spec whose cells
+// carry color 10^9 once ran out of memory growing the frontier's color
+// histogram; it must fail with color.ErrCellColorTooLarge.
+func TestFileSpecRejectsOversizedCellColor(t *testing.T) {
+	body := `{"system": {"substrate": {"topology": {"name": "toroidal-mesh", "rows": 4, "cols": 4}},
+		"colors": 2, "rule": "smp"}, "initial": {"cells": {"rows": 4, "cols": 4,
+		"cells": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1000000000]}}}`
+	fs, err := ParseFileSpec([]byte(body))
+	if err == nil {
+		_, _, _, err = fs.Build()
+	}
+	if !errors.Is(err, color.ErrCellColorTooLarge) {
+		t.Fatalf("err = %v, want color.ErrCellColorTooLarge", err)
+	}
+}
+
+// TestParseCheckpointRejectsOversizedCellColor: a checkpoint whose config
+// carries a cell color beyond the cap fails to parse with
+// color.ErrCellColorTooLarge instead of resuming into an out-of-memory.
+func TestParseCheckpointRejectsOversizedCellColor(t *testing.T) {
+	sys, err := New(Mesh(4, 4), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	run := sys.Steps(context.Background(), sys.RandomColoring(3), MaxRounds(8))
+	for st, err := range run {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	cp.Config.Set(5, 1000000000)
+	body, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseCheckpoint(body); !errors.Is(err, color.ErrCellColorTooLarge) {
+		t.Fatalf("ParseCheckpoint err = %v, want color.ErrCellColorTooLarge", err)
 	}
 }

@@ -37,7 +37,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bs, err := dynmon.ParseBatchSpec(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, parseStatus(err), err.Error())
 		return
 	}
 	digests := make([]string, len(bs.Items))

@@ -35,7 +35,7 @@ func (s *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 	}
 	es, err := dynmon.ParseEnsembleSpec(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, parseStatus(err), err.Error())
 		return
 	}
 	ens, err := dynmon.NewEnsemble(es, s.cfg.Workers)

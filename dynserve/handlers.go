@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/dynmon"
+	"repro/internal/color"
 )
 
 // stepSeq is the public step-stream shape shared with dynmon.
@@ -90,6 +91,16 @@ func parseSubmission(body []byte) (*dynmon.FileSpec, *dynmon.Checkpoint, error) 
 	return fs, nil, nil
 }
 
+// parseStatus is the status of a body that failed to parse: 400, except
+// 422 for a well-formed body whose cells exceed the color cap, a resource
+// limit like the ones building a system enforces.
+func parseStatus(err error) int {
+	if errors.Is(err, color.ErrCellColorTooLarge) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
+}
+
 // buildRun instantiates a spec's system (cached by digest) and initial
 // configuration.
 func (s *Server) buildRun(fs *dynmon.FileSpec) (*dynmon.System, *dynmon.Coloring, error) {
@@ -135,7 +146,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	fs, cp, err := parseSubmission(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, parseStatus(err), err.Error())
 		return
 	}
 
@@ -351,7 +362,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	fs, cp, err := parseSubmission(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, parseStatus(err), err.Error())
 		return
 	}
 	if cp != nil {

@@ -177,6 +177,70 @@ func TestOversizedPaletteRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedCellColorRejected pins the cell-color cap at the HTTP
+// boundary: a 4x4 two-color spec whose explicit cells carry color 10^9, and
+// a checkpoint whose config does, once killed the process by running out of
+// memory.  Every endpoint that parses cells answers 422 naming the limit,
+// and the server stays ready.
+func TestOversizedCellColorRejected(t *testing.T) {
+	const system = `"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":4,"cols":4}},"colors":2,"rule":"smp"}`
+	const cells = `{"cells":{"rows":4,"cols":4,"cells":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1000000000]}}`
+	spec := `{` + system + `,"initial":` + cells + `,"run":{}}`
+	sys, err := dynmon.New(dynmon.Mesh(4, 4), dynmon.Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *dynmon.Checkpoint
+	for st, serr := range sys.Steps(context.Background(), sys.RandomColoring(3), dynmon.MaxRounds(8)) {
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if cp, serr = st.Checkpoint(); serr != nil {
+			t.Fatal(serr)
+		}
+		break
+	}
+	cp.Config.Set(5, 1000000000)
+	checkpoint, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/runs", []byte(spec)},
+		{"/v1/runs", checkpoint},
+		{"/v1/jobs", []byte(spec)},
+		{"/v1/batch", []byte(`{` + system + `,"run":{},"items":[` + cells + `]}`)},
+		{"/v1/ensembles", []byte(`{` + system + `,"initial":` + cells + `,"run":{},"replicas":2}`)},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(string(c.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		respBody := readAll(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s with an oversized cell color: status %d (%s), want 422", c.path, resp.StatusCode, respBody)
+		}
+		if !strings.Contains(string(respBody), "cell color exceeds the limit of 255") {
+			t.Fatalf("%s: error body %s does not name the cell-color limit", c.path, respBody)
+		}
+	}
+	if n := srv.metrics.RunsStarted.Load(); n != 0 {
+		t.Fatalf("oversized cell colors started %d runs, want 0", n)
+	}
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, ready); ready.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after oversized cell colors %d, want 200", ready.StatusCode)
+	}
+}
+
 // TestJobSubmissionRejectsCheckpoints pins that the jobs endpoint only
 // takes spec files.
 func TestJobSubmissionRejectsCheckpoints(t *testing.T) {

@@ -5,10 +5,9 @@
 //
 // The example builds a Barabási–Albert system through the public dynmon
 // API — general graphs are first-class substrates of the same tiered
-// engine that steps the tori — spreads an opinion from hub, random and
+// engine that steps the tori — and spreads an opinion from hub and
 // greedy-TSS seed sets under both the generalized SMP rule and the
-// irreversible linear-threshold rule, and compares the outcome with the
-// Deffuant bounded-confidence model on the same graph.
+// irreversible linear-threshold rule.
 //
 // Run with:
 //
@@ -21,8 +20,6 @@ import (
 	"log"
 
 	"repro/dynmon"
-	"repro/internal/opinion"
-	"repro/internal/rng"
 )
 
 func main() {
@@ -80,13 +77,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ngreedy TSS baseline: %d seeds activate %d/%d vertices\n", len(seeds), res.Final.Count(1), g.N())
-
-	// Bounded-confidence comparison (continuous opinions on the same graph).
-	deff, err := opinion.Run(g, opinion.DefaultParams(), rng.New(3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nDeffuant bounded-confidence model on the same graph: %d opinion clusters after %d interactions (spread %.3f)\n",
-		deff.Clusters, deff.Steps, deff.Spread)
-	fmt.Println("discrete majority dynamics either freeze or go monochromatic; bounded confidence fragments into clusters.")
 }

@@ -107,7 +107,12 @@ func TestCrossPackageConsistency(t *testing.T) {
 	// General-graph engine on the converted torus must reach the same
 	// monochromatic configuration (round counts agree because the
 	// generalized rule coincides with SMP on degree-4 neighborhoods).
-	g := graphs.FromTorus(cons.Topology)
+	g := graphs.NewGraph(cons.Topology.Dims().N())
+	for v := 0; v < g.N(); v++ {
+		for _, u := range grid.UniqueNeighbors(cons.Topology, v) {
+			g.AddEdge(v, u)
+		}
+	}
 	init := graphs.NewColoring(g.N(), 0)
 	for v := 0; v < g.N(); v++ {
 		init.Set(v, cons.Coloring.At(v))

@@ -36,17 +36,6 @@ func Increments(curve []int) []int {
 	return out
 }
 
-// IsNonDecreasing reports whether the curve never decreases — the growth
-// signature of a monotone dynamo.
-func IsNonDecreasing(curve []int) bool {
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // PeakIncrement returns the largest per-round increment of the curve.
 func PeakIncrement(curve []int) int {
 	peak := 0

@@ -128,3 +128,14 @@ func TestE18PropagationPattern(t *testing.T) {
 		t.Errorf("totals = %v, want 65 and 71", total)
 	}
 }
+
+// IsNonDecreasing reports whether the curve never decreases — the growth
+// signature of a monotone dynamo.
+func IsNonDecreasing(curve []int) bool {
+	for i := 1; i < len(curve); i++ {
+		if curve[i] < curve[i-1] {
+			return false
+		}
+	}
+	return true
+}

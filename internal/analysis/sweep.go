@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/color"
 	"repro/internal/dynamo"
 	"repro/internal/grid"
@@ -64,64 +61,4 @@ func RunPoint(p Point) Record {
 	rec.Monotone = v.Monotone
 	rec.Rounds = v.Rounds
 	return rec
-}
-
-// Sweep runs fn over every point, spreading the work over `workers`
-// goroutines (GOMAXPROCS when workers <= 0).  The result order matches the
-// input order.
-//
-// Engines are not constructed per point: the verification path runs through
-// sim.EngineOf, a process-wide cache keyed by (topology, rule) value, so
-// every point over the same topology — across all sweep workers — shares
-// one engine and its pooled run buffers instead of paying construction and
-// warm-up allocations per point.
-func Sweep(points []Point, workers int, fn func(Point) Record) []Record {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	out := make([]Record, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			out[i] = fn(p)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = fn(points[i])
-			}
-		}()
-	}
-	for i := range points {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-// GridPoints builds the cross product of sizes (given as [m, n] pairs) and
-// palette sizes for one topology.
-func GridPoints(kind grid.Kind, sizes [][2]int, palettes []int) []Point {
-	var out []Point
-	for _, s := range sizes {
-		for _, k := range palettes {
-			out = append(out, Point{Kind: kind, M: s[0], N: s[1], Colors: k})
-		}
-	}
-	return out
-}
-
-// DefaultSizes is the size sweep used by the experiment tables: small
-// enough to run in seconds, large enough to show the asymptotic shape.
-func DefaultSizes() [][2]int {
-	return [][2]int{{4, 4}, {5, 5}, {6, 6}, {7, 7}, {8, 8}, {9, 9}, {12, 12}, {16, 16}, {6, 9}, {9, 6}, {7, 12}, {16, 8}}
 }

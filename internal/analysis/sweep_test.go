@@ -31,37 +31,3 @@ func TestRunPointReportsErrors(t *testing.T) {
 		t.Errorf("construction label = %q", rec.Construction)
 	}
 }
-
-func TestSweepParallelMatchesSequential(t *testing.T) {
-	points := GridPoints(grid.KindToroidalMesh, [][2]int{{5, 5}, {6, 6}, {7, 7}, {6, 9}}, []int{5})
-	seq := Sweep(points, 1, RunPoint)
-	par := Sweep(points, 4, RunPoint)
-	if len(seq) != len(points) || len(par) != len(points) {
-		t.Fatal("result length mismatch")
-	}
-	for i := range seq {
-		if seq[i].SeedSize != par[i].SeedSize || seq[i].Rounds != par[i].Rounds || seq[i].IsDynamo != par[i].IsDynamo {
-			t.Errorf("point %d differs between sequential and parallel sweeps", i)
-		}
-	}
-}
-
-func TestGridPoints(t *testing.T) {
-	pts := GridPoints(grid.KindTorusCordalis, [][2]int{{4, 4}, {5, 5}}, []int{4, 5, 6})
-	if len(pts) != 6 {
-		t.Fatalf("expected 6 points, got %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.Kind != grid.KindTorusCordalis {
-			t.Error("kind not propagated")
-		}
-	}
-}
-
-func TestDefaultSizesAreValid(t *testing.T) {
-	for _, s := range DefaultSizes() {
-		if s[0] < 3 || s[1] < 3 {
-			t.Errorf("size %v too small for the constructions", s)
-		}
-	}
-}

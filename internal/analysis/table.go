@@ -5,7 +5,6 @@
 package analysis
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -30,23 +29,6 @@ func NewTable(title string, headers ...string) *Table {
 func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(cells))
 	copy(row, cells)
-	t.Rows = append(t.Rows, row)
-}
-
-// AddRowValues appends a row, formatting each value with %v (floats with
-// three decimals).
-func (t *Table) AddRowValues(values ...interface{}) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = strconv.FormatFloat(x, 'f', 3, 64)
-		case bool:
-			row[i] = strconv.FormatBool(x)
-		default:
-			row[i] = fmt.Sprintf("%v", x)
-		}
-	}
 	t.Rows = append(t.Rows, row)
 }
 

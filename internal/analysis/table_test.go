@@ -58,14 +58,6 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
-func TestTableAddRowValues(t *testing.T) {
-	tbl := NewTable("t", "int", "float", "bool", "string")
-	tbl.AddRowValues(3, 1.5, true, "x")
-	if tbl.Rows[0][0] != "3" || tbl.Rows[0][1] != "1.500" || tbl.Rows[0][2] != "true" || tbl.Rows[0][3] != "x" {
-		t.Errorf("formatted row wrong: %v", tbl.Rows[0])
-	}
-}
-
 func TestTableRaggedRows(t *testing.T) {
 	tbl := NewTable("t", "a")
 	tbl.AddRow("1", "2", "3")

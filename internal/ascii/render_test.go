@@ -5,10 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/color"
+	"repro/internal/grid"
 )
 
 func TestColoringRender(t *testing.T) {
-	c := color.MustParse("12\n21")
+	c := color.NewColoring(grid.MustDims(2, 2), 1)
+	c.SetRC(0, 1, 2)
+	c.SetRC(1, 0, 2)
 	out := Coloring(c, 1)
 	if !strings.Contains(out, "|B2|") || !strings.Contains(out, "|2B|") {
 		t.Errorf("highlight not applied:\n%s", out)
@@ -27,7 +30,10 @@ func TestColoringRender(t *testing.T) {
 }
 
 func TestColoringLegendCountsAllColors(t *testing.T) {
-	c := color.MustParse("123\n123\n123")
+	c := color.NewColoring(grid.MustDims(3, 3), color.None)
+	for v := 0; v < c.N(); v++ {
+		c.Set(v, color.Color(v%3+1))
+	}
 	out := Coloring(c, color.None)
 	for _, want := range []string{"color 1 (3)", "color 2 (3)", "color 3 (3)"} {
 		if !strings.Contains(out, want) {

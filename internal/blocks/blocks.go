@@ -12,9 +12,12 @@
 //     each of which has at least three neighbors inside the set; its
 //     vertices can never acquire color k.
 //
-// Both are computed as cores of induced subgraphs: the maximal vertex sets
-// in which every vertex keeps a minimum internal degree (2 for k-blocks, 3
-// for non-k-blocks).  Connected components of the core are the blocks.
+// Blocks are cores of induced subgraphs: the maximal vertex sets in which
+// every vertex keeps a minimum internal degree (2 for k-blocks, 3 for
+// non-k-blocks).  Connected components of the core are the blocks.  The
+// 2-core of a graph is non-empty exactly when the graph has a cycle, so a
+// coloring has a k-block exactly when its k class is not a forest
+// (IsForest).
 package blocks
 
 import (
@@ -113,21 +116,6 @@ func sortInts(xs []int) {
 	}
 }
 
-// KBlocks returns the k-blocks of the coloring: the connected components of
-// the 2-core of the k-colored induced subgraph (Definition 4).
-func KBlocks(topo grid.Topology, c *color.Coloring, k color.Color) [][]int {
-	members := make([]bool, c.N())
-	for v := 0; v < c.N(); v++ {
-		members[v] = c.At(v) == k
-	}
-	return components(topo, core(topo, members, 2))
-}
-
-// HasKBlock reports whether the coloring contains at least one k-block.
-func HasKBlock(topo grid.Topology, c *color.Coloring, k color.Color) bool {
-	return len(KBlocks(topo, c, k)) > 0
-}
-
 // NonKBlocks returns the non-k-blocks of the coloring: the connected
 // components of the 3-core of the subgraph induced by the vertices whose
 // color differs from k (Definition 5).
@@ -144,20 +132,4 @@ func NonKBlocks(topo grid.Topology, c *color.Coloring, k color.Color) [][]int {
 // dynamo must leave no such set.
 func HasNonKBlock(topo grid.Topology, c *color.Coloring, k color.Color) bool {
 	return len(NonKBlocks(topo, c, k)) > 0
-}
-
-// OtherColorBlocks returns, for every color k' != k present in the coloring,
-// the k'-blocks.  The tight constructions require there to be none
-// (otherwise the k' vertices would never recolor).
-func OtherColorBlocks(topo grid.Topology, c *color.Coloring, k color.Color) map[color.Color][][]int {
-	out := make(map[color.Color][][]int)
-	for col := range c.Counts() {
-		if col == k || col == color.None {
-			continue
-		}
-		if bs := KBlocks(topo, c, col); len(bs) > 0 {
-			out[col] = bs
-		}
-	}
-	return out
 }

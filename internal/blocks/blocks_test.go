@@ -13,6 +13,37 @@ import (
 
 func mesh(m, n int) grid.Topology { return grid.MustNew(grid.KindToroidalMesh, m, n) }
 
+// KBlocks returns the k-blocks of the coloring: the connected components of
+// the 2-core of the k-colored induced subgraph (Definition 4).
+func KBlocks(topo grid.Topology, c *color.Coloring, k color.Color) [][]int {
+	members := make([]bool, c.N())
+	for v := 0; v < c.N(); v++ {
+		members[v] = c.At(v) == k
+	}
+	return components(topo, core(topo, members, 2))
+}
+
+// HasKBlock reports whether the coloring contains at least one k-block.
+func HasKBlock(topo grid.Topology, c *color.Coloring, k color.Color) bool {
+	return len(KBlocks(topo, c, k)) > 0
+}
+
+// OtherColorBlocks returns, for every color k' != k present in the coloring,
+// the k'-blocks.  The tight constructions require there to be none
+// (otherwise the k' vertices would never recolor).
+func OtherColorBlocks(topo grid.Topology, c *color.Coloring, k color.Color) map[color.Color][][]int {
+	out := make(map[color.Color][][]int)
+	for col := range c.Counts() {
+		if col == k || col == color.None {
+			continue
+		}
+		if bs := KBlocks(topo, c, col); len(bs) > 0 {
+			out[col] = bs
+		}
+	}
+	return out
+}
+
 func TestKBlocksSingleColumnInMesh(t *testing.T) {
 	// A single k-colored column is a k-block in a toroidal mesh (the column
 	// wraps vertically, so every vertex has two in-set neighbors).
@@ -239,7 +270,7 @@ func TestBlockVerticesPersistUnderSMPDynamics(t *testing.T) {
 		p := color.MustPalette(3)
 		c := color.RandomColoring(topo.Dims(), p, func() int { return src.Intn(p.K) })
 		res := sim.Run(topo, rules.SMP{}, c, sim.Options{MaxRounds: 200, DetectCycles: true})
-		for _, k := range p.Colors() {
+		for k := color.Color(1); int(k) <= p.K; k++ {
 			for _, block := range KBlocks(topo, c, k) {
 				for _, v := range block {
 					if res.Final.At(v) != k {
@@ -285,7 +316,7 @@ func TestRandomColoringBlocksArePlausible(t *testing.T) {
 	p := color.MustPalette(3)
 	c := color.RandomColoring(grid.MustDims(10, 10), p, func() int { return src.Intn(p.K) })
 	topo := mesh(10, 10)
-	for _, k := range p.Colors() {
+	for k := color.Color(1); int(k) <= p.K; k++ {
 		for _, block := range KBlocks(topo, c, k) {
 			for _, v := range block {
 				if c.At(v) != k {
@@ -294,6 +325,25 @@ func TestRandomColoringBlocksArePlausible(t *testing.T) {
 			}
 			if len(block) < 3 {
 				t.Fatalf("a k-block needs at least 3 vertices on a simple graph, got %d", len(block))
+			}
+		}
+	}
+}
+
+// TestKBlockIffNotForest pins the identity the dynamo and tvg tests use to
+// detect a k-block: the 2-core of the k class is non-empty exactly when the
+// class contains a cycle, so HasKBlock(topo, c, k) == !IsForest(topo, c, k).
+func TestKBlockIffNotForest(t *testing.T) {
+	src := rng.New(11)
+	for trial := 0; trial < 60; trial++ {
+		kind := grid.Kinds()[trial%3]
+		topo := grid.MustNew(kind, 3+trial%5, 4+trial%4)
+		p := color.MustPalette(2 + trial%3)
+		c := color.RandomColoring(topo.Dims(), p, func() int { return src.Intn(p.K) })
+		for k := color.Color(1); int(k) <= p.K; k++ {
+			if HasKBlock(topo, c, k) == IsForest(topo, c, k) {
+				t.Fatalf("%v trial %d color %v: HasKBlock = %v, IsForest = %v",
+					kind, trial, k, HasKBlock(topo, c, k), IsForest(topo, c, k))
 			}
 		}
 	}

@@ -51,17 +51,3 @@ func isForestSubgraph(topo grid.Topology, in []bool) bool {
 	}
 	return true
 }
-
-// AllOtherClassesAreForests reports whether every color class other than k
-// induces a forest.
-func AllOtherClassesAreForests(topo grid.Topology, c *color.Coloring, k color.Color) bool {
-	for col := range c.Counts() {
-		if col == k || col == color.None {
-			continue
-		}
-		if !IsForest(topo, c, col) {
-			return false
-		}
-	}
-	return true
-}

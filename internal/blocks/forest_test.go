@@ -1,11 +1,61 @@
 package blocks
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/color"
 	"repro/internal/grid"
 )
+
+// AllOtherClassesAreForests reports whether every color class other than k
+// induces a forest.
+func AllOtherClassesAreForests(topo grid.Topology, c *color.Coloring, k color.Color) bool {
+	for col := range c.Counts() {
+		if col == k || col == color.None {
+			continue
+		}
+		if !IsForest(topo, c, col) {
+			return false
+		}
+	}
+	return true
+}
+
+// CheckMonotoneDynamoNecessaryConditions verifies the necessary conditions
+// of Lemma 2 and Theorem 1 for a set Sk (the k-colored vertices of the
+// coloring) to be a monotone dynamo:
+//
+//   - Sk is a union of k-blocks (every k-colored vertex belongs to a
+//     k-block);
+//   - the complement contains no non-k-block;
+//   - the bounding rectangle of Sk spans at least (m-1) rows and (n-1)
+//     columns.
+//
+// It returns nil when all conditions hold.
+func CheckMonotoneDynamoNecessaryConditions(topo grid.Topology, c *color.Coloring, k color.Color) error {
+	d := topo.Dims()
+	inBlock := make([]bool, c.N())
+	for _, block := range KBlocks(topo, c, k) {
+		for _, v := range block {
+			inBlock[v] = true
+		}
+	}
+	for v := 0; v < c.N(); v++ {
+		if c.At(v) == k && !inBlock[v] {
+			return fmt.Errorf("blocks: k-colored vertex %v belongs to no k-block (violates Lemma 2)", d.Coord(v))
+		}
+	}
+	if HasNonKBlock(topo, c, k) {
+		return fmt.Errorf("blocks: the complement of Sk contains a non-k-block (violates Lemma 2)")
+	}
+	rows, cols := c.BoundingRectangle(k)
+	if rows < d.Rows-1 || cols < d.Cols-1 {
+		return fmt.Errorf("blocks: bounding rectangle of Sk is %dx%d, need at least %dx%d (violates Lemma 1)",
+			rows, cols, d.Rows-1, d.Cols-1)
+	}
+	return nil
+}
 
 func TestIsForestPathAndTree(t *testing.T) {
 	c := color.NewColoring(grid.MustDims(6, 6), 2)

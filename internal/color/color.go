@@ -8,7 +8,6 @@
 package color
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -54,18 +53,27 @@ type Palette struct {
 	K int
 }
 
-// ErrPaletteTooLarge reports a palette of more than 255 colors, the most one
-// byte per vertex can carry.  The cap bounds the per-color tables a run
-// keeps (the frontier's color histogram) whatever a spec asks for.
-var ErrPaletteTooLarge = errors.New("color: palette exceeds the limit of 255 colors")
+// maxColor is the largest color a vertex may carry, the most one byte per
+// vertex can hold.  It caps both palettes and decoded cells, which bounds
+// the per-color tables a run keeps (the frontier's color histogram)
+// whatever a spec or checkpoint asks for.
+const maxColor = 255
+
+// ErrPaletteTooLarge reports a palette of more than maxColor colors.
+var ErrPaletteTooLarge = fmt.Errorf("color: palette exceeds the limit of %d colors", maxColor)
+
+// ErrCellColorTooLarge reports a decoded cell whose color exceeds maxColor.
+// Cells above the palette but within the cap stay legal: the increment rule
+// mints such colors.
+var ErrCellColorTooLarge = fmt.Errorf("color: cell color exceeds the limit of %d", maxColor)
 
 // NewPalette returns the palette {1..k}.  It returns an error for k < 1 and
-// one wrapping ErrPaletteTooLarge for k > 255.
+// one wrapping ErrPaletteTooLarge for k > maxColor.
 func NewPalette(k int) (Palette, error) {
 	if k < 1 {
 		return Palette{}, fmt.Errorf("color: palette must have at least 1 color, got %d", k)
 	}
-	if k > 255 {
+	if k > maxColor {
 		return Palette{}, fmt.Errorf("%w: got %d", ErrPaletteTooLarge, k)
 	}
 	return Palette{K: k}, nil
@@ -78,15 +86,6 @@ func MustPalette(k int) Palette {
 		panic(err)
 	}
 	return p
-}
-
-// Colors returns all colors of the palette in increasing order.
-func (p Palette) Colors() []Color {
-	out := make([]Color, p.K)
-	for i := range out {
-		out[i] = Color(i + 1)
-	}
-	return out
 }
 
 // Others returns the palette's colors except k, in increasing order.  The

@@ -68,10 +68,6 @@ func TestPaletteConstruction(t *testing.T) {
 	if p.K != 4 {
 		t.Errorf("K = %d", p.K)
 	}
-	colors := p.Colors()
-	if len(colors) != 4 || colors[0] != 1 || colors[3] != 4 {
-		t.Errorf("Colors() = %v", colors)
-	}
 	if p.String() != "{1..4}" {
 		t.Errorf("String() = %q", p.String())
 	}

@@ -23,33 +23,6 @@ func NewColoring(dims grid.Dims, fill Color) *Coloring {
 	return c
 }
 
-// FromRows builds a coloring from a row-major matrix of colors.  All rows
-// must have equal, non-zero length and there must be at least two rows and
-// two columns.
-func FromRows(rows [][]Color) (*Coloring, error) {
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("color: need at least 2 rows, got %d", len(rows))
-	}
-	cols := len(rows[0])
-	if cols < 2 {
-		return nil, fmt.Errorf("color: need at least 2 columns, got %d", cols)
-	}
-	dims, err := grid.NewDims(len(rows), cols)
-	if err != nil {
-		return nil, err
-	}
-	c := NewColoring(dims, None)
-	for i, row := range rows {
-		if len(row) != cols {
-			return nil, fmt.Errorf("color: row %d has %d columns, want %d", i, len(row), cols)
-		}
-		for j, col := range row {
-			c.SetRC(i, j, col)
-		}
-	}
-	return c, nil
-}
-
 // Dims returns the lattice dimensions.
 func (c *Coloring) Dims() grid.Dims { return c.dims }
 
@@ -62,14 +35,8 @@ func (c *Coloring) At(v int) Color { return c.cells[v] }
 // Set assigns color col to vertex v (dense index).
 func (c *Coloring) Set(v int, col Color) { c.cells[v] = col }
 
-// AtCoord returns the color at the given coordinate.
-func (c *Coloring) AtCoord(p grid.Coord) Color { return c.cells[c.dims.Index(p)] }
-
 // AtRC returns the color at (row, col).
 func (c *Coloring) AtRC(row, col int) Color { return c.cells[c.dims.IndexRC(row, col)] }
-
-// SetCoord assigns a color at the given coordinate.
-func (c *Coloring) SetCoord(p grid.Coord, col Color) { c.cells[c.dims.Index(p)] = col }
 
 // SetRC assigns a color at (row, col).
 func (c *Coloring) SetRC(row, col int, colr Color) { c.cells[c.dims.IndexRC(row, col)] = colr }
@@ -176,21 +143,6 @@ func (c *Coloring) IsMonochromatic() (Color, bool) {
 	return first, true
 }
 
-// IsSubsetOf reports whether every vertex colored col in the receiver is
-// also colored col in other.  This is the inclusion used by the paper's
-// definition of a monotone dynamo (Definition 3).
-func (c *Coloring) IsSubsetOf(other *Coloring, col Color) bool {
-	if c.dims != other.dims {
-		return false
-	}
-	for v, cv := range c.cells {
-		if cv == col && other.cells[v] != col {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxColor returns the largest color label used in the coloring (0 if all
 // cells are unset).
 func (c *Coloring) MaxColor() Color {
@@ -244,18 +196,4 @@ func (c *Coloring) BoundingRectangle(col Color) (rows, cols int) {
 		return 0, 0
 	}
 	return maxR - minR + 1, maxC - minC + 1
-}
-
-// Diff returns the vertices whose colors differ between c and other.
-func (c *Coloring) Diff(other *Coloring) []int {
-	if c.dims != other.dims {
-		panic("color: Diff dimension mismatch")
-	}
-	var out []int
-	for v := range c.cells {
-		if c.cells[v] != other.cells[v] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -1,12 +1,40 @@
 package color
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/grid"
 	"repro/internal/rng"
 )
+
+// mustParse decodes the rune grid Coloring.String prints: one row per line,
+// '1'-'9' for colors 1-9, 'a'-'z' for 10-35 and '.' for None.  Blank lines
+// and the spaces around a row are ignored.
+func mustParse(s string) *Coloring {
+	var rows []string
+	for _, line := range strings.Split(s, "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			rows = append(rows, line)
+		}
+	}
+	c := NewColoring(grid.MustDims(len(rows), len(rows[0])), None)
+	for i, row := range rows {
+		for j, r := range row {
+			switch {
+			case r >= '1' && r <= '9':
+				c.SetRC(i, j, Color(r-'0'))
+			case r >= 'a' && r <= 'z':
+				c.SetRC(i, j, Color(r-'a')+10)
+			case r != '.':
+				panic(fmt.Sprintf("mustParse: cannot decode rune %q", r))
+			}
+		}
+	}
+	return c
+}
 
 func TestNewColoringFill(t *testing.T) {
 	c := NewColoring(grid.MustDims(3, 4), 2)
@@ -24,25 +52,6 @@ func TestNewColoringFill(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	c, err := FromRows([][]Color{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AtRC(0, 0) != 1 || c.AtRC(0, 1) != 2 || c.AtRC(1, 0) != 3 || c.AtRC(1, 1) != 4 {
-		t.Error("FromRows misplaced cells")
-	}
-	if _, err := FromRows([][]Color{{1, 2}}); err == nil {
-		t.Error("expected error for a single row")
-	}
-	if _, err := FromRows([][]Color{{1}, {2}}); err == nil {
-		t.Error("expected error for a single column")
-	}
-	if _, err := FromRows([][]Color{{1, 2}, {3}}); err == nil {
-		t.Error("expected error for ragged rows")
-	}
-}
-
 func TestSettersAndGetters(t *testing.T) {
 	c := NewColoring(grid.MustDims(4, 5), 1)
 	c.Set(7, 3)
@@ -50,12 +59,8 @@ func TestSettersAndGetters(t *testing.T) {
 		t.Error("Set/At mismatch")
 	}
 	c.SetRC(2, 3, 4)
-	if c.AtRC(2, 3) != 4 || c.AtCoord(grid.Coord{Row: 2, Col: 3}) != 4 {
+	if c.AtRC(2, 3) != 4 || c.At(2*5+3) != 4 {
 		t.Error("SetRC/AtRC mismatch")
-	}
-	c.SetCoord(grid.Coord{Row: 3, Col: 1}, 5)
-	if c.AtRC(3, 1) != 5 {
-		t.Error("SetCoord mismatch")
 	}
 	if len(c.Cells()) != 20 {
 		t.Error("Cells length wrong")
@@ -120,7 +125,7 @@ func TestEqual(t *testing.T) {
 }
 
 func TestCountAndCounts(t *testing.T) {
-	c := MustParse("112\n223\n333")
+	c := mustParse("112\n223\n333")
 	if c.Count(1) != 2 || c.Count(2) != 3 || c.Count(3) != 4 {
 		t.Errorf("Count wrong: %v", c.Counts())
 	}
@@ -134,7 +139,7 @@ func TestCountAndCounts(t *testing.T) {
 }
 
 func TestVertices(t *testing.T) {
-	c := MustParse("12\n21")
+	c := mustParse("12\n21")
 	vs := c.Vertices(1)
 	if len(vs) != 2 || vs[0] != 0 || vs[1] != 3 {
 		t.Errorf("Vertices(1) = %v", vs)
@@ -156,24 +161,8 @@ func TestIsMonochromatic(t *testing.T) {
 	}
 }
 
-func TestIsSubsetOf(t *testing.T) {
-	a := MustParse("12\n22")
-	b := MustParse("11\n21")
-	// a's 1-set = {(0,0)}; b's 1-set = {(0,0),(0,1),(1,1)}.
-	if !a.IsSubsetOf(b, 1) {
-		t.Error("a's 1-set should be a subset of b's")
-	}
-	if b.IsSubsetOf(a, 1) {
-		t.Error("b's 1-set should not be a subset of a's")
-	}
-	other := NewColoring(grid.MustDims(3, 3), 1)
-	if a.IsSubsetOf(other, 1) {
-		t.Error("different dimensions should never be subsets")
-	}
-}
-
 func TestMaxColor(t *testing.T) {
-	c := MustParse("12\n34")
+	c := mustParse("12\n34")
 	if c.MaxColor() != 4 {
 		t.Errorf("MaxColor = %v", c.MaxColor())
 	}
@@ -183,7 +172,7 @@ func TestMaxColor(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	c := MustParse("12\n21")
+	c := mustParse("12\n21")
 	if err := c.Validate(MustPalette(2)); err != nil {
 		t.Errorf("valid coloring rejected: %v", err)
 	}
@@ -197,7 +186,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestBoundingRectangle(t *testing.T) {
-	c := MustParse(`
+	c := mustParse(`
 2222
 2122
 2212
@@ -216,27 +205,6 @@ func TestBoundingRectangle(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	a := MustParse("12\n34")
-	b := MustParse("12\n35")
-	d := a.Diff(b)
-	if len(d) != 1 || d[0] != 3 {
-		t.Errorf("Diff = %v", d)
-	}
-	if len(a.Diff(a)) != 0 {
-		t.Error("Diff with itself should be empty")
-	}
-}
-
-func TestDiffDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse("12\n34").Diff(NewColoring(grid.MustDims(3, 3), 1))
-}
-
 func TestRandomColoringValid(t *testing.T) {
 	src := rng.New(1)
 	p := MustPalette(5)
@@ -245,7 +213,7 @@ func TestRandomColoringValid(t *testing.T) {
 		t.Fatalf("random coloring invalid: %v", err)
 	}
 	// With 100 cells and 5 colors, every color should almost surely appear.
-	for _, col := range p.Colors() {
+	for col := Color(1); int(col) <= p.K; col++ {
 		if c.Count(col) == 0 {
 			t.Errorf("color %v never used", col)
 		}
@@ -268,16 +236,5 @@ func TestCountsSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRowsOfRoundTrip(t *testing.T) {
-	c := MustParse("123\n456\n789")
-	back, err := FromRows(c.RowsOf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(back) {
-		t.Error("RowsOf/FromRows round trip failed")
 	}
 }

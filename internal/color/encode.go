@@ -1,16 +1,13 @@
 package color
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/grid"
 )
 
 // String renders the coloring as a compact grid of runes, one row per line,
-// using Color.Rune for each cell.  The output round-trips through Parse for
-// palettes of at most 35 colors.
+// using Color.Rune for each cell.
 func (c *Coloring) String() string {
 	var b strings.Builder
 	for i := 0; i < c.dims.Rows; i++ {
@@ -22,109 +19,6 @@ func (c *Coloring) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Parse decodes the rune-grid format produced by Coloring.String.  Rows are
-// separated by newlines; '1'-'9' decode to colors 1-9, 'a'-'z' to 10-35 and
-// '.' to None.  Blank lines and surrounding whitespace per line are ignored.
-func Parse(s string) (*Coloring, error) {
-	var rows [][]Color
-	for _, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var row []Color
-		for _, r := range line {
-			col, err := runeToColor(r)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, col)
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("color: empty grid")
-	}
-	return FromRows(rows)
-}
-
-func runeToColor(r rune) (Color, error) {
-	switch {
-	case r == '.':
-		return None, nil
-	case r >= '1' && r <= '9':
-		return Color(r - '0'), nil
-	case r >= 'a' && r <= 'z':
-		return Color(r-'a') + 10, nil
-	default:
-		return None, fmt.Errorf("color: cannot decode rune %q", r)
-	}
-}
-
-// CSV renders the coloring as comma-separated integer labels, one row per
-// line.  It is the interchange format used by the experiment harness.
-func (c *Coloring) CSV() string {
-	var b strings.Builder
-	for i := 0; i < c.dims.Rows; i++ {
-		for j := 0; j < c.dims.Cols; j++ {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(int(c.AtRC(i, j))))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// ParseCSV decodes the format produced by CSV.
-func ParseCSV(s string) (*Coloring, error) {
-	var rows [][]Color
-	for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		row := make([]Color, 0, len(fields))
-		for _, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, fmt.Errorf("color: bad CSV cell %q: %v", f, err)
-			}
-			row = append(row, Color(v))
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("color: empty CSV")
-	}
-	return FromRows(rows)
-}
-
-// MustParse is Parse but panics on error; it keeps table-driven tests and
-// examples concise.
-func MustParse(s string) *Coloring {
-	c, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// RowsOf converts the coloring back into a row-major matrix of colors.
-func (c *Coloring) RowsOf() [][]Color {
-	out := make([][]Color, c.dims.Rows)
-	for i := range out {
-		row := make([]Color, c.dims.Cols)
-		for j := range row {
-			row[j] = c.AtRC(i, j)
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // RandomColoring fills a new coloring with uniformly chosen palette colors

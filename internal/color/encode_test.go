@@ -13,103 +13,8 @@ func TestStringParseRoundTrip(t *testing.T) {
 	src := rng.New(77)
 	p := MustPalette(12)
 	c := RandomColoring(grid.MustDims(6, 9), p, func() int { return src.Intn(p.K) })
-	parsed, err := Parse(c.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(parsed) {
+	if !c.Equal(mustParse(c.String())) {
 		t.Error("String/Parse round trip failed")
-	}
-}
-
-func TestParseWhitespaceAndBlankLines(t *testing.T) {
-	c, err := Parse("\n  12 \n\n 21 \n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Dims() != grid.MustDims(2, 2) {
-		t.Errorf("dims = %v", c.Dims())
-	}
-	if c.AtRC(0, 0) != 1 || c.AtRC(1, 0) != 2 {
-		t.Error("cells misparsed")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	if _, err := Parse(""); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := Parse("12\n2X"); err == nil {
-		t.Error("invalid rune should fail")
-	}
-	if _, err := Parse("123\n12"); err == nil {
-		t.Error("ragged grid should fail")
-	}
-	if _, err := Parse("12"); err == nil {
-		t.Error("single row should fail")
-	}
-}
-
-func TestParseDotsAsNone(t *testing.T) {
-	c, err := Parse("1.\n.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AtRC(0, 1) != None || c.AtRC(1, 0) != None {
-		t.Error("dots should decode to None")
-	}
-}
-
-func TestParseLetterColors(t *testing.T) {
-	c, err := Parse("ab\nz1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AtRC(0, 0) != 10 || c.AtRC(0, 1) != 11 || c.AtRC(1, 0) != 35 {
-		t.Errorf("letters misdecoded: %v %v %v", c.AtRC(0, 0), c.AtRC(0, 1), c.AtRC(1, 0))
-	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse should panic on bad input")
-		}
-	}()
-	MustParse("!!\n!!")
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	src := rng.New(5)
-	p := MustPalette(50) // exceeds the rune alphabet on purpose
-	c := RandomColoring(grid.MustDims(5, 7), p, func() int { return src.Intn(p.K) })
-	parsed, err := ParseCSV(c.CSV())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(parsed) {
-		t.Error("CSV round trip failed")
-	}
-}
-
-func TestCSVFormat(t *testing.T) {
-	c := MustParse("12\n34")
-	got := c.CSV()
-	want := "1,2\n3,4\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
-func TestParseCSVErrors(t *testing.T) {
-	if _, err := ParseCSV(""); err == nil {
-		t.Error("empty CSV should fail")
-	}
-	if _, err := ParseCSV("1,2\n3,x"); err == nil {
-		t.Error("non-numeric cell should fail")
-	}
-	if _, err := ParseCSV("1,2\n3"); err == nil {
-		t.Error("ragged CSV should fail")
 	}
 }
 
@@ -135,12 +40,7 @@ func TestRoundTripProperty(t *testing.T) {
 		src := rng.New(seed)
 		p := MustPalette(kk)
 		c := RandomColoring(grid.MustDims(r, cl), p, func() int { return src.Intn(p.K) })
-		viaRunes, err := Parse(c.String())
-		if err != nil || !c.Equal(viaRunes) {
-			return false
-		}
-		viaCSV, err := ParseCSV(c.CSV())
-		return err == nil && c.Equal(viaCSV)
+		return c.Equal(mustParse(c.String()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // coloringJSON is the wire form of a Coloring: the lattice dimensions plus
 // the row-major cell array.  Cells are plain integer labels so palettes of
-// any size round-trip (the rune-grid format of String/Parse caps at 35).
+// any size round-trip (the rune grid of String caps at 35).
 type coloringJSON struct {
 	Rows  int   `json:"rows"`
 	Cols  int   `json:"cols"`
@@ -27,9 +27,10 @@ func (c *Coloring) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON decodes the format produced by MarshalJSON.  Unlike
-// FromRows, it accepts the degenerate 1×n layout general-graph colorings
-// carry; it rejects dimension/cell-count mismatches and negative cells.
+// UnmarshalJSON decodes the format produced by MarshalJSON.  It accepts the
+// degenerate 1×n layout general-graph colorings carry; it rejects
+// dimension/cell-count mismatches, negative cells and cells above the color
+// cap (ErrCellColorTooLarge).
 func (c *Coloring) UnmarshalJSON(b []byte) error {
 	var in coloringJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -45,6 +46,9 @@ func (c *Coloring) UnmarshalJSON(b []byte) error {
 	for i, v := range in.Cells {
 		if v < 0 {
 			return fmt.Errorf("color: cell %d has negative color %d", i, v)
+		}
+		if v > maxColor {
+			return fmt.Errorf("%w: cell %d has color %d", ErrCellColorTooLarge, i, v)
 		}
 		cells[i] = Color(v)
 	}

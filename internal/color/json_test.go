@@ -2,6 +2,7 @@ package color
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/grid"
@@ -57,6 +58,23 @@ func TestColoringJSONRejectsMalformed(t *testing.T) {
 		var c Coloring
 		if err := json.Unmarshal([]byte(doc), &c); err == nil {
 			t.Errorf("%s: accepted %s", label, doc)
+		}
+	}
+}
+
+// TestColoringJSONBoundsCellColors pins the color cap on decoded cells: a
+// cell above the palette but within one byte decodes (the increment rule
+// mints such colors), one beyond it fails with ErrCellColorTooLarge before
+// any per-color table could be sized by it.
+func TestColoringJSONBoundsCellColors(t *testing.T) {
+	var c Coloring
+	if err := json.Unmarshal([]byte(`{"rows":1,"cols":2,"cells":[1,255]}`), &c); err != nil || c.At(1) != 255 {
+		t.Fatalf("cell color 255 rejected: %v", err)
+	}
+	for _, v := range []string{"256", "1000000000"} {
+		doc := `{"rows":1,"cols":2,"cells":[1,` + v + `]}`
+		if err := json.Unmarshal([]byte(doc), &c); !errors.Is(err, ErrCellColorTooLarge) {
+			t.Errorf("cell color %s: err = %v, want ErrCellColorTooLarge", v, err)
 		}
 	}
 }

@@ -3,12 +3,11 @@
 //
 // The package provides
 //
-//   - the lower bounds of Theorems 1, 3 and 5 and the color requirement of
-//     Proposition 3 (bounds.go);
+//   - the lower bounds of Theorems 1, 3 and 5 (bounds.go);
 //   - the tight constructions of Theorems 2, 4 and 6, the full-cross
-//     configuration behind Figure 5, the comb-shaped upper-bound dynamo
-//     derived from Proposition 2, and the small-torus constructions of
-//     Proposition 3 (construct.go);
+//     configuration behind Figure 5 and the comb-shaped upper-bound dynamo
+//     derived from Proposition 2 (construct.go); the package's tests pin
+//     Proposition 3's color requirement and its 2-wide construction;
 //   - padding generators that color the vertices outside the seed so that
 //     the theorems' hypotheses hold (padding.go);
 //   - counterexample configurations in the spirit of Figures 3 and 4
@@ -41,35 +40,4 @@ func LowerBound(kind grid.Kind, dims grid.Dims) int {
 	default:
 		panic(fmt.Sprintf("dynamo: unknown topology kind %v", kind))
 	}
-}
-
-// MinColorsForMinimumDynamo returns the number of colors the paper's results
-// associate with the existence of a minimum-size dynamo on an m×n torus:
-// Proposition 3 links |C| to N = min(m,n) for N <= 3, and the Theorem 2
-// construction uses four colors for larger tori.
-//
-//	N = 1  ->  1 color  (the torus is already a single row/column)
-//	N = 2  ->  2 colors suffice only at size m+1; 3 colors allow size m
-//	N = 3  ->  3 colors
-//	N >= 4 ->  4 colors
-//
-// The returned value is the number of colors used by this repository's
-// constructions (3 for N ∈ {2,3}, 4 otherwise).
-func MinColorsForMinimumDynamo(dims grid.Dims) int {
-	n := dims.Min()
-	switch {
-	case n <= 1:
-		return 1
-	case n == 2, n == 3:
-		return 3
-	default:
-		return 4
-	}
-}
-
-// SeedSizeOfConstruction returns the seed size used by the tight
-// constructions in this package, which matches LowerBound for every
-// topology.
-func SeedSizeOfConstruction(kind grid.Kind, dims grid.Dims) int {
-	return LowerBound(kind, dims)
 }

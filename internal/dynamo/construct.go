@@ -120,7 +120,7 @@ func MeshMinimum(m, n int, k color.Color, p color.Palette) (*Construction, error
 		return nil, err
 	}
 	if m < 3 || n < 3 {
-		return nil, fmt.Errorf("dynamo: MeshMinimum requires m, n >= 3 (got %dx%d); use SmallTorus for 2-wide tori", m, n)
+		return nil, fmt.Errorf("dynamo: MeshMinimum requires m, n >= 3 (got %dx%d)", m, n)
 	}
 	topo := grid.MustNew(grid.KindToroidalMesh, m, n)
 	others := p.Others(k)
@@ -343,38 +343,6 @@ func CombUpperBound(kind grid.Kind, m, n int, k color.Color, p color.Palette) (*
 		Seed:     seedList,
 		Coloring: full,
 	}, nil
-}
-
-// SmallTorus builds the Proposition 3 configuration for tori whose smaller
-// dimension is 2: a single k-colored column (or row) of length equal to the
-// larger dimension, padded so that consecutive vertices of the other column
-// (row) carry different colors.  With at least three colors this seed of
-// size max(m,n) is a dynamo.  (For min(m,n) = 3 the minimum-size dynamo is
-// the Theorem 2 L-shape; use MeshMinimum.)
-func SmallTorus(m, n int, k color.Color, p color.Palette) (*Construction, error) {
-	dims, err := grid.NewDims(m, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateArgs(dims, k, p, 3); err != nil {
-		return nil, err
-	}
-	if dims.Min() != 2 {
-		return nil, fmt.Errorf("dynamo: SmallTorus applies to min(m,n) = 2, got %v; use MeshMinimum for larger tori", dims)
-	}
-	topo := grid.MustNew(grid.KindToroidalMesh, m, n)
-	vertices := make(map[int]bool)
-	if n <= m {
-		for i := 0; i < m; i++ {
-			vertices[dims.IndexRC(i, 0)] = true
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			vertices[dims.IndexRC(0, j)] = true
-		}
-	}
-	seed, seedList := seedOnly(dims, k, vertices)
-	return padSeed("small-torus", topo, seed, seedList, k, p, rng.New(uint64(m*5000+n)))
 }
 
 func minInt(a, b int) int {

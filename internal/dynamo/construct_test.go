@@ -1,10 +1,12 @@
 package dynamo
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/color"
 	"repro/internal/grid"
+	"repro/internal/rng"
 	"repro/internal/rules"
 )
 
@@ -212,6 +214,38 @@ func TestCombUpperBound(t *testing.T) {
 	if _, err := CombUpperBound(grid.KindToroidalMesh, 7, 9, 1, pal(4)); err == nil {
 		t.Error("odd row count should be rejected")
 	}
+}
+
+// SmallTorus builds the Proposition 3 configuration for tori whose smaller
+// dimension is 2: a single k-colored column (or row) of length equal to the
+// larger dimension, padded so that consecutive vertices of the other column
+// (row) carry different colors.  With at least three colors this seed of
+// size max(m,n) is a dynamo.  (For min(m,n) = 3 the minimum-size dynamo is
+// the Theorem 2 L-shape; use MeshMinimum.)
+func SmallTorus(m, n int, k color.Color, p color.Palette) (*Construction, error) {
+	dims, err := grid.NewDims(m, n)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateArgs(dims, k, p, 3); err != nil {
+		return nil, err
+	}
+	if dims.Min() != 2 {
+		return nil, fmt.Errorf("dynamo: SmallTorus applies to min(m,n) = 2, got %v; use MeshMinimum for larger tori", dims)
+	}
+	topo := grid.MustNew(grid.KindToroidalMesh, m, n)
+	vertices := make(map[int]bool)
+	if n <= m {
+		for i := 0; i < m; i++ {
+			vertices[dims.IndexRC(i, 0)] = true
+		}
+	} else {
+		for j := 0; j < n; j++ {
+			vertices[dims.IndexRC(0, j)] = true
+		}
+	}
+	seed, seedList := seedOnly(dims, k, vertices)
+	return padSeed("small-torus", topo, seed, seedList, k, p, rng.New(uint64(m*5000+n)))
 }
 
 func TestSmallTorus(t *testing.T) {

@@ -13,8 +13,8 @@ func TestBlockedCrossIsNotADynamo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The planted square is a block of its color.
-	if !blocks.HasKBlock(c.Topology, c.Coloring, c.Palette.Others(1)[0]) {
+	// The planted square is a block of its color: its class has a cycle.
+	if blocks.IsForest(c.Topology, c.Coloring, c.Palette.Others(1)[0]) {
 		t.Fatal("BlockedCross should contain a foreign block")
 	}
 	v := Verify(c)
@@ -56,7 +56,7 @@ func TestFrozenTilingNeverRecolors(t *testing.T) {
 		t.Error("frozen tiling must not be monochromatic")
 	}
 	// The k-colored square is a k-block yet not a dynamo.
-	if !blocks.HasKBlock(c.Topology, c.Coloring, 1) {
+	if blocks.IsForest(c.Topology, c.Coloring, 1) {
 		t.Error("the k-colored 2x2 square should be a k-block")
 	}
 	if len(c.Seed) != 4 {

@@ -43,35 +43,6 @@ func FillCyclicRows(c *color.Coloring, others []color.Color, q int) {
 	}
 }
 
-// FillCyclicCols is the column-constant analogue of FillCyclicRows.
-func FillCyclicCols(c *color.Coloring, others []color.Color, q int) {
-	if q < 1 || q > len(others) {
-		panic(fmt.Sprintf("dynamo: cyclic column period %d out of range (have %d colors)", q, len(others)))
-	}
-	d := c.Dims()
-	for j := 0; j < d.Cols; j++ {
-		col := others[((j-1)%q+q)%q]
-		for i := 0; i < d.Rows; i++ {
-			if c.AtRC(i, j) == color.None {
-				c.SetRC(i, j, col)
-			}
-		}
-	}
-}
-
-// chooseCyclePeriod picks a cycle period q in [3, maxQ] such that
-// (span-2) mod q != 0, which is the condition under which the cyclic padding
-// avoids equal colors meeting across the seed row/column of the spiral
-// constructions.  It returns 0 when no such period exists.
-func chooseCyclePeriod(span, maxQ int) int {
-	for q := 3; q <= maxQ; q++ {
-		if (span-2)%q != 0 {
-			return q
-		}
-	}
-	return 0
-}
-
 // A "window-3 rainbow" sequence assigns one color per row (or column) such
 // that any three consecutive entries are pairwise distinct.  Filling the
 // torus with constant rows (columns) following such a sequence makes every

@@ -1,6 +1,7 @@
 package dynamo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,22 @@ func TestFillCyclicRows(t *testing.T) {
 	}
 	if c.AtRC(1, 2) != 2 || c.AtRC(2, 0) != 3 || c.AtRC(3, 1) != 4 || c.AtRC(4, 3) != 2 {
 		t.Errorf("row cycle wrong:\n%s", c.String())
+	}
+}
+
+// FillCyclicCols is the column-constant analogue of FillCyclicRows.
+func FillCyclicCols(c *color.Coloring, others []color.Color, q int) {
+	if q < 1 || q > len(others) {
+		panic(fmt.Sprintf("dynamo: cyclic column period %d out of range (have %d colors)", q, len(others)))
+	}
+	d := c.Dims()
+	for j := 0; j < d.Cols; j++ {
+		col := others[((j-1)%q+q)%q]
+		for i := 0; i < d.Rows; i++ {
+			if c.AtRC(i, j) == color.None {
+				c.SetRC(i, j, col)
+			}
+		}
 	}
 }
 
@@ -42,20 +59,6 @@ func TestFillCyclicPanicsOnBadPeriod(t *testing.T) {
 		}
 	}()
 	FillCyclicRows(c, []color.Color{2, 3}, 3)
-}
-
-func TestChooseCyclePeriod(t *testing.T) {
-	// span-2 divisible by 3 -> q=3 rejected, q=4 accepted.
-	if q := chooseCyclePeriod(5, 4); q != 4 {
-		t.Errorf("chooseCyclePeriod(5,4) = %d, want 4", q)
-	}
-	if q := chooseCyclePeriod(6, 4); q != 3 {
-		t.Errorf("chooseCyclePeriod(6,4) = %d, want 3", q)
-	}
-	// No valid period available.
-	if q := chooseCyclePeriod(5, 3); q != 0 {
-		t.Errorf("chooseCyclePeriod(5,3) = %d, want 0", q)
-	}
 }
 
 func TestSolvePaddingProducesValidPadding(t *testing.T) {

@@ -41,12 +41,6 @@ func ExactRoundsFullCross(dims grid.Dims) int {
 	return ceilDiv(dims.Rows-1, 2) + ceilDiv(dims.Cols-1, 2) - 1
 }
 
-// ExactRoundsMeshMinimum returns the measured number of rounds of the
-// Theorem 2 (m+n−2) configuration: one more than the full cross, because the
-// missing seed corner (0, n−1) recolors only in round 1 and delays the wave
-// in its quadrant by one round.
-func ExactRoundsMeshMinimum(dims grid.Dims) int { return ExactRoundsFullCross(dims) + 1 }
-
 // PredictedRoundsSpiral returns the round count of Theorem 8 for a torus
 // cordalis (and for a torus serpentinus seeded on a row, i.e. N = n) of the
 // given size:

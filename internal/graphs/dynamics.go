@@ -11,8 +11,7 @@ import (
 
 // GeneralizedSMP is the degree-aware extension of the paper's SMP-Protocol;
 // it lives in internal/rules (registered as "generalized-smp") and is
-// re-exported here for the general-graph callers that historically found it
-// in this package.
+// re-exported here for the general-graph callers.
 type GeneralizedSMP = rules.GeneralizedSMP
 
 // RunResult describes a finished run of a rule over a general graph.

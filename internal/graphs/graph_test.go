@@ -8,6 +8,42 @@ import (
 	"repro/internal/rng"
 )
 
+// Connected reports whether the graph is connected (vacuously true for the
+// empty graph).
+func (g *Graph) Connected() bool {
+	if g.N() == 0 {
+		return true
+	}
+	seen := make([]bool, g.N())
+	stack := []int{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, u := range g.adj[v] {
+			if !seen[u] {
+				seen[u] = true
+				count++
+				stack = append(stack, u)
+			}
+		}
+	}
+	return count == g.N()
+}
+
+// FromTorus converts a torus topology into a Graph so the general-graph
+// dynamics can be compared against the torus engine on identical inputs.
+func FromTorus(t grid.Topology) *Graph {
+	g := NewGraph(t.Dims().N())
+	for v := 0; v < g.N(); v++ {
+		for _, u := range grid.UniqueNeighbors(t, v) {
+			g.AddEdge(v, u)
+		}
+	}
+	return g
+}
+
 func TestAddEdgeBasics(t *testing.T) {
 	g := NewGraph(4)
 	g.AddEdge(0, 1)

@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -260,8 +261,8 @@ func TestViewInvalidation(t *testing.T) {
 	if v1 == v2 {
 		t.Fatal("AddEdge must invalidate the cached view")
 	}
-	if got := v2.CSR().Degree(2); got != 2 {
-		t.Fatalf("rebuilt view misses the new edge: degree %d", got)
+	if csr := v2.CSR(); csr.Off[3]-csr.Off[2] != 2 {
+		t.Fatalf("rebuilt view misses the new edge: degree %d", csr.Off[3]-csr.Off[2])
 	}
 	if e1 == g.EngineFor(GeneralizedSMP{}) {
 		t.Fatal("a mutated graph must get a fresh engine")
@@ -306,11 +307,24 @@ func TestGreedyTargetSetSlicedMatchesLegacy(t *testing.T) {
 		g.AddEdge(v, (v+2)%n)
 	}
 	rule := rules.Threshold{Target: 1, Theta: 2}
-	before := sim.BitsliceBatches()
-	got := GreedyTargetSet(g, rule, 1, 2, 5, 120, 20, rng.New(4))
-	if sim.BitsliceBatches() == before {
-		t.Fatal("sliced candidate evaluation did not engage on a degree-4 circulant")
+	// The search scores candidates through RunBatchSliced and falls back to
+	// per-candidate runs only when it refuses, so it must accept a batch of
+	// candidate colorings here and step every lane on the bit-sliced tier.
+	lanes := make([]*Coloring, 3)
+	for i := range lanes {
+		lanes[i] = NewColoring(n, 2)
+		lanes[i].Set(i, 1)
 	}
+	results, err := g.EngineFor(rule).RunBatchSliced(context.Background(), lanes, sim.Options{MaxRounds: 120})
+	if err != nil {
+		t.Fatalf("sliced candidate evaluation refused a degree-4 circulant: %v", err)
+	}
+	for i, res := range results {
+		if res.Kernel != sim.KernelBitsliced {
+			t.Fatalf("lane %d stepped on %v, want the bit-sliced tier", i, res.Kernel)
+		}
+	}
+	got := GreedyTargetSet(g, rule, 1, 2, 5, 120, 20, rng.New(4))
 	want := legacyGreedyTargetSet(g, rule, 1, 2, 5, 120, 20, rng.New(4))
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("greedy choices diverged: %v vs legacy %v", got, want)

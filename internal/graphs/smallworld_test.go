@@ -133,3 +133,71 @@ func TestRemoveEdge(t *testing.T) {
 		t.Error("EdgeCount after removals wrong")
 	}
 }
+
+// ClusteringCoefficient returns the average local clustering coefficient of
+// the graph (the fraction of a vertex's neighbor pairs that are themselves
+// adjacent, averaged over vertices of degree at least two).
+func ClusteringCoefficient(g *Graph) float64 {
+	total, counted := 0.0, 0
+	for v := 0; v < g.N(); v++ {
+		ns := g.Neighbors(v)
+		if len(ns) < 2 {
+			continue
+		}
+		links := 0
+		for i := 0; i < len(ns); i++ {
+			for j := i + 1; j < len(ns); j++ {
+				if g.HasEdge(ns[i], ns[j]) {
+					links++
+				}
+			}
+		}
+		pairs := len(ns) * (len(ns) - 1) / 2
+		total += float64(links) / float64(pairs)
+		counted++
+	}
+	if counted == 0 {
+		return 0
+	}
+	return total / float64(counted)
+}
+
+// AveragePathLength returns the mean shortest-path length over all ordered
+// vertex pairs, computed by BFS from every vertex.  Unreachable pairs are
+// ignored; it returns 0 for graphs with fewer than two vertices.
+func AveragePathLength(g *Graph) float64 {
+	n := g.N()
+	if n < 2 {
+		return 0
+	}
+	total, pairs := 0.0, 0
+	dist := make([]int, n)
+	queue := make([]int, 0, n)
+	for s := 0; s < n; s++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, u := range g.Neighbors(v) {
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		for v := 0; v < n; v++ {
+			if v != s && dist[v] > 0 {
+				total += float64(dist[v])
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return total / float64(pairs)
+}

@@ -8,15 +8,6 @@ type TorusCordalis struct {
 	dims Dims
 }
 
-// NewTorusCordalis returns the torus cordalis of the given size.
-func NewTorusCordalis(rows, cols int) (TorusCordalis, error) {
-	d, err := NewDims(rows, cols)
-	if err != nil {
-		return TorusCordalis{}, err
-	}
-	return TorusCordalis{dims: d}, nil
-}
-
 // Dims returns the lattice dimensions.
 func (t TorusCordalis) Dims() Dims { return t.dims }
 

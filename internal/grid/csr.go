@@ -65,9 +65,6 @@ func (c *CSR) Uniform() int { return c.uniform }
 // the empty index).  The engine sizes its per-run scratch buffers with it.
 func (c *CSR) MaxDegree() int { return c.maxDeg }
 
-// Degree returns the forward-neighbor count of vertex v.
-func (c *CSR) Degree(v int) int { return int(c.Off[v+1] - c.Off[v]) }
-
 // BuildCSR computes the CSR index of a torus topology from scratch.  Prefer
 // CSROf, which caches the result per topology value.
 func BuildCSR(t Topology) *CSR {

@@ -78,27 +78,11 @@ func (d Dims) Min() int {
 	return d.Cols
 }
 
-// Index converts a coordinate to its dense vertex index.
-func (d Dims) Index(c Coord) int { return c.Row*d.Cols + c.Col }
-
 // IndexRC converts a (row, col) pair to its dense vertex index.
 func (d Dims) IndexRC(row, col int) int { return row*d.Cols + col }
 
 // Coord converts a dense vertex index back to a coordinate.
 func (d Dims) Coord(v int) Coord { return Coord{Row: v / d.Cols, Col: v % d.Cols} }
-
-// Contains reports whether the coordinate lies inside the lattice.
-func (d Dims) Contains(c Coord) bool {
-	return c.Row >= 0 && c.Row < d.Rows && c.Col >= 0 && c.Col < d.Cols
-}
-
-// Wrap normalizes a coordinate modulo the lattice dimensions (toroidal-mesh
-// style wrapping, used by helpers that reason about rectangles).
-func (d Dims) Wrap(c Coord) Coord {
-	r := ((c.Row % d.Rows) + d.Rows) % d.Rows
-	col := ((c.Col % d.Cols) + d.Cols) % d.Cols
-	return Coord{Row: r, Col: col}
-}
 
 // String renders the dimensions as "RxC".
 func (d Dims) String() string { return fmt.Sprintf("%dx%d", d.Rows, d.Cols) }
@@ -137,21 +121,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// ParseKind converts a topology name (as produced by Kind.String) back to a
-// Kind.  It accepts exactly the spellings of kindNames, which is also what
-// the registry pre-populates, so ParseKind and ByName agree by
-// construction.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds() {
-		for _, name := range kindNames(k) {
-			if s == name {
-				return k, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("grid: unknown topology %q", s)
 }
 
 // Topology is a 4-regular interaction topology over an m×n vertex lattice.
@@ -203,12 +172,6 @@ func MustNew(kind Kind, rows, cols int) Topology {
 	return t
 }
 
-// NeighborsOf is a convenience wrapper returning a freshly allocated
-// neighbor slice for vertex v.
-func NeighborsOf(t Topology, v int) []int {
-	return t.Neighbors(v, make([]int, 0, Degree))
-}
-
 // UniqueNeighbors returns the de-duplicated neighbor set of v (duplicates
 // appear only when a dimension equals 2).  The result preserves first-seen
 // order.
@@ -229,34 +192,4 @@ func UniqueNeighbors(t Topology, v int) []int {
 		}
 	}
 	return out
-}
-
-// EdgeCount returns the number of undirected edges of the topology counted
-// on the simple graph (parallel edges collapsed).
-func EdgeCount(t Topology) int {
-	n := t.Dims().N()
-	count := 0
-	for v := 0; v < n; v++ {
-		for _, u := range UniqueNeighbors(t, v) {
-			if u > v {
-				count++
-			} else if u == v {
-				// Self-loops cannot occur in these topologies, but guard
-				// against miscounting if they ever did.
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// Adjacent reports whether u and v are adjacent in the topology (on the
-// simple graph).
-func Adjacent(t Topology, u, v int) bool {
-	for _, w := range UniqueNeighbors(t, u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }

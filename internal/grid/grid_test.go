@@ -71,14 +71,11 @@ func TestIndexCoordRoundTrip(t *testing.T) {
 	d := MustDims(6, 9)
 	for v := 0; v < d.N(); v++ {
 		c := d.Coord(v)
-		if !d.Contains(c) {
+		if c.Row < 0 || c.Row >= d.Rows || c.Col < 0 || c.Col >= d.Cols {
 			t.Fatalf("Coord(%d) = %v outside lattice", v, c)
 		}
-		if got := d.Index(c); got != v {
-			t.Fatalf("Index(Coord(%d)) = %d", v, got)
-		}
 		if got := d.IndexRC(c.Row, c.Col); got != v {
-			t.Fatalf("IndexRC mismatch for %d", v)
+			t.Fatalf("IndexRC(Coord(%d)) = %d", v, got)
 		}
 	}
 }
@@ -89,43 +86,23 @@ func TestDimsMin(t *testing.T) {
 	}
 }
 
-func TestWrap(t *testing.T) {
-	d := MustDims(4, 6)
-	cases := []struct{ in, want Coord }{
-		{Coord{-1, 0}, Coord{3, 0}},
-		{Coord{4, 6}, Coord{0, 0}},
-		{Coord{2, -1}, Coord{2, 5}},
-		{Coord{9, 13}, Coord{1, 1}},
-	}
-	for _, c := range cases {
-		if got := d.Wrap(c.in); got != c.want {
-			t.Errorf("Wrap(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
+// TestKindStringsAndParse: every kind's String is a registered name that
+// resolves back to that kind, as do the short aliases.
 func TestKindStringsAndParse(t *testing.T) {
-	for _, k := range Kinds() {
-		name := k.String()
-		parsed, err := ParseKind(name)
-		if err != nil {
-			t.Fatalf("ParseKind(%q): %v", name, err)
-		}
-		if parsed != k {
-			t.Errorf("ParseKind(%q) = %v, want %v", name, parsed, k)
-		}
-	}
-	if _, err := ParseKind("hypercube"); err == nil {
-		t.Error("expected error for unknown topology name")
-	}
-	aliases := map[string]Kind{
+	names := map[string]Kind{
 		"mesh": KindToroidalMesh, "cordalis": KindTorusCordalis, "serpentinus": KindTorusSerpentinus,
 	}
-	for alias, want := range aliases {
-		got, err := ParseKind(alias)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v", alias, got, err)
+	for _, k := range Kinds() {
+		names[k.String()] = k
+	}
+	for name, want := range names {
+		topo, err := ByName(name, 3, 3)
+		if err != nil || topo.Kind() != want {
+			t.Errorf("ByName(%q) = %v, %v; want kind %v", name, topo, err, want)
 		}
+	}
+	if _, err := ByName("hypercube", 3, 3); err == nil {
+		t.Error("expected error for unknown topology name")
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown Kind should still render")
@@ -173,7 +150,7 @@ func TestDegreeAndRange(t *testing.T) {
 			topo := MustNew(k, size[0], size[1])
 			n := topo.Dims().N()
 			for v := 0; v < n; v++ {
-				ns := NeighborsOf(topo, v)
+				ns := topo.Neighbors(v, nil)
 				if len(ns) != Degree {
 					t.Fatalf("%v %dx%d: vertex %d has %d ports", k, size[0], size[1], v, len(ns))
 				}
@@ -207,9 +184,9 @@ func TestNeighborSymmetry(t *testing.T) {
 				return c
 			}
 			for v := 0; v < n; v++ {
-				nv := NeighborsOf(topo, v)
+				nv := topo.Neighbors(v, nil)
 				for _, u := range nv {
-					nu := NeighborsOf(topo, u)
+					nu := topo.Neighbors(u, nil)
 					if count(nv, u) != count(nu, v) {
 						t.Fatalf("%v %dx%d: asymmetric adjacency between %d and %d (%v vs %v)",
 							k, size[0], size[1], v, u, nv, nu)
@@ -226,15 +203,15 @@ func TestNeighborsMatchCoords(t *testing.T) {
 		topo := MustNew(k, 5, 6)
 		d := topo.Dims()
 		for v := 0; v < d.N(); v++ {
-			byIndex := NeighborsOf(topo, v)
+			byIndex := topo.Neighbors(v, nil)
 			coords := topo.NeighborCoords(d.Coord(v), nil)
 			if len(coords) != len(byIndex) {
 				t.Fatalf("length mismatch for %v vertex %d", k, v)
 			}
 			for i := range coords {
-				if d.Index(coords[i]) != byIndex[i] {
+				if got := d.IndexRC(coords[i].Row, coords[i].Col); got != byIndex[i] {
 					t.Fatalf("%v vertex %d port %d: coord %v (=%d) vs index %d",
-						k, v, i, coords[i], d.Index(coords[i]), byIndex[i])
+						k, v, i, coords[i], got, byIndex[i])
 				}
 			}
 		}
@@ -382,8 +359,16 @@ func TestEdgeCount(t *testing.T) {
 		for _, size := range [][2]int{{3, 3}, {4, 5}, {6, 6}} {
 			topo := MustNew(k, size[0], size[1])
 			want := 2 * size[0] * size[1]
-			if got := EdgeCount(topo); got != want {
-				t.Errorf("%v %v: EdgeCount = %d, want %d", k, size, got, want)
+			got := 0
+			for v := 0; v < topo.Dims().N(); v++ {
+				for _, u := range UniqueNeighbors(topo, v) {
+					if u > v {
+						got++
+					}
+				}
+			}
+			if got != want {
+				t.Errorf("%v %v: edge count = %d, want %d", k, size, got, want)
 			}
 		}
 	}
@@ -403,17 +388,6 @@ func TestUniqueNeighborsOnDegenerateTorus(t *testing.T) {
 	}
 }
 
-func TestAdjacent(t *testing.T) {
-	topo := MustNew(KindToroidalMesh, 4, 4)
-	d := topo.Dims()
-	if !Adjacent(topo, d.IndexRC(0, 0), d.IndexRC(0, 1)) {
-		t.Error("(0,0) and (0,1) should be adjacent")
-	}
-	if Adjacent(topo, d.IndexRC(0, 0), d.IndexRC(2, 2)) {
-		t.Error("(0,0) and (2,2) should not be adjacent")
-	}
-}
-
 // Property: in every topology, every vertex is reachable from vertex 0
 // (connectivity), checked on small random sizes.
 func TestConnectivityProperty(t *testing.T) {
@@ -430,7 +404,7 @@ func TestConnectivityProperty(t *testing.T) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, u := range NeighborsOf(topo, v) {
+			for _, u := range topo.Neighbors(v, nil) {
 				if !seen[u] {
 					seen[u] = true
 					count++

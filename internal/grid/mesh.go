@@ -6,15 +6,6 @@ type ToroidalMesh struct {
 	dims Dims
 }
 
-// NewToroidalMesh returns the toroidal mesh of the given size.
-func NewToroidalMesh(rows, cols int) (ToroidalMesh, error) {
-	d, err := NewDims(rows, cols)
-	if err != nil {
-		return ToroidalMesh{}, err
-	}
-	return ToroidalMesh{dims: d}, nil
-}
-
 // Dims returns the lattice dimensions.
 func (t ToroidalMesh) Dims() Dims { return t.dims }
 

@@ -38,7 +38,7 @@ func Register(name string, factory Factory) {
 }
 
 // ByName constructs the topology registered under the given name.  For the
-// built-in tori it accepts exactly the names ParseKind accepts ("mesh",
+// built-in tori it accepts every spelling kindNames lists ("mesh",
 // "toroidal-mesh", "cordalis", ...), and resolves them to the same
 // implementations New would build.
 func ByName(name string, rows, cols int) (Topology, error) {
@@ -65,8 +65,7 @@ func RegisteredNames() []string {
 }
 
 func init() {
-	// Every spelling ParseKind accepts resolves to the same constructor, so
-	// the registry is a strict superset of the legacy lookup path.
+	// Every spelling of a built-in kind resolves to New for that kind.
 	for _, kind := range Kinds() {
 		k := kind
 		factory := func(rows, cols int) (Topology, error) { return New(k, rows, cols) }
@@ -77,8 +76,7 @@ func init() {
 }
 
 // kindNames lists every accepted spelling of a built-in kind, canonical
-// name first.  It is the single source of truth for both ParseKind and the
-// registry's built-in entries.
+// name first: the registry's built-in entries.
 func kindNames(k Kind) []string {
 	switch k {
 	case KindToroidalMesh:

@@ -5,22 +5,21 @@ import (
 	"testing"
 )
 
-// TestRegistryParseKindParity asserts that for every spelling ParseKind
-// accepts, the registry builds exactly the topology the legacy
-// ParseKind+New path builds (no behavior drift during the dynmon API
-// redesign).
+// TestRegistryParseKindParity asserts that every spelling of a built-in
+// kind makes the registry build exactly the topology New builds for that
+// kind.
 func TestRegistryParseKindParity(t *testing.T) {
-	spellings := []string{
-		"toroidal-mesh", "mesh", "toroidal_mesh",
-		"torus-cordalis", "cordalis", "torus_cordalis",
-		"torus-serpentinus", "serpentinus", "torus_serpentinus",
+	spellings := []struct {
+		name string
+		kind Kind
+	}{
+		{"toroidal-mesh", KindToroidalMesh}, {"mesh", KindToroidalMesh}, {"toroidal_mesh", KindToroidalMesh},
+		{"torus-cordalis", KindTorusCordalis}, {"cordalis", KindTorusCordalis}, {"torus_cordalis", KindTorusCordalis},
+		{"torus-serpentinus", KindTorusSerpentinus}, {"serpentinus", KindTorusSerpentinus}, {"torus_serpentinus", KindTorusSerpentinus},
 	}
-	for _, name := range spellings {
+	for _, sp := range spellings {
+		name, kind := sp.name, sp.kind
 		t.Run(name, func(t *testing.T) {
-			kind, err := ParseKind(name)
-			if err != nil {
-				t.Fatalf("ParseKind(%q): %v", name, err)
-			}
 			want, err := New(kind, 6, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -30,14 +29,14 @@ func TestRegistryParseKindParity(t *testing.T) {
 				t.Fatalf("ByName(%q): %v", name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ByName(%q) = %#v, legacy path = %#v", name, got, want)
+				t.Fatalf("ByName(%q) = %#v, New = %#v", name, got, want)
 			}
 			if got.Kind() != kind || got.Dims() != want.Dims() {
 				t.Fatalf("kind/dims drift for %q", name)
 			}
 			// The adjacency structure must match vertex by vertex.
 			for v := 0; v < got.Dims().N(); v++ {
-				if !reflect.DeepEqual(NeighborsOf(got, v), NeighborsOf(want, v)) {
+				if !reflect.DeepEqual(got.Neighbors(v, nil), want.Neighbors(v, nil)) {
 					t.Fatalf("%q: neighbor drift at vertex %d", name, v)
 				}
 			}

@@ -9,15 +9,6 @@ type TorusSerpentinus struct {
 	dims Dims
 }
 
-// NewTorusSerpentinus returns the torus serpentinus of the given size.
-func NewTorusSerpentinus(rows, cols int) (TorusSerpentinus, error) {
-	d, err := NewDims(rows, cols)
-	if err != nil {
-		return TorusSerpentinus{}, err
-	}
-	return TorusSerpentinus{dims: d}, nil
-}
-
 // Dims returns the lattice dimensions.
 func (t TorusSerpentinus) Dims() Dims { return t.dims }
 

@@ -36,16 +36,6 @@ type ShiftPlan struct {
 // Dims returns the lattice dimensions the plan was built for.
 func (p *ShiftPlan) Dims() Dims { return p.dims }
 
-// Fixups returns the total number of patched lanes across all ports, a
-// measure of how far the topology is from a pure rotation group.
-func (p *ShiftPlan) Fixups() int {
-	total := 0
-	for i := range p.Ports {
-		total += len(p.Ports[i].FixDst)
-	}
-	return total
-}
-
 // maxShiftFixups bounds how many lanes per port may depart from the port's
 // base rotation before the topology is declared not shift-regular.  The
 // paper's tori need at most max(Rows, Cols) patches per port (one per wrapped

@@ -7,25 +7,17 @@
 // generators") which is statistically solid for simulation workloads, trivial
 // to seed, and cheap enough to be used in inner loops.
 //
-// Two derivation primitives keep parallel and stochastic code deterministic
-// without sharing mutable state across goroutines:
-//
-//   - Source.Split derives a statistically independent child stream (state
-//     plus its own odd gamma increment, per the SplitMix64 paper), so each
-//     worker or replica owns a private generator that never contends with —
-//     or correlates against — its siblings.
-//   - Hash is the stateless, counter-based form: a pure function of a seed
-//     and a coordinate tuple (round, vertex, ...).  Because it carries no
-//     state at all, any evaluation order — any worker count, any stepping
-//     tier, any checkpoint/resume boundary — produces the same draw for the
-//     same coordinates, which is what makes stochastic simulation runs
-//     bit-reproducible.
+// Hash keeps parallel and stochastic code deterministic without sharing
+// mutable state across goroutines: it is a pure function of a seed and a
+// coordinate tuple (round, vertex, ...).  Because it carries no state at
+// all, any evaluation order — any worker count, any stepping tier, any
+// checkpoint/resume boundary — produces the same draw for the same
+// coordinates, which is what makes stochastic simulation runs
+// bit-reproducible.
 package rng
 
-import "math/bits"
-
-// golden is the SplitMix64 default stream increment (the odd integer closest
-// to 2^64/φ), used by every Source whose gamma was never customized.
+// golden is the SplitMix64 stream increment (the odd integer closest to
+// 2^64/φ).
 const golden = 0x9e3779b97f4a7c15
 
 // Mix is the SplitMix64 output finalizer: a fixed bijective 64-bit mixer
@@ -77,14 +69,10 @@ func (p Prefix) Sum() uint64 { return p.h }
 func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Source is a deterministic SplitMix64 pseudo random number generator.
-// The zero value is a valid generator seeded with 0 on the default stream;
-// prefer New to make the seed explicit.
+// The zero value is a valid generator seeded with 0; prefer New to make the
+// seed explicit.
 type Source struct {
 	state uint64
-	// gamma is the stream increment: 0 (the zero value and every New source)
-	// means the default golden-ratio increment; Split children carry their
-	// own random odd gamma, which is what makes their streams independent.
-	gamma uint64
 }
 
 // New returns a Source seeded with the given value.  Two Sources built with
@@ -93,25 +81,11 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Seed resets the generator to the stream defined by seed (keeping the
-// source's gamma, so a split child reseeds within its own stream family).
-func (s *Source) Seed(seed uint64) { s.state = seed }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
-	g := s.gamma
-	if g == 0 {
-		g = golden
-	}
-	s.state += g
+	s.state += golden
 	return Mix(s.state)
 }
-
-// Uint32 returns the next 32 uniformly distributed bits.
-func (s *Source) Uint32() uint32 { return uint32(s.Uint64() >> 32) }
-
-// Int63 returns a non-negative int64.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Intn returns a uniform integer in [0, n).  It panics if n <= 0.
 func (s *Source) Intn(n int) int {
@@ -153,9 +127,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns a uniformly distributed boolean.
-func (s *Source) Bool() bool { return s.Uint64()&1 == 1 }
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -176,38 +147,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly chosen element of xs.  It panics on an empty slice.
-func Pick[T any](s *Source, xs []T) T {
-	if len(xs) == 0 {
-		panic("rng: Pick called with empty slice")
-	}
-	return xs[s.Intn(len(xs))]
-}
-
-// Split returns a new Source whose stream is statistically independent of
-// the receiver's remaining stream — the derivation primitive for handing
-// each parallel worker or Monte-Carlo replica its own generator.  Following
-// the SplitMix64 paper, the child gets a fresh state and its own random odd
-// gamma increment (mixGamma), so parent and child walk different additive
-// orbits rather than shifted copies of the same one.  Splitting is
-// deterministic: the same parent state yields the same child.
-func (s *Source) Split() *Source {
-	state := s.Uint64()
-	return &Source{state: state, gamma: mixGamma(s.Uint64())}
-}
-
-// mixGamma turns 64 arbitrary bits into a suitable stream increment: mixed
-// (MurmurHash3 finalizer, per the SplitMix64 paper), forced odd, and nudged
-// when the bit pattern is too regular (fewer than 24 bit-pair transitions),
-// which empirically weakens the low-order output bits.
-func mixGamma(z uint64) uint64 {
-	z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
-	z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53
-	z = (z ^ (z >> 33)) | 1
-	if bits.OnesCount64(z^(z>>1)) < 24 {
-		z ^= 0xaaaaaaaaaaaaaaaa
-	}
-	return z
 }

@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,6 +19,25 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewStreamsPinned pins a sha256 over the first 256 outputs of New for
+// a few seeds, so every seeded experiment in the repository keeps its
+// stream bit for bit.
+func TestNewStreamsPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	for _, seed := range []uint64{0, 1, 42, golden, math.MaxUint64} {
+		s := New(seed)
+		for i := 0; i < 256; i++ {
+			binary.LittleEndian.PutUint64(buf[:], s.Uint64())
+			h.Write(buf[:])
+		}
+	}
+	const want = "5d118bdba135214b14c7796a4495ebf8cb80c360a192cf26f86d1c0e02dd91b0"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("New stream sha256 = %s, want %s", got, want)
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)
@@ -27,20 +49,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("seeds 1 and 2 produced %d identical values out of 100", same)
-	}
-}
-
-func TestSeedResets(t *testing.T) {
-	s := New(7)
-	first := make([]uint64, 10)
-	for i := range first {
-		first[i] = s.Uint64()
-	}
-	s.Seed(7)
-	for i := range first {
-		if got := s.Uint64(); got != first[i] {
-			t.Fatalf("after reseed, value %d = %d, want %d", i, got, first[i])
-		}
 	}
 }
 
@@ -124,113 +132,6 @@ func TestPermProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPick(t *testing.T) {
-	s := New(1)
-	xs := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 300; i++ {
-		counts[Pick(s, xs)]++
-	}
-	for _, x := range xs {
-		if counts[x] == 0 {
-			t.Fatalf("Pick never returned %q", x)
-		}
-	}
-}
-
-func TestPickPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty Pick")
-		}
-	}()
-	Pick(New(1), []int{})
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(99)
-	child := parent.Split()
-	// The child stream should not be a shifted copy of the parent stream.
-	equal := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			equal++
-		}
-	}
-	if equal > 2 {
-		t.Fatalf("parent and child streams overlap in %d/100 positions", equal)
-	}
-}
-
-func TestSplitDeterminism(t *testing.T) {
-	a, b := New(123), New(123)
-	ca, cb := a.Split(), b.Split()
-	for i := 0; i < 1000; i++ {
-		if ca.Uint64() != cb.Uint64() {
-			t.Fatalf("split children of identical parents diverged at step %d", i)
-		}
-	}
-	// Splitting advances the parent deterministically too.
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("parents diverged after splitting")
-	}
-}
-
-func TestSplitChildHasOwnGamma(t *testing.T) {
-	child := New(99).Split()
-	if child.gamma == 0 || child.gamma == golden {
-		t.Fatalf("split child gamma = %#x, want a fresh odd increment", child.gamma)
-	}
-	if child.gamma&1 == 0 {
-		t.Fatalf("split child gamma %#x is even; SplitMix64 increments must be odd", child.gamma)
-	}
-}
-
-// TestSplitStatisticalIndependence checks that sibling streams decorrelate:
-// across many children of one parent, the XOR of paired outputs should look
-// uniform (balanced bits), and no two siblings may share a prefix.
-func TestSplitStatisticalIndependence(t *testing.T) {
-	parent := New(2024)
-	const children = 64
-	const draws = 256
-	streams := make([][]uint64, children)
-	for c := range streams {
-		src := parent.Split()
-		streams[c] = make([]uint64, draws)
-		for i := range streams[c] {
-			streams[c][i] = src.Uint64()
-		}
-	}
-	// No two siblings share their first 4 outputs.
-	seen := map[[4]uint64]int{}
-	for c, st := range streams {
-		key := [4]uint64{st[0], st[1], st[2], st[3]}
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("children %d and %d produced identical stream prefixes", prev, c)
-		}
-		seen[key] = c
-	}
-	// Pairwise XOR of adjacent siblings is bit-balanced: each of the 64 bit
-	// positions should flip roughly half the time.
-	var bitOnes [64]int
-	total := 0
-	for c := 0; c+1 < children; c += 2 {
-		for i := 0; i < draws; i++ {
-			x := streams[c][i] ^ streams[c+1][i]
-			total++
-			for b := 0; b < 64; b++ {
-				bitOnes[b] += int(x >> b & 1)
-			}
-		}
-	}
-	for b, ones := range bitOnes {
-		frac := float64(ones) / float64(total)
-		if frac < 0.45 || frac > 0.55 {
-			t.Fatalf("bit %d of sibling XOR stream is %.3f ones, want ~0.5 (streams correlated)", b, frac)
-		}
 	}
 }
 
@@ -323,31 +224,6 @@ func TestMixMatchesUint64(t *testing.T) {
 	if got, want := s.Uint64(), Mix(31+golden); got != want {
 		t.Fatalf("Uint64 = %#x, want Mix(seed+golden) = %#x", got, want)
 	}
-}
-
-func TestBoolBalance(t *testing.T) {
-	s := New(8)
-	trues := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if s.Bool() {
-			trues++
-		}
-	}
-	if trues < n*45/100 || trues > n*55/100 {
-		t.Fatalf("Bool returned true %d/%d times, expected ~50%%", trues, n)
-	}
-}
-
-func TestUint32NotConstant(t *testing.T) {
-	s := New(4)
-	first := s.Uint32()
-	for i := 0; i < 10; i++ {
-		if s.Uint32() != first {
-			return
-		}
-	}
-	t.Fatal("Uint32 returned a constant stream")
 }
 
 func TestZeroValueUsable(t *testing.T) {

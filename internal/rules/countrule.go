@@ -100,20 +100,6 @@ func (cs *Counts) Of(c color.Color) int {
 	return 0
 }
 
-// Distinct returns the number of distinct colors present.
-func (cs *Counts) Distinct() int { return int(cs.n) }
-
-// CountsOf tallies a four-neighbor slice into a Counts vector.  It is the
-// bridge used to implement Rule.Next on top of NextFromCounts and by tests
-// that compare the two paths.
-func CountsOf(neighbors []color.Color) Counts {
-	var cs Counts
-	for _, c := range neighbors {
-		cs.Add(c)
-	}
-	return cs
-}
-
 // CountRule is the counts-based fast path of a Rule: the same decision
 // function, but taking the pre-tallied color-count vector of the four
 // neighbors instead of the raw neighbor slice.  The simulation engine
@@ -122,9 +108,9 @@ func CountsOf(neighbors []color.Color) Counts {
 // rule re-tallies a multiset the engine already has.
 //
 // NextFromCounts must agree with Next on every four-neighbor multiset:
-// NextFromCounts(c, CountsOf(ns)) == Next(c, ns).  All rules shipped by this
-// package implement CountRule; externally registered rules may ignore it and
-// the engine falls back to the slice path.
+// NextFromCounts(c, cs) == Next(c, ns) whenever cs tallies ns.  All rules
+// shipped by this package implement CountRule; externally registered rules
+// may ignore it and the engine falls back to the slice path.
 type CountRule interface {
 	Rule
 	// NextFromCounts returns the vertex's color at time t+1 given its color

@@ -22,9 +22,9 @@ const (
 // identically under any worker count, kernel tier or checkpoint/resume
 // boundary.
 //
-// It is the single definition of the noise model: FaultDraw, the engine's
-// scalar stochastic sweeps and the bitplane tier's word-parallel fault masks
-// all draw through it, so the paths are identical by construction.  Building
+// It is the single definition of the noise model: the engine's scalar
+// stochastic sweeps and the bitplane tier's word-parallel fault masks both
+// draw through it, so the paths are identical by construction.  Building
 // one per round hoists the (seed, round) prefix of the hash out of the
 // per-vertex loop, and rng.Unit(h) < eps is evaluated in its exact integer
 // form h>>11 < ⌈eps·2⁵³⌉ (Unit(h) is (h>>11)/2⁵³, and both the scaling by
@@ -76,16 +76,4 @@ func (f *FaultRound) Mask(base uint64, lanes int) uint64 {
 // Color returns the color vertex v takes when it misfires this round.
 func (f *FaultRound) Color(v uint64) color.Color {
 	return color.Color(1 + f.prefix.Then(v).Then(faultTagColor).Sum()%f.k)
-}
-
-// FaultDraw injects an ε-fault into an already-computed next color: it is
-// next unless the (round, vertex) application misfires (see FaultRound), in
-// which case it is the drawn color.  Loops over many vertices of one round
-// build the FaultRound once instead.
-func FaultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
-	f := NewFaultRound(seed, round, eps, k)
-	if c, ok := f.Fault(v); ok {
-		return c
-	}
-	return next
 }

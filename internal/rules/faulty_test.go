@@ -8,11 +8,21 @@ import (
 	"repro/internal/rng"
 )
 
+// faultDraw is next unless the (round, vertex) application misfires, in
+// which case it is the color the misfire draws.
+func faultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
+	f := NewFaultRound(seed, round, eps, k)
+	if c, ok := f.Fault(v); ok {
+		return c
+	}
+	return next
+}
+
 func TestFaultyZeroEpsIsInner(t *testing.T) {
 	for round := uint64(0); round < 16; round++ {
 		for v := uint64(0); v < 64; v++ {
-			if got := FaultDraw(9, round, v, 0, 4, 2); got != 2 {
-				t.Fatalf("eps=0 FaultDraw(%d,%d) = %v, want the computed color 2", round, v, got)
+			if got := faultDraw(9, round, v, 0, 4, 2); got != 2 {
+				t.Fatalf("eps=0 draw(%d,%d) = %v, want the computed color 2", round, v, got)
 			}
 		}
 	}
@@ -21,7 +31,7 @@ func TestFaultyZeroEpsIsInner(t *testing.T) {
 func TestFaultyFullEpsAlwaysFaults(t *testing.T) {
 	seen := map[color.Color]bool{}
 	for v := uint64(0); v < 1000; v++ {
-		c := FaultDraw(3, 1, v, 1, 4, 1)
+		c := faultDraw(3, 1, v, 1, 4, 1)
 		if c < 1 || c > 4 {
 			t.Fatalf("faulted color %v outside palette {1..4}", c)
 		}
@@ -35,22 +45,22 @@ func TestFaultyFullEpsAlwaysFaults(t *testing.T) {
 }
 
 func TestFaultyDeterministicAndCoordinateDependent(t *testing.T) {
-	a := FaultDraw(17, 5, 7, 0.5, 4, 2)
-	if b := FaultDraw(17, 5, 7, 0.5, 4, 2); a != b {
+	a := faultDraw(17, 5, 7, 0.5, 4, 2)
+	if b := faultDraw(17, 5, 7, 0.5, 4, 2); a != b {
 		t.Fatal("fault draw is not deterministic for fixed coordinates")
 	}
 	// Across many coordinates, draws must differ (the fault stream is not
 	// constant) while any single coordinate is stable.
 	varied := false
 	for v := uint64(0); v < 100 && !varied; v++ {
-		varied = FaultDraw(17, 5, v, 0.5, 4, 2) != a
+		varied = faultDraw(17, 5, v, 0.5, 4, 2) != a
 	}
 	if !varied {
 		t.Fatal("fault draw ignores the vertex coordinate")
 	}
 	differs := false
 	for v := uint64(0); v < 100 && !differs; v++ {
-		differs = FaultDraw(17, 5, v, 0.5, 4, 2) != FaultDraw(18, 5, v, 0.5, 4, 2)
+		differs = faultDraw(17, 5, v, 0.5, 4, 2) != faultDraw(18, 5, v, 0.5, 4, 2)
 	}
 	if !differs {
 		t.Fatal("fault draw ignores the seed")
@@ -64,7 +74,7 @@ func TestFaultyRateMatchesEps(t *testing.T) {
 	const trials = 40000
 	faultedAway := 0
 	for v := uint64(0); v < trials; v++ {
-		if FaultDraw(41, 2, v, eps, 4, 1) != 1 {
+		if faultDraw(41, 2, v, eps, 4, 1) != 1 {
 			faultedAway++
 		}
 	}
@@ -94,7 +104,7 @@ func TestFaultDrawMatchesFloatForm(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 4, 7} {
 			for v := uint64(0); v < 2000; v++ {
 				want := floatForm(5, 3, v, eps, k, 2)
-				if got := FaultDraw(5, 3, v, eps, k, 2); got != want {
+				if got := faultDraw(5, 3, v, eps, k, 2); got != want {
 					t.Fatalf("eps=%v k=%d v=%d: FaultDraw %v, float form %v", eps, k, v, got, want)
 				}
 			}

@@ -96,7 +96,7 @@ func TestGeneralizedSMPNextFromCountsAgreesWithNext(t *testing.T) {
 			ns[i] = color.Color(1 + src.Intn(4)) // at most 4 distinct: always fits
 		}
 		cur := color.Color(1 + src.Intn(5))
-		if got, want := gen.NextFromCounts(cur, CountsOf(ns)), gen.Next(cur, ns); got != want {
+		if got, want := gen.NextFromCounts(cur, countsOf(ns)), gen.Next(cur, ns); got != want {
 			t.Fatalf("NextFromCounts(%d, %v) = %v, Next = %v", cur, ns, got, want)
 		}
 	}
@@ -129,7 +129,7 @@ func TestCountsAddOK(t *testing.T) {
 }
 
 func TestCountsTotal(t *testing.T) {
-	cs := CountsOf([]color.Color{1, 1, 2, 3})
+	cs := countsOf([]color.Color{1, 1, 2, 3})
 	if cs.Total() != 4 {
 		t.Fatalf("Total = %d, want 4", cs.Total())
 	}

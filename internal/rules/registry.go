@@ -50,13 +50,6 @@ func ByName(name string) (Rule, error) {
 	return factory(), nil
 }
 
-// Names lists the canonical rule names shipped with the repository, in the
-// order they appear in the paper's experiments.  RegisteredNames lists
-// everything, including aliases and externally registered rules.
-func Names() []string {
-	return []string{"smp", "generalized-smp", "simple-majority-pb", "simple-majority-pc", "strong-majority", "increment", "irreversible-smp"}
-}
-
 // RegisteredNames returns every name ByName accepts, sorted, including
 // aliases and rules registered by external callers.
 func RegisteredNames() []string {

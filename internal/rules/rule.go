@@ -90,6 +90,3 @@ func (cs *counts) of(c color.Color) int {
 	}
 	return 0
 }
-
-// distinct returns the number of distinct colors present.
-func (cs *counts) distinct() int { return cs.n }

@@ -127,18 +127,6 @@ func TestSMPMatchesLiteralDefinition(t *testing.T) {
 	}
 }
 
-func TestRecolorsTo(t *testing.T) {
-	if c, ok := RecolorsTo(5, nb(2, 2, 3, 4)); !ok || c != 2 {
-		t.Errorf("RecolorsTo = %v,%v", c, ok)
-	}
-	if _, ok := RecolorsTo(5, nb(2, 2, 3, 3)); ok {
-		t.Error("2-2 tie should not recolor")
-	}
-	if _, ok := RecolorsTo(2, nb(2, 2, 3, 4)); ok {
-		t.Error("recoloring to the current color should not count as a change")
-	}
-}
-
 func TestSimpleMajorityPB(t *testing.T) {
 	rule := SimpleMajorityPB{Black: 2}
 	cases := []struct {
@@ -325,7 +313,7 @@ func TestIrreversibleSMPDominatedBySMPTrajectory(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range RegisteredNames() {
 		r, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -370,8 +358,8 @@ func TestTallyHandlesManyColors(t *testing.T) {
 		ns[i] = color.Color(i + 1)
 	}
 	cs := tally(ns)
-	if cs.distinct() != 8 {
-		t.Errorf("tally capped at %d distinct colors", cs.distinct())
+	if cs.n != 8 {
+		t.Errorf("tally capped at %d distinct colors", cs.n)
 	}
 	if got := (SMP{}).Next(1, ns); got != 1 {
 		t.Errorf("SMP on 12 distinct colors should keep current, got %v", got)

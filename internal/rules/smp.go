@@ -41,11 +41,3 @@ func (SMP) Next(current color.Color, neighbors []color.Color) color.Color {
 		return current
 	}
 }
-
-// RecolorsTo reports whether the SMP rule would recolor a vertex with the
-// given neighborhood, and to which color.  It is a convenience for the
-// structural analysis in internal/blocks and internal/dynamo.
-func RecolorsTo(current color.Color, neighbors []color.Color) (color.Color, bool) {
-	next := SMP{}.Next(current, neighbors)
-	return next, next != current
-}

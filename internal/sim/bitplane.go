@@ -41,7 +41,7 @@ var ErrBitplaneIneligible = errors.New("sim: combination does not qualify for th
 //
 // Like Frontier, a Bitplane is single-goroutine state (the engine stripes
 // kernel words across the worker pool internally on parallel runs); all
-// buffers are allocated at construction and recycled by Reset, so
+// buffers are allocated at construction and recycled by resetWith, so
 // steady-state Step calls perform zero heap allocations.
 type Bitplane struct {
 	e    *Engine
@@ -162,25 +162,10 @@ func (e *Engine) newBitplaneBuffers() *Bitplane {
 	return bp
 }
 
-// Reset rewinds the stepper to round 0 on a new initial configuration,
-// reusing every buffer.  The palette size (and hence the plane count and
-// kernel) is re-derived from the configuration; the argument is copied, not
-// retained.  It returns an error wrapping ErrBitplaneIneligible when the new
-// configuration does not qualify.
-func (bp *Bitplane) Reset(initial *color.Coloring) error {
-	if initial.Dims() != bp.e.sub.Dims() {
-		panic(fmt.Sprintf("sim: Bitplane.Reset dimension mismatch %v vs %v", initial.Dims(), bp.e.sub.Dims()))
-	}
-	k, plan, kern, err := bp.e.bitplaneCheck(initial, 0)
-	if err != nil {
-		return err
-	}
-	return bp.resetWith(initial, k, plan, kern)
-}
-
-// resetWith is Reset with the eligibility products already derived, so the
-// run drivers — which checked eligibility to pick the tier — do not rescan
-// the configuration.
+// resetWith rewinds the stepper to round 0 on a new initial configuration,
+// reusing every buffer, with the eligibility products already derived: the
+// run drivers checked eligibility to pick the tier, so the configuration is
+// not rescanned.  The argument is copied, not retained.
 func (bp *Bitplane) resetWith(initial *color.Coloring, k int, plan *grid.ShiftPlan, kern rules.BitKernel) error {
 	bp.k, bp.plan, bp.kern = k, plan, kern
 	bp.planes, _ = color.PlanesFor(k)
@@ -196,18 +181,8 @@ func (bp *Bitplane) resetWith(initial *color.Coloring, k int, plan *grid.ShiftPl
 	return nil
 }
 
-// Round returns the number of rounds stepped since the last Reset.
-func (bp *Bitplane) Round() int { return bp.round }
-
-// Planes returns the number of live bit planes (1 for k ≤ 2, 2 for k ≤ 4).
-func (bp *Bitplane) Planes() int { return bp.planes }
-
-// Colors returns the palette size in force, re-derived from the initial
-// configuration at the last Reset.
-func (bp *Bitplane) Colors() int { return bp.k }
-
 // DetectCycles enables or disables period-2 cycle tracking.  It is off
-// after Reset because it costs one plane copy and compare per Step; the
+// after a reset because it costs one plane copy and compare per Step; the
 // engine switches it on for runs with Options.DetectCycles.
 func (bp *Bitplane) DetectCycles(on bool) {
 	bp.detectCycles = on
@@ -380,7 +355,7 @@ func (bp *Bitplane) Unpack(dst *color.Coloring) {
 }
 
 // Config returns the current configuration, unpacked lazily into an internal
-// buffer: valid until the next Step or Reset, and must not be mutated.
+// buffer: valid until the next Step or reset, and must not be mutated.
 func (bp *Bitplane) Config() *color.Coloring {
 	if bp.cfgRound != bp.round {
 		bp.Unpack(bp.cfg)

@@ -150,8 +150,8 @@ func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
 	}
 	f := newFrontier(eng)
 	f.seedFromBitplane(bp)
-	if f.Round() != 1 {
-		t.Fatalf("seeded frontier at round %d, want 1", f.Round())
+	if f.round != 1 {
+		t.Fatalf("seeded frontier at round %d, want 1", f.round)
 	}
 	if changed := f.Step(); changed == 0 {
 		t.Fatal("oscillator died on the frontier")
@@ -163,7 +163,7 @@ func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
 	cur, next := initial.Clone(), initial.Clone()
 	eng.Step(cur, next)
 	eng.Step(next, cur)
-	if !f.Config().Equal(cur) {
+	if !f.cfg.Equal(cur) {
 		t.Fatal("handoff diverged from the sweep trajectory")
 	}
 }
@@ -209,8 +209,8 @@ func TestBitplaneStepMatchesEngineStepRoundByRound(t *testing.T) {
 			}
 			cur, next = next, cur
 		}
-		if bp.Round() != 25 {
-			t.Fatalf("round counter = %d, want 25", bp.Round())
+		if bp.round != 25 {
+			t.Fatalf("round counter = %d, want 25", bp.round)
 		}
 	}
 }
@@ -479,7 +479,8 @@ func TestBitplaneNoisyStepDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { bp.Step() }); allocs != 0 {
 		t.Fatalf("noisy bitplane step allocates %.1f objects per op, want 0", allocs)
 	}
-	st := eng.getState(true)
+	st := eng.getState()
+	defer eng.putState(st)
 	bp.stepStriped(st, 2)
 	if allocs := testing.AllocsPerRun(100, func() { bp.stepStriped(st, 2) }); allocs != 0 {
 		t.Fatalf("striped noisy bitplane step allocates %.1f objects per op, want 0", allocs)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/color"
 	"repro/internal/grid"
@@ -76,15 +75,6 @@ type Bitslice struct {
 // targetEnc sentinel: no target tracking configured.
 const trackOff = -2
 
-// bitsliceBatches counts completed RunBatchSliced calls, so tests can
-// assert the transparent fast path actually engaged rather than silently
-// falling back.
-var bitsliceBatches atomic.Int64
-
-// BitsliceBatches returns the process-wide number of batches the bit-sliced
-// tier has completed (a test instrumentation counter).
-func BitsliceBatches() int64 { return bitsliceBatches.Load() }
-
 // batchSliceable decides whether a batch may run on the bit-sliced tier
 // under the given options.  Cell-level eligibility (colors ⊆ {1, 2}) is
 // decided later, by the pack.
@@ -141,21 +131,16 @@ func (e *Engine) newBitslice() *Bitslice {
 	return bs
 }
 
-// getSlice returns a pooled (or, under fresh, a private) stepper.
-func (e *Engine) getSlice(fresh bool) *Bitslice {
-	if !fresh {
-		if v := e.slicePool.Get(); v != nil {
-			return v.(*Bitslice)
-		}
+// getSlice returns a pooled stepper.
+func (e *Engine) getSlice() *Bitslice {
+	if v := e.slicePool.Get(); v != nil {
+		return v.(*Bitslice)
 	}
 	return e.newBitslice()
 }
 
-// putSlice returns a stepper to the pool (dropped under fresh).
-func (e *Engine) putSlice(bs *Bitslice, fresh bool) {
-	if fresh {
-		return
-	}
+// putSlice returns a stepper to the pool.
+func (e *Engine) putSlice(bs *Bitslice) {
 	for r := range bs.first {
 		bs.first[r] = nil // don't pin result slices between batches
 	}
@@ -193,35 +178,9 @@ func (bs *Bitslice) reset(initials []*color.Coloring) error {
 	return nil
 }
 
-// NewBitslice returns an ensemble stepper over the engine's substrate and
-// rule, one lane per initial coloring, or an error (wrapping
-// ErrBitsliceIneligible) describing why the batch has no exact bit-sliced
-// form.  It is the entry point for benchmarks and callers driving rounds by
-// hand; RunBatchSliced uses a pooled stepper internally.
-func (e *Engine) NewBitslice(initials []*color.Coloring) (*Bitslice, error) {
-	if err := e.batchSliceable(initials, Options{}); err != nil {
-		return nil, err
-	}
-	bs := e.newBitslice()
-	if err := bs.reset(initials); err != nil {
-		return nil, err
-	}
-	return bs, nil
-}
-
-// Lanes returns the ensemble width (the number of packed replicas).
-func (bs *Bitslice) Lanes() int { return bs.lanes }
-
-// Round returns the number of rounds stepped so far.
-func (bs *Bitslice) Round() int { return bs.round }
-
 // Freeze removes the masked lanes from the update: their bits keep their
 // current state through every later Step while the remaining lanes run.
 func (bs *Bitslice) Freeze(mask uint64) { bs.active &^= mask }
-
-// DetectCycles enables the two-rounds-ago comparison behind Cycle.  Call it
-// before the first Step.
-func (bs *Bitslice) DetectCycles(on bool) { bs.detectCycles = on }
 
 // Monochromatic reports whether lane r's configuration was monochromatic
 // after the last Step.
@@ -387,12 +346,12 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 	if err := e.batchSliceable(initials, opt); err != nil {
 		return nil, err
 	}
-	bs := e.getSlice(opt.FreshBuffers)
+	bs := e.getSlice()
 	if err := bs.reset(initials); err != nil {
-		e.putSlice(bs, opt.FreshBuffers)
+		e.putSlice(bs)
 		return nil, err
 	}
-	defer e.putSlice(bs, opt.FreshBuffers)
+	defer e.putSlice(bs)
 
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
@@ -459,7 +418,6 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 		}
 		bs.Freeze(freeze)
 		if bs.active == 0 {
-			bitsliceBatches.Add(1)
 			return results, nil
 		}
 	}

@@ -291,13 +291,13 @@ func TestBitsliceStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(topo, rule)
-	bs, err := eng.NewBitslice(ensembleLanes(topo.Dims(), 64))
-	if err != nil {
+	bs := eng.newBitslice()
+	if err := bs.reset(ensembleLanes(topo.Dims(), 64)); err != nil {
 		t.Fatal(err)
 	}
-	bs.DetectCycles(true)
+	bs.detectCycles = true
 	bs.setTarget(1)
-	for r := 0; r < bs.Lanes(); r++ {
+	for r := 0; r < bs.lanes; r++ {
 		bs.first[r] = make([]int, topo.Dims().N())
 	}
 	if allocs := testing.AllocsPerRun(50, bs.Step); allocs != 0 {

@@ -214,12 +214,6 @@ type Options struct {
 	// knob exists for differential tests and for measuring the frontier's
 	// speedup.  It is ignored on the parallel path, which always sweeps.
 	FullSweep bool
-	// FreshBuffers makes the run allocate its own working buffers instead of
-	// borrowing from the engine's per-run buffer pool.  The pool is the
-	// reason steady-state stepping allocates nothing across Session batch
-	// runs; opting out exists for callers that hold many runs open at once
-	// and would rather not grow the pool.
-	FreshBuffers bool
 	// Kernel selects the stepping tier explicitly; the KernelAuto zero value
 	// keeps the automatic selection described on the constants.  A forced
 	// tier overrides Parallel and FullSweep (KernelParallel still honors
@@ -272,8 +266,8 @@ type Options struct {
 	// RecordHistory keeps a copy of the configuration after every round.
 	RecordHistory bool
 	// Observers are notified after every round (OnRound) and when the run
-	// stops on its own (OnFinish).  They replace the former Listener
-	// callback; see the Observer documentation for the exact contract.
+	// stops on its own (OnFinish); see the Observer documentation for the
+	// exact contract.
 	Observers []Observer
 }
 
@@ -365,20 +359,6 @@ type Result struct {
 	// a finished or aborted result.  Not serialized: the public checkpoint
 	// format lives in the dynmon package.
 	prev *color.Coloring
-}
-
-// ReachedAll reports whether every vertex reached the target color at some
-// round.
-func (r *Result) ReachedAll() bool {
-	if r.FirstReached == nil {
-		return false
-	}
-	for _, t := range r.FirstReached {
-		if t < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // TimesMatrix lays the FirstReached trace out as a row-major matrix, the
@@ -514,19 +494,11 @@ func EngineOn(sub Substrate, rule rules.Rule) *Engine {
 // Substrate returns the seam the engine was built over.
 func (e *Engine) Substrate() Substrate { return e.sub }
 
-// Topology returns the engine's torus topology, or nil when the engine runs
-// over a non-torus substrate.
-func (e *Engine) Topology() grid.Topology { return e.topo }
-
-// Rule returns the engine's rule.
-func (e *Engine) Rule() rules.Rule { return e.rule }
-
 // runState is the recycled working set of one run: the sweep path's double
 // buffers and driver, the parallel stripe tasks with their WaitGroup and,
 // lazily, the period-2 comparison buffer and the tier steppers (frontier,
 // bitplane) — lazy because a run uses exactly one tier and the others' O(n)
-// bookkeeping would be allocated for nothing, which FreshBuffers callers
-// would pay on every run.
+// bookkeeping would be allocated for nothing.
 type runState struct {
 	f *Frontier
 	// cur and next are the sweep tier's double buffers, allocated lazily by
@@ -576,22 +548,16 @@ func (st *runState) stripes(n int) []stripeTask {
 	return st.stripeBuf[:n]
 }
 
-func (e *Engine) getState(fresh bool) *runState {
-	if !fresh {
-		if v := e.pool.Get(); v != nil {
-			return v.(*runState)
-		}
+func (e *Engine) getState() *runState {
+	if v := e.pool.Get(); v != nil {
+		return v.(*runState)
 	}
 	return &runState{
 		scratch: make([]color.Color, 0, e.maxDeg),
 	}
 }
 
-func (e *Engine) putState(st *runState, fresh bool) {
-	if !fresh {
-		e.pool.Put(st)
-	}
-}
+func (e *Engine) putState(st *runState) { e.pool.Put(st) }
 
 // stepRange applies one synchronous round to vertices [lo, hi) reading from
 // cur and writing to next, and returns how many of them changed.  scratch
@@ -726,8 +692,8 @@ func (e *Engine) Step(cur, next *color.Coloring) int {
 	if e.deg4 {
 		return e.stepRange4(cur.Cells(), next.Cells(), 0, cur.N())
 	}
-	st := e.getState(false)
-	defer e.putState(st, false)
+	st := e.getState()
+	defer e.putState(st)
 	return e.stepRangeGeneric(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
 }
 

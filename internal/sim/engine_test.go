@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,7 @@ func TestRunCrossDynamoMesh(t *testing.T) {
 	if !res.MonotoneTarget {
 		t.Error("cross dynamo should be monotone")
 	}
-	if !res.ReachedAll() {
+	if len(res.FirstReached) != topo.Dims().N() || slices.Min(res.FirstReached) < 0 {
 		t.Error("every vertex should reach the target")
 	}
 	// Figure 5 / Theorem 7: on a 5x5 mesh the cross dynamo completes in 3 rounds.
@@ -145,8 +146,10 @@ func TestRunRecordsHistoryAndChanges(t *testing.T) {
 	// The k-set must grow monotonically through the history.
 	prev := crossColoring(5, 5, 1)
 	for i, h := range res.History {
-		if !prev.IsSubsetOf(h, 1) {
-			t.Fatalf("k-set shrank at round %d", i+1)
+		for v := 0; v < h.N(); v++ {
+			if prev.At(v) == 1 && h.At(v) != 1 {
+				t.Fatalf("k-set shrank at round %d", i+1)
+			}
 		}
 		prev = h
 	}
@@ -298,9 +301,6 @@ func TestRunWithoutTargetHasNoTrace(t *testing.T) {
 	if res.MonotoneTarget {
 		t.Error("MonotoneTarget should be false without a target")
 	}
-	if res.ReachedAll() {
-		t.Error("ReachedAll should be false without a target")
-	}
 	m := res.TimesMatrix(topo.Dims())
 	if m[2][2] != -1 {
 		t.Error("TimesMatrix without target should be -1 everywhere")
@@ -353,17 +353,6 @@ func TestDefaultMaxRoundsScalesWithSize(t *testing.T) {
 	big := DefaultMaxRounds(grid.MustDims(30, 30))
 	if small <= 0 || big <= small {
 		t.Errorf("DefaultMaxRounds not increasing: %d %d", small, big)
-	}
-}
-
-func TestEngineAccessors(t *testing.T) {
-	topo := grid.MustNew(grid.KindTorusCordalis, 4, 6)
-	eng := NewEngine(topo, rules.SMP{})
-	if eng.Topology().Kind() != grid.KindTorusCordalis {
-		t.Error("Topology accessor wrong")
-	}
-	if eng.Rule().Name() != "smp" {
-		t.Error("Rule accessor wrong")
 	}
 }
 

@@ -168,22 +168,6 @@ func (f *Frontier) histDec(c color.Color) {
 	}
 }
 
-// Config returns the current configuration.  It is the frontier's working
-// buffer: valid until the next Step or Reset, and must not be mutated.
-func (f *Frontier) Config() *color.Coloring { return f.cfg }
-
-// Round returns the number of rounds stepped since the last Reset.
-func (f *Frontier) Round() int { return f.round }
-
-// Size returns the number of vertices scheduled for evaluation in the next
-// round — the dirty frontier's width.  It is n right after Reset and shrinks
-// toward the active region as the dynamics localize.
-func (f *Frontier) Size() int { return len(f.queue) }
-
-// Changed returns the journal of the last Step: the vertices that changed
-// color, in evaluation order.  The slice is reused by the next Step.
-func (f *Frontier) Changed() []int32 { return f.chV }
-
 // Monochromatic reports whether the current configuration is monochromatic,
 // maintained incrementally from the change journal in O(changes) per round.
 func (f *Frontier) Monochromatic() bool { return f.nonzero == 1 }

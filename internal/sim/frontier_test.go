@@ -171,12 +171,12 @@ func TestFrontierSurvivesOscillation(t *testing.T) {
 	// round 1 only the 2 changed cells plus their read sets stay dirty.
 	f := eng.NewFrontier(initial)
 	f.Step()
-	if f.Size() == 0 || f.Size() > 20 {
-		t.Fatalf("frontier width %d after round 1, want small and non-zero", f.Size())
+	if w := len(f.queue); w == 0 || w > 20 {
+		t.Fatalf("frontier width %d after round 1, want small and non-zero", w)
 	}
 	for i := 0; i < 10; i++ {
 		if f.Step() == 0 {
-			t.Fatalf("manual frontier died at round %d", f.Round())
+			t.Fatalf("manual frontier died at round %d", f.round)
 		}
 	}
 	if !f.Cycle() {
@@ -266,19 +266,20 @@ func TestFrontierStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRunReusesPooledBuffers checks that repeated runs on one engine share
-// pooled working buffers: after a warm-up run, further runs allocate only
-// the Result bookkeeping, far below the lattice size, and FreshBuffers opts
-// out without changing results.
+// TestRunReusesPooledBuffers checks that a run on a warm engine, stepping on
+// the pooled working buffers an earlier run returned, matches the first run
+// of a newly built engine.
 func TestRunReusesPooledBuffers(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 48, 48)
 	eng := NewEngine(topo, rules.SMP{})
 	initial := crossColoring(48, 48, 1)
+	opt := Options{StopWhenMonochromatic: true}
 
-	pooled := eng.Run(initial, Options{StopWhenMonochromatic: true})
-	fresh := eng.Run(initial, Options{StopWhenMonochromatic: true, FreshBuffers: true})
-	if !pooled.Final.Equal(fresh.Final) || pooled.Rounds != fresh.Rounds {
-		t.Fatal("FreshBuffers changed the result")
+	eng.Run(initial, opt)
+	warm := eng.Run(initial, opt)
+	cold := NewEngine(topo, rules.SMP{}).Run(initial, opt)
+	if !warm.Final.Equal(cold.Final) || warm.Rounds != cold.Rounds {
+		t.Fatal("the warm engine's pooled run diverged from a new engine's first run")
 	}
 }
 

@@ -2,10 +2,9 @@ package sim
 
 import "repro/internal/color"
 
-// Observer receives the evolution of a run round by round.  It replaces the
-// former Options.Listener callback with an interface that can also observe
-// the end of the run, which is what the ready-made observers of the public
-// dynmon package (history recorder, animator, stats collector) need.
+// Observer receives the evolution of a run round by round, and its end,
+// which is what the ready-made observers of the public dynmon package
+// (history recorder, animator, stats collector) need.
 //
 // OnRound is invoked after every synchronous round with the 1-based round
 // number and the configuration reached at the end of that round.  The
@@ -24,8 +23,8 @@ type Observer interface {
 	OnFinish(r *Result)
 }
 
-// RoundFunc adapts a plain per-round callback (the shape of the former
-// Options.Listener) to the Observer interface; its OnFinish is a no-op.
+// RoundFunc adapts a plain per-round callback to the Observer interface; its
+// OnFinish is a no-op.
 type RoundFunc func(round int, c *color.Coloring)
 
 // OnRound invokes the function.

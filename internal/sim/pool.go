@@ -120,9 +120,8 @@ var (
 )
 
 // stripePool is the process-wide persistent worker pool behind every
-// parallel step.  It replaces the former goroutine-spawn-per-step: a fixed
-// set of GOMAXPROCS(0) workers is started on first parallel use and lives
-// for the life of the process, shared by all engines (engines have no Close,
+// parallel step: a fixed set of GOMAXPROCS(0) workers is started on first
+// parallel use and lives for the life of the process, shared by all engines (engines have no Close,
 // so per-engine goroutines would leak; one shared pool bounds the goroutine
 // count and keeps the workers' stacks warm).
 //

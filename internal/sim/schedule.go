@@ -36,10 +36,10 @@ const (
 	ScheduleUniformAsync
 	// ScheduleSequential visits every vertex once per round in raster order,
 	// committing each new color immediately so later vertices observe earlier
-	// updates — the fold-in of the former RunAsync(AsyncRaster) loop.
+	// updates.
 	ScheduleSequential
 	// ScheduleRandomSequential is ScheduleSequential with a fresh seeded
-	// permutation each round (the former RunAsync(AsyncRandom) loop).
+	// permutation each round.
 	ScheduleRandomSequential
 	// ScheduleVertexClock gives each vertex its own deterministic clock: a
 	// per-vertex period in {1..Period} and phase, both derived from Seed, and

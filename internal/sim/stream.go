@@ -87,8 +87,7 @@ type Resume struct {
 // drive: it advances rounds, exposes the post-round configuration and the
 // stop-detector verdicts, and snapshots resumable state.  The four
 // implementations (sweep, in-place sequential, frontier, bitplane) carry
-// exactly the per-tier bookkeeping their former standalone run loops
-// carried.
+// the per-tier bookkeeping.
 type runDriver interface {
 	// stepRound applies round `round`, updating the result's target trace,
 	// and returns the number of vertices that changed color.
@@ -345,8 +344,8 @@ func (e *Engine) StepParallel(cur, next *color.Coloring, workers int) int {
 	if workers <= 0 {
 		workers = 1
 	}
-	st := e.getState(false)
-	defer e.putState(st, false)
+	st := e.getState()
+	defer e.putState(st)
 	d := &st.sweep
 	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next}
 	changed, _ := d.step()
@@ -641,8 +640,8 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 			}
 		}
 
-		st := e.getState(opt.FreshBuffers)
-		defer e.putState(st, opt.FreshBuffers)
+		st := e.getState()
+		defer e.putState(st)
 		// needScalar marks runs the bitplane tier is never auto-selected for:
 		// observers and history would force an unpack per round, erasing its
 		// advantage; FullSweep keeps its contract as the oracle stepper; and

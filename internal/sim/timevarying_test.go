@@ -297,8 +297,8 @@ func TestTimeVaryingStepDoesNotAllocate(t *testing.T) {
 	// Convert to the interface once, as Options.TimeVarying does; converting
 	// a 16-byte struct per call would itself allocate.
 	var churn Availability = tvg.Bernoulli{P: 0.8, Seed: 2}
-	st := eng.getState(false)
-	defer eng.putState(st, false)
+	st := eng.getState()
+	defer eng.putState(st)
 	cur := initial.Clone()
 	next := initial.Clone()
 	round := 0

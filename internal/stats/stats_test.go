@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,111 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almost(got, 4) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := Std(xs); !almost(got, 2) {
-		t.Errorf("Std = %v, want 2", got)
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 || !almost(Sum(xs), 11) {
-		t.Errorf("Min/Max/Sum wrong: %v %v %v", Min(xs), Max(xs), Sum(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 || Sum(nil) != 0 {
-		t.Error("empty-slice extrema should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almost(got, c.want) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile of empty slice should be 0")
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.5); !almost(got, 5) {
-		t.Errorf("interpolated median = %v, want 5", got)
-	}
-}
-
-func TestMedianUnsortedInput(t *testing.T) {
-	if got := Median([]float64{9, 1, 5}); !almost(got, 5) {
-		t.Errorf("Median = %v, want 5", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Min, 1) || !almost(s.Max, 3) || !almost(s.Median, 2) {
-		t.Errorf("unexpected summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String should not be empty")
-	}
-}
-
-func TestInts(t *testing.T) {
-	fs := Ints([]int{1, 2, 3})
-	if len(fs) != 3 || fs[0] != 1 || fs[2] != 3 {
-		t.Errorf("Ints conversion wrong: %v", fs)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, width := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 {
-		t.Fatalf("expected 5 bins, got %d", len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	if width <= 0 {
-		t.Errorf("width = %v, want > 0", width)
-	}
-	// Constant sample.
-	counts, width = Histogram([]float64{2, 2, 2}, 4)
-	if counts[0] != 3 || width != 0 {
-		t.Errorf("constant-sample histogram wrong: %v width %v", counts, width)
-	}
-	if c, _ := Histogram(nil, 3); c != nil {
-		t.Error("empty histogram should be nil")
-	}
-	if c, _ := Histogram([]float64{1}, 0); c != nil {
-		t.Error("zero-bin histogram should be nil")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with non-positive value should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean of empty slice should be 0")
-	}
-}
-
 func TestMeanBetweenMinAndMaxProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := make([]float64, 0, len(xs))
@@ -142,30 +38,7 @@ func TestMeanBetweenMinAndMaxProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-6 && m <= Max(clean)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		qa := math.Mod(math.Abs(a), 1)
-		qb := math.Mod(math.Abs(b), 1)
-		if qa > qb {
-			qa, qb = qb, qa
-		}
-		return Quantile(xs, qa) <= Quantile(xs, qb)+1e-9
+		return m >= slices.Min(clean)-1e-6 && m <= slices.Max(clean)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

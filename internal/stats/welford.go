@@ -23,14 +23,11 @@ func (w *Welford) Add(x float64) {
 	w.m2 += float64(d * (x - w.mean))
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean, or 0 for an empty accumulator.
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Variance returns the running population variance (dividing by n, matching
-// the batch Variance helper), or 0 with fewer than two observations.
+// Variance returns the running population variance (dividing by n), or 0
+// with fewer than two observations.
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
 		return 0
@@ -38,35 +35,8 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1), or
-// 0 with fewer than two observations.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Std returns the running population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge folds another accumulator into this one (Chan, Golub, LeVeque
-// pairwise combination), as if every observation of o had been Added here.
-// It lets per-worker accumulators combine into one without re-streaming.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
 
 // Wilson returns the Wilson score interval for a binomial proportion: the
 // confidence interval for the success probability after observing k

@@ -8,10 +8,9 @@
 // sim.Options.TimeVarying set masks link availability per round, so a
 // vertex only observes the neighbors whose links are currently up and the
 // SMP condition is evaluated on that reduced multiset.  The execution
-// itself lives in the simulation engine (the former package-local run loop
-// was deleted in its favor), which forces full-sweep semantics — the dirty
-// frontier is unsound under link churn — and works over every substrate,
-// torus or general graph.  The public entry point is the dynmon package's
+// itself lives in the simulation engine, which forces full-sweep semantics
+// — the dirty frontier is unsound under link churn — and works over every
+// substrate, torus or general graph.  The public entry point is the dynmon package's
 // TimeVarying run option.
 package tvg
 

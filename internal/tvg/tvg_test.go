@@ -145,8 +145,9 @@ func TestChurnOutcomeIsMonochromaticOrBlocked(t *testing.T) {
 			continue
 		}
 		blocked := false
-		for _, other := range c.Palette.Colors() {
-			if other != 1 && blocks.HasKBlock(c.Topology, tv.Final, other) {
+		for other := color.Color(2); int(other) <= c.Palette.K; other++ {
+			// A color class holds a block exactly when it has a cycle.
+			if !blocks.IsForest(c.Topology, tv.Final, other) {
 				blocked = true
 				break
 			}
@@ -235,8 +236,8 @@ func TestNodeChurnOutcome(t *testing.T) {
 			continue
 		}
 		blocked := false
-		for _, other := range c.Palette.Colors() {
-			if other != 1 && blocks.HasKBlock(c.Topology, res.Final, other) {
+		for other := color.Color(2); int(other) <= c.Palette.K; other++ {
+			if !blocks.IsForest(c.Topology, res.Final, other) {
 				blocked = true
 				break
 			}
