@@ -98,12 +98,13 @@ func BenchmarkEngineStepSequential(b *testing.B) {
 // the 4-worker 4096x4096 step to beat the 1-worker step by at least 2x
 // within the same run.  Steady-state striped stepping is allocation-free
 // (pinned by TestParallelStepDoesNotAllocate and by the CI zero-alloc gate
-// on this benchmark): the warm-up step below moves the one-time pool misses
-// out of the timed window, and the explicit GC keeps a collection triggered
-// by setup debt from evicting the engine's state pool mid-measurement.  The
-// second warm-up step re-primes the pool after that GC, which empties its
-// per-P slots: on the large tori a run can time a single step, so the slots'
-// reallocation would otherwise show as bytes per step.
+// on this benchmark): the warm-up step below moves the one-time allocation
+// of the engine's run state out of the timed window, and the explicit GC
+// keeps a collection triggered by setup debt out of it too.  The second
+// warm-up step refills the runtime's central cache of wait records, which
+// that GC empties: the first WaitGroup wait after it allocates a 96-byte
+// record, and on the large tori a run can time a single step, so it would
+// otherwise show as bytes per step.
 func BenchmarkEngineStepParallel(b *testing.B) {
 	for _, c := range []struct {
 		size    int
@@ -506,9 +507,10 @@ func BenchmarkTimeVaryingRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := sim.NewEngine(cons.Topology, rules.SMP{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Run(cons.Topology, rules.SMP{}, cons.Coloring, sim.Options{
+		eng.Run(cons.Coloring, sim.Options{
 			TimeVarying:           tvg.Bernoulli{P: 0.95, Seed: uint64(i)},
 			MaxRounds:             2000,
 			StopWhenMonochromatic: true,
@@ -525,10 +527,13 @@ func BenchmarkTimeVaryingRun(b *testing.B) {
 // The CI gate pairs sliced-256x256 against scalar-sweep-256x256 — the
 // per-run loop the batch tier replaces — and requires the sliced batch to
 // be at least 8x faster within the same run (in practice ~40x).  The
-// scalar-auto variants run each replica on its own best scalar tier
-// (bitplane on the torus, frontier on the graph) and are informational:
-// they show the slicing win that remains after per-run word-parallelism
-// (~2x on the torus, ~5x on the graph).  The fallback-ba10k pair documents
+// scalar-auto variants run each replica on its auto-selected tier and are
+// informational.  On the graph that is the frontier, and slicing wins
+// ~6-8x.  On the torus it is the bitplane tier, which downshifts to the
+// frontier mid-run, and the downshift, not slicing, makes up the gap: on a
+// 2-core Intel Xeon (GOMAXPROCS 2, Go 1.24.0) scalar-auto-256x256 took
+// 392-488 ms, 141-155 ms with the downshift disabled, and sliced-256x256
+// 149-175 ms (3 runs each).  The fallback-ba10k pair documents
 // the ineligible path: a Barabási–Albert substrate under generalized-smp
 // is not bit-sliceable, so Session.RunBatch falls back to the per-run
 // scalar loop and must stay at parity with calling Run directly.

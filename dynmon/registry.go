@@ -23,7 +23,10 @@ func RuleNames() []string { return rules.RegisteredNames() }
 
 // RegisterTopology makes a topology resolvable through WithTopology under
 // the given name.  The factory receives the requested dimensions and may
-// reject them.  Registering a duplicate name panics.
+// reject them.  The topologies it returns must have a symmetric neighbor
+// relation (u neighbors v exactly when v neighbors u); building a system
+// over one that does not panics, naming the topology.  Registering a
+// duplicate name panics.
 func RegisterTopology(name string, factory func(rows, cols int) (Topology, error)) {
 	grid.Register(name, grid.Factory(factory))
 }

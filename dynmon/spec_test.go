@@ -446,10 +446,10 @@ func TestFileSpecRejectsOversizedCellColor(t *testing.T) {
 	}
 }
 
-// TestParseCheckpointRejectsOversizedCellColor: a checkpoint whose config
-// carries a cell color beyond the cap fails to parse with
-// color.ErrCellColorTooLarge instead of resuming into an out-of-memory.
-func TestParseCheckpointRejectsOversizedCellColor(t *testing.T) {
+// firstCheckpoint returns the checkpoint after round 1 of a random 4x4
+// mesh run.
+func firstCheckpoint(t *testing.T) *Checkpoint {
+	t.Helper()
 	sys, err := New(Mesh(4, 4), Colors(2))
 	if err != nil {
 		t.Fatal(err)
@@ -465,6 +465,14 @@ func TestParseCheckpointRejectsOversizedCellColor(t *testing.T) {
 		}
 		break
 	}
+	return cp
+}
+
+// TestParseCheckpointRejectsOversizedCellColor: a checkpoint whose config
+// carries a cell color beyond the cap fails to parse with
+// color.ErrCellColorTooLarge instead of resuming into an out-of-memory.
+func TestParseCheckpointRejectsOversizedCellColor(t *testing.T) {
+	cp := firstCheckpoint(t)
 	cp.Config.Set(5, 1000000000)
 	body, err := json.Marshal(cp)
 	if err != nil {
@@ -472,5 +480,27 @@ func TestParseCheckpointRejectsOversizedCellColor(t *testing.T) {
 	}
 	if _, err := ParseCheckpoint(body); !errors.Is(err, color.ErrCellColorTooLarge) {
 		t.Fatalf("ParseCheckpoint err = %v, want color.ErrCellColorTooLarge", err)
+	}
+}
+
+// TestParseCheckpointRejectsOverflowingDims: a checkpoint config whose
+// rows·cols wraps to its cell count in 64-bit arithmetic fails to parse
+// instead of decoding with dimensions no lattice has.
+func TestParseCheckpointRejectsOverflowingDims(t *testing.T) {
+	body, err := json.Marshal(firstCheckpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["config"] = json.RawMessage(`{"rows":4611686018427387905,"cols":4,"cells":[1,1,1,1]}`)
+	delete(doc, "prev")
+	if body, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := ParseCheckpoint(body); err == nil {
+		t.Fatalf("ParseCheckpoint accepted a %v config", cp.Config.Dims())
 	}
 }

@@ -2,6 +2,8 @@ package dynserve
 
 import (
 	"fmt"
+	"net/http"
+	"runtime"
 	"testing"
 )
 
@@ -56,5 +58,38 @@ func TestLRUCacheMinimumBound(t *testing.T) {
 	}
 	if _, ok := c.Get("b"); !ok {
 		t.Fatal("newest entry missing")
+	}
+}
+
+// TestSystemCacheBoundsHeap pins that the system cache bounds the memory
+// of distinct lattices: each engine owns its adjacency index, so evicting
+// a system releases it.  Forty buffered runs on distinct 384×(384+i)
+// meshes, a cache of four systems: the live heap must not grow with the
+// number of sizes seen (one index is ~2.4 MiB here).  Five colors keep the
+// runs off the bitplane tier, and one round keeps them cheap.
+func TestSystemCacheBoundsHeap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, SystemCacheEntries: 4, CacheEntries: 4})
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var base uint64
+	for i := 1; i <= 40; i++ {
+		spec := fmt.Sprintf(`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":384,"cols":%d}},"colors":5,"rule":"smp"},`+
+			`"initial":{"config":"random","seed":1},"run":{"max_rounds":1}}`, 384+i)
+		resp := postRun(t, ts.URL, []byte(spec), "application/json")
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d", i, resp.StatusCode)
+		}
+		if i == 10 {
+			base = heapInuse()
+		}
+	}
+	const limit = 64 << 20
+	if grown := int64(heapInuse()) - int64(base); grown >= limit {
+		t.Fatalf("HeapInuse grew by %d MiB between the 10th and 40th distinct lattice, want < %d MiB", grown>>20, limit>>20)
 	}
 }

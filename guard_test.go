@@ -34,24 +34,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		node ast.Node
 	}
 	var decls, candidates []decl
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkNonTestGo(t, token.NewFileSet(), func(path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		add := func(node ast.Node, name *ast.Ident, checked bool) {
 			d := decl{key: dir + "." + name.Name, name: name.Name, node: node}
@@ -77,11 +60,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// mentions maps each identifier to the declarations whose source
 	// mentions it; a declaration's own body counts for it, so recursion is
@@ -123,5 +102,62 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !unused[key] {
 			t.Errorf("allow-list entry %s is stale: it is gone or now used", key)
 		}
+	}
+}
+
+// TestNoPackageLevelSyncMap keeps per-substrate state with whoever holds
+// it: it fails on any package-level variable of a non-test file in the
+// root module (bench/ is a module of its own) whose declaration mentions
+// sync.Map.  That is the shape of a process-wide cache nothing evicts;
+// three such caches once kept the index, shift plan and engine of every
+// lattice ever run alive for the life of a server.
+func TestNoPackageLevelSyncMap(t *testing.T) {
+	fset := token.NewFileSet()
+	walkNonTestGo(t, fset, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "bench/") {
+			return
+		}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				ast.Inspect(gd, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Map" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+							t.Errorf("%s: package-level sync.Map; let the value that needs the cache own it", fset.Position(sel.Pos()))
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+}
+
+// walkNonTestGo parses every non-test .go file under the repository root,
+// hidden and testdata directories excluded, and hands each to fn with its
+// slash-separated path.
+func walkNonTestGo(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -78,11 +78,12 @@ func E01MeshBounds() *Table {
 		rec := RunPoint(Point{Kind: grid.KindToroidalMesh, M: m, N: n, Colors: 5})
 		src := rng.New(uint64(m*100 + n))
 		topo := grid.MustNew(grid.KindToroidalMesh, m, n)
+		eng := sim.NewEngine(topo, rules.SMP{})
 		wins, monotoneWins := 0, 0
 		const trials = 15
 		for i := 0; i < trials; i++ {
 			c := dynamo.RandomSeedColoring(topo, rec.LowerBound-1, 1, pal(5), func(b int) int { return src.Intn(b) })
-			v := dynamo.VerifyColoring(topo, c, 1)
+			v := dynamo.VerifyWith(eng, c, 1)
 			if v.IsDynamo {
 				wins++
 				if v.Monotone {
@@ -412,12 +413,13 @@ func E14TimeVarying() *Table {
 		t.Note = "construction failed: " + err.Error()
 		return t
 	}
+	eng := sim.NewEngine(c.Topology, rules.SMP{})
 	for _, p := range []float64{1.0, 0.99, 0.95, 0.9, 0.8, 0.6} {
 		const runs = 10
 		wins := 0
 		var winRounds []float64
 		for i := 0; i < runs; i++ {
-			res := sim.Run(c.Topology, rules.SMP{}, c.Coloring, sim.Options{
+			res := eng.Run(c.Coloring, sim.Options{
 				TimeVarying:           tvg.Bernoulli{P: p, Seed: uint64(100*i) + 11},
 				MaxRounds:             3000,
 				StopWhenMonochromatic: true,

@@ -13,7 +13,7 @@ import (
 // and ends at m·n.
 func GrowthCurve(topo grid.Topology, initial *color.Coloring, target color.Color) []int {
 	curve := []int{initial.Count(target)}
-	sim.Run(topo, rules.SMP{}, initial, sim.Options{
+	sim.NewEngine(topo, rules.SMP{}).Run(initial, sim.Options{
 		Target:                target,
 		StopWhenMonochromatic: true,
 		DetectCycles:          true,

@@ -12,7 +12,7 @@ import (
 // the paper's Figures 5 and 6: entry (i,j) is the round at which vertex
 // (i,j) first carries the target color, 0 for seed vertices, -1 if never).
 func TimingMatrix(topo grid.Topology, initial *color.Coloring, target color.Color) ([][]int, *sim.Result) {
-	res := sim.Run(topo, rules.SMP{}, initial, sim.Options{
+	res := sim.NewEngine(topo, rules.SMP{}).Run(initial, sim.Options{
 		Target:                target,
 		StopWhenMonochromatic: true,
 		DetectCycles:          true,

@@ -269,7 +269,7 @@ func TestBlockVerticesPersistUnderSMPDynamics(t *testing.T) {
 		src := rng.New(seed)
 		p := color.MustPalette(3)
 		c := color.RandomColoring(topo.Dims(), p, func() int { return src.Intn(p.K) })
-		res := sim.Run(topo, rules.SMP{}, c, sim.Options{MaxRounds: 200, DetectCycles: true})
+		res := sim.NewEngine(topo, rules.SMP{}).Run(c, sim.Options{MaxRounds: 200, DetectCycles: true})
 		for k := color.Color(1); int(k) <= p.K; k++ {
 			for _, block := range KBlocks(topo, c, k) {
 				for _, v := range block {
@@ -296,7 +296,7 @@ func TestNonKBlockVerticesNeverAcquireK(t *testing.T) {
 		src := rng.New(seed)
 		p := color.MustPalette(3)
 		c := color.RandomColoring(topo.Dims(), p, func() int { return src.Intn(p.K) })
-		res := sim.Run(topo, rules.SMP{}, c, sim.Options{MaxRounds: 200, DetectCycles: true})
+		res := sim.NewEngine(topo, rules.SMP{}).Run(c, sim.Options{MaxRounds: 200, DetectCycles: true})
 		for _, block := range NonKBlocks(topo, c, 1) {
 			for _, v := range block {
 				if res.Final.At(v) == 1 {

@@ -3,6 +3,7 @@ package color
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/grid"
 )
@@ -29,8 +30,9 @@ func (c *Coloring) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the format produced by MarshalJSON.  It accepts the
 // degenerate 1×n layout general-graph colorings carry; it rejects
-// dimension/cell-count mismatches, negative cells and cells above the color
-// cap (ErrCellColorTooLarge).
+// dimension/cell-count mismatches (rows·cols is computed without
+// overflow), negative cells and cells above the color cap
+// (ErrCellColorTooLarge).
 func (c *Coloring) UnmarshalJSON(b []byte) error {
 	var in coloringJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -39,8 +41,8 @@ func (c *Coloring) UnmarshalJSON(b []byte) error {
 	if in.Rows < 1 || in.Cols < 1 {
 		return fmt.Errorf("color: coloring dimensions %dx%d must be at least 1x1", in.Rows, in.Cols)
 	}
-	if in.Rows*in.Cols != len(in.Cells) {
-		return fmt.Errorf("color: coloring %dx%d wants %d cells, got %d", in.Rows, in.Cols, in.Rows*in.Cols, len(in.Cells))
+	if hi, lo := bits.Mul64(uint64(in.Rows), uint64(in.Cols)); hi != 0 || lo != uint64(len(in.Cells)) {
+		return fmt.Errorf("color: coloring %dx%d does not match its %d cells", in.Rows, in.Cols, len(in.Cells))
 	}
 	cells := make([]Color, len(in.Cells))
 	for i, v := range in.Cells {

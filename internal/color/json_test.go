@@ -47,13 +47,17 @@ func TestColoringJSONRoundTrip(t *testing.T) {
 }
 
 // TestColoringJSONRejectsMalformed pins strict decoding: dimension and cell
-// mismatches, negative cells and non-object documents all error.
+// mismatches (overflowing products included), negative cells and
+// non-object documents all error.
 func TestColoringJSONRejectsMalformed(t *testing.T) {
 	for label, doc := range map[string]string{
 		"cell count mismatch": `{"rows":2,"cols":2,"cells":[1,2,3]}`,
 		"zero rows":           `{"rows":0,"cols":2,"cells":[]}`,
 		"negative cell":       `{"rows":1,"cols":2,"cells":[1,-2]}`,
 		"not an object":       `[1,2,3]`,
+		// rows·cols wraps to the cell count in 64-bit arithmetic.
+		"overflow to four cells": `{"rows":4611686018427387905,"cols":4,"cells":[1,1,1,1]}`,
+		"overflow to no cells":   `{"rows":4611686018427387904,"cols":4,"cells":[]}`,
 	} {
 		var c Coloring
 		if err := json.Unmarshal([]byte(doc), &c); err == nil {

@@ -45,7 +45,7 @@ func TestFrozenTilingNeverRecolors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run(c.Topology, rules.SMP{}, c.Coloring, sim.Options{Target: 1, StopWhenMonochromatic: true})
+	res := sim.NewEngine(c.Topology, rules.SMP{}).Run(c.Coloring, sim.Options{Target: 1, StopWhenMonochromatic: true})
 	if res.Rounds != 1 || !res.FixedPoint {
 		t.Errorf("Figure-4 style configuration should freeze immediately, ran %d rounds", res.Rounds)
 	}

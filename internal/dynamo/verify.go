@@ -40,9 +40,16 @@ func VerifyColoring(topo grid.Topology, initial *color.Coloring, k color.Color) 
 }
 
 // VerifyUnderRule is VerifyColoring with an explicit rule, used by the
-// rule-comparison experiments.
+// rule-comparison experiments.  It builds an engine per call; loops over one
+// topology hold an engine and call VerifyWith.
 func VerifyUnderRule(topo grid.Topology, initial *color.Coloring, k color.Color, rule rules.Rule) Verification {
-	res := sim.Run(topo, rule, initial, sim.Options{
+	return VerifyWith(sim.NewEngine(topo, rule), initial, k)
+}
+
+// VerifyWith runs the engine's rule on an arbitrary coloring and reports
+// whether the k-colored set is a (monotone) dynamo.
+func VerifyWith(eng *sim.Engine, initial *color.Coloring, k color.Color) Verification {
+	res := eng.Run(initial, sim.Options{
 		Target:                k,
 		StopWhenMonochromatic: true,
 		DetectCycles:          true,

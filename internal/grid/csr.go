@@ -1,47 +1,35 @@
 package grid
 
-import (
-	"fmt"
-	"reflect"
-	"sync"
-)
+import "fmt"
 
 // CSR is a compressed sparse row adjacency index, the flat form the
 // simulation engine iterates over.  Two constructions exist: BuildCSR for
-// the Degree-regular torus topologies (see CSROf for the per-topology cache)
-// and BuildCSRAdj for arbitrary adjacency lists — the seam that lets one
-// engine run over any substrate, torus or not.
+// the Degree-regular torus topologies and BuildCSRAdj for arbitrary
+// adjacency lists — the seam that lets one engine run over any substrate,
+// torus or not.  Neither caches: an engine builds its index once and owns
+// it, so the index lives exactly as long as whoever holds the engine.
 //
-// The forward table lists the neighbors of vertex v in
-// Neighbors[Off[v]:Off[v+1]].  When the index is degree-regular
-// (Uniform() > 0) the slice is additionally dense — vertex v's neighbors
-// occupy Neighbors[Uniform()*v : Uniform()*(v+1)] — which is what the
-// engine's unrolled torus loops rely on.  The order of a torus row is the
-// up, down, left, right order Topology.Neighbors produces; a general row
-// preserves the adjacency-list order it was built from.
+// The table lists the neighbors of vertex v in Neighbors[Off[v]:Off[v+1]].
+// When the index is degree-regular (Uniform() > 0) the slice is
+// additionally dense — vertex v's neighbors occupy
+// Neighbors[Uniform()*v : Uniform()*(v+1)] — which is what the engine's
+// unrolled torus loops rely on.  The order of a torus row is the up, down,
+// left, right order Topology.Neighbors produces; a general row preserves
+// the adjacency-list order it was built from.
 //
-// The reverse index answers the frontier stepper's question — "when v
-// changes color, who has to be re-evaluated next round?" — as the vertices
-// u with v ∈ N(u): they occupy Rev[RevOff[v]:RevOff[v+1]].  On undirected
-// substrates the reverse lists coincide with the forward ones as sets, but
-// the index is built generically so externally registered, possibly
-// asymmetric topologies stay correct.  Reverse lists may contain duplicates
-// when a torus dimension equals 2 (the four neighbor ports collapse);
-// consumers must be idempotent under duplicate delivery, which the
-// frontier's epoch marks are.
+// The neighbor relation is symmetric (u is in v's row exactly when v is in
+// u's), so v's row also answers the frontier stepper's question "when v
+// changes color, who reads it next round?".  Rows may contain duplicates
+// when a torus dimension equals 2 (the four neighbor ports collapse).
 //
 // A CSR is immutable after construction and safe for concurrent use.
 type CSR struct {
 	dims Dims
-	// Neighbors is the forward table; vertex v's neighbors occupy
+	// Neighbors is the adjacency table; vertex v's neighbors occupy
 	// Neighbors[Off[v]:Off[v+1]].
 	Neighbors []int32
-	// Off frames each vertex's forward row, len n+1.
+	// Off frames each vertex's row, len n+1.
 	Off []int32
-	// RevOff and Rev form the reverse (influence) index: the vertices whose
-	// neighborhoods contain v are Rev[RevOff[v]:RevOff[v+1]].
-	RevOff []int32
-	Rev    []int32
 
 	uniform int
 	maxDeg  int
@@ -57,16 +45,18 @@ func (c *CSR) Dims() Dims { return c.dims }
 func (c *CSR) N() int { return len(c.Off) - 1 }
 
 // Uniform returns the common vertex degree when every vertex has exactly
-// the same number of forward neighbors, and 0 for irregular indexes.  A
-// positive Uniform licenses the engine's dense unrolled loops.
+// the same number of neighbors, and 0 for irregular indexes.  A positive
+// Uniform licenses the engine's dense unrolled loops.
 func (c *CSR) Uniform() int { return c.uniform }
 
-// MaxDegree returns the largest forward-neighbor count of any vertex (0 for
-// the empty index).  The engine sizes its per-run scratch buffers with it.
+// MaxDegree returns the largest neighbor count of any vertex (0 for the
+// empty index).  The engine sizes its per-run scratch buffers with it.
 func (c *CSR) MaxDegree() int { return c.maxDeg }
 
-// BuildCSR computes the CSR index of a torus topology from scratch.  Prefer
-// CSROf, which caches the result per topology value.
+// BuildCSR computes the CSR index of a torus topology.  It panics, naming
+// the topology, when the neighbor relation is not symmetric (Topology's
+// contract): some vertex lists a neighbor whose own row does not list it
+// back.
 func BuildCSR(t Topology) *CSR {
 	d := t.Dims()
 	n := d.N()
@@ -87,15 +77,24 @@ func BuildCSR(t Topology) *CSR {
 	if n == 0 {
 		c.maxDeg = 0
 	}
-	c.buildReverse()
+	fwd := c.Neighbors
+	for v := 0; v < n; v++ {
+		for _, u := range fwd[v*Degree : v*Degree+Degree] {
+			back := fwd[int(u)*Degree : int(u)*Degree+Degree]
+			if back[0] != int32(v) && back[1] != int32(v) && back[2] != int32(v) && back[3] != int32(v) {
+				panic(fmt.Sprintf("grid: topology %q (%v) is not symmetric: %d is a neighbor of %d, but not the other way round", t.Name(), d, u, v))
+			}
+		}
+	}
 	return c
 }
 
 // BuildCSRAdj computes the CSR index of an arbitrary adjacency-list graph:
-// adj[v] lists the (directed) neighbors vertex v reads each round.  It is
-// the general-graph entry into the engine; undirected graphs simply list
-// every edge in both rows.  The index gets the degenerate 1×n vertex layout
-// (see Dims).
+// adj[v] lists the neighbors vertex v reads each round.  The relation must
+// be symmetric, as on an undirected graph that lists every edge in both
+// rows; unlike BuildCSR it is not checked here, because its caller builds
+// undirected graphs by construction.  The index gets the degenerate 1×n
+// vertex layout (see Dims).
 func BuildCSRAdj(adj [][]int) *CSR {
 	n := len(adj)
 	total := 0
@@ -130,61 +129,5 @@ func BuildCSRAdj(adj [][]int) *CSR {
 	if uniform > 0 {
 		c.uniform = uniform
 	}
-	c.buildReverse()
 	return c
-}
-
-// buildReverse fills RevOff/Rev by a counting sort of the transposed
-// forward edge list.
-func (c *CSR) buildReverse() {
-	n := c.N()
-	c.RevOff = make([]int32, n+1)
-	c.Rev = make([]int32, len(c.Neighbors))
-	// First in-degrees...
-	for _, u := range c.Neighbors {
-		c.RevOff[u+1]++
-	}
-	for v := 0; v < n; v++ {
-		c.RevOff[v+1] += c.RevOff[v]
-	}
-	// ...then placement, using a moving cursor per target vertex.
-	cursor := make([]int32, n)
-	copy(cursor, c.RevOff[:n])
-	for v := 0; v < n; v++ {
-		for _, u := range c.Neighbors[c.Off[v]:c.Off[v+1]] {
-			c.Rev[cursor[u]] = int32(v)
-			cursor[u]++
-		}
-	}
-}
-
-// csrCache memoizes CSR indexes per Topology value.  The built-in tori are
-// tiny comparable structs, so topologies of equal kind and size share one
-// index no matter how many engines are built over them.
-var csrCache sync.Map // Topology -> *CSR
-
-// comparableTopology reports whether a topology value can be used as a map
-// key, the precondition of the per-topology caches (CSROf, ShiftPlanOf).
-func comparableTopology(t Topology) bool {
-	return reflect.TypeOf(t).Comparable()
-}
-
-// CSROf returns the (possibly cached) CSR index of a topology.  Topologies
-// whose dynamic type is not comparable cannot be used as cache keys and get
-// a fresh index per call.
-//
-// Cached indexes are retained for the life of the process (~32 bytes per
-// vertex per distinct topology value); long-running processes sweeping many
-// distinct sizes that must bound memory can call BuildCSR through their own
-// cache instead.
-func CSROf(t Topology) *CSR {
-	if !comparableTopology(t) {
-		return BuildCSR(t)
-	}
-	if cached, ok := csrCache.Load(t); ok {
-		return cached.(*CSR)
-	}
-	c := BuildCSR(t)
-	cached, _ := csrCache.LoadOrStore(t, c)
-	return cached.(*CSR)
 }

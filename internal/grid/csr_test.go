@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -31,62 +32,13 @@ func TestCSRMatchesTopologyNeighbors(t *testing.T) {
 	}
 }
 
-// TestCSRReverseIndex checks that the reverse index holds exactly the
-// transposed forward edges (with multiplicity) on every kind.
-func TestCSRReverseIndex(t *testing.T) {
-	for _, kind := range Kinds() {
-		for _, sz := range [][2]int{{2, 3}, {3, 4}, {5, 5}} {
-			topo := MustNew(kind, sz[0], sz[1])
-			csr := BuildCSR(topo)
-			n := topo.Dims().N()
-			if len(csr.Rev) != n*Degree || len(csr.RevOff) != n+1 {
-				t.Fatalf("%v %dx%d: reverse index sized %d/%d", kind, sz[0], sz[1], len(csr.Rev), len(csr.RevOff))
-			}
-			// Count forward edges v->u and check they all appear reversed.
-			fwd := map[[2]int]int{}
-			for v := 0; v < n; v++ {
-				for p := 0; p < Degree; p++ {
-					fwd[[2]int{v, int(csr.Neighbors[v*Degree+p])}]++
-				}
-			}
-			rev := map[[2]int]int{}
-			for u := 0; u < n; u++ {
-				for _, v := range csr.Rev[csr.RevOff[u]:csr.RevOff[u+1]] {
-					rev[[2]int{int(v), u}]++
-				}
-			}
-			if len(fwd) != len(rev) {
-				t.Fatalf("%v %dx%d: %d forward vs %d reverse edge keys", kind, sz[0], sz[1], len(fwd), len(rev))
-			}
-			for e, c := range fwd {
-				if rev[e] != c {
-					t.Fatalf("%v %dx%d: edge %v has multiplicity %d forward, %d reverse", kind, sz[0], sz[1], e, c, rev[e])
-				}
-			}
-		}
-	}
-}
-
-// TestCSROfCaches pins the per-topology memoization: two topology values of
-// equal kind and size share one index.
-func TestCSROfCaches(t *testing.T) {
-	a := CSROf(MustNew(KindTorusCordalis, 6, 4))
-	b := CSROf(MustNew(KindTorusCordalis, 6, 4))
-	if a != b {
-		t.Error("CSROf returned distinct indexes for equal topology values")
-	}
-	c := CSROf(MustNew(KindTorusCordalis, 4, 6))
-	if a == c {
-		t.Error("CSROf shared an index across different dimensions")
-	}
-}
-
 // TestBuildCSRAdj pins the general-graph constructor: offsets frame the
-// adjacency rows, the reverse index transposes the forward one, and the
-// regularity metadata (Uniform, MaxDegree) is computed correctly.
+// adjacency rows and the regularity metadata (Uniform, MaxDegree) is
+// computed correctly.
 func TestBuildCSRAdj(t *testing.T) {
-	// A small irregular digraph-shaped adjacency (vertex 3 is a sink).
-	adj := [][]int{{1, 2}, {0, 2, 3}, {0}, {}}
+	// A small irregular undirected adjacency: a triangle 0-1-2 with a
+	// pendant vertex 3 on 1.
+	adj := [][]int{{1, 2}, {0, 2, 3}, {0, 1}, {1}}
 	c := BuildCSRAdj(adj)
 	if c.N() != 4 {
 		t.Fatalf("N = %d, want 4", c.N())
@@ -111,28 +63,6 @@ func TestBuildCSRAdj(t *testing.T) {
 			}
 		}
 	}
-	// Reverse index: who reads v?  readers[v] from the forward table.
-	readers := map[int][]int{}
-	for v, row := range adj {
-		for _, u := range row {
-			readers[u] = append(readers[u], v)
-		}
-	}
-	for v := 0; v < c.N(); v++ {
-		got := c.Rev[c.RevOff[v]:c.RevOff[v+1]]
-		if len(got) != len(readers[v]) {
-			t.Fatalf("vertex %d has %d reverse entries, want %d", v, len(got), len(readers[v]))
-		}
-		seen := map[int]bool{}
-		for _, u := range got {
-			seen[int(u)] = true
-		}
-		for _, u := range readers[v] {
-			if !seen[u] {
-				t.Fatalf("vertex %d reverse list misses reader %d", v, u)
-			}
-		}
-	}
 
 	// A regular adjacency reports its uniform degree.
 	ring := [][]int{{1, 2}, {2, 0}, {0, 1}}
@@ -147,4 +77,30 @@ func TestBuildCSRAdj(t *testing.T) {
 	if int(torus.Off[5]) != 5*Degree {
 		t.Fatal("torus offsets must frame the dense table")
 	}
+}
+
+// oneWayTopology is a toroidal mesh whose vertex 0 reads, through its right
+// port, a vertex that does not read it back.
+type oneWayTopology struct{ Topology }
+
+func (oneWayTopology) Name() string { return "one-way-mesh" }
+
+func (o oneWayTopology) Neighbors(v int, buf []int) []int {
+	ns := o.Topology.Neighbors(v, buf)
+	if v == 0 {
+		ns[3] = o.Dims().IndexRC(2, 2)
+	}
+	return ns
+}
+
+// TestBuildCSRRejectsOneWayTopology pins Topology's symmetry contract:
+// BuildCSR panics, naming the topology, on a single one-way port.
+func TestBuildCSRRejectsOneWayTopology(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "one-way-mesh") || !strings.Contains(msg, "not symmetric") {
+			t.Fatalf("BuildCSR panic = %q, want one naming the asymmetric topology", msg)
+		}
+	}()
+	BuildCSR(oneWayTopology{MustNew(KindToroidalMesh, 5, 5)})
 }

@@ -127,7 +127,9 @@ func (k Kind) String() string {
 //
 // Implementations must be immutable after construction and safe for
 // concurrent readers; the parallel simulation engine shares one Topology
-// across workers.
+// across workers.  The neighbor relation must be symmetric: u is among v's
+// Neighbors exactly when v is among u's (the lattice is an undirected
+// graph).  BuildCSR panics, naming the topology, when it is not.
 type Topology interface {
 	// Dims returns the lattice dimensions.
 	Dims() Dims

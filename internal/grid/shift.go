@@ -1,7 +1,5 @@
 package grid
 
-import "sync"
-
 // ShiftPort describes one neighbor port of a shift-regular topology in the
 // form the bit-sliced simulation tier consumes: for almost every vertex v the
 // port-p neighbor is the fixed flat rotation (v + Shift) mod (Rows·Cols), and
@@ -27,7 +25,8 @@ type ShiftPort struct {
 }
 
 // ShiftPlan is the per-port shift decomposition of a topology.  It is
-// immutable after construction and cached per topology value by ShiftPlanOf.
+// immutable after construction; an engine probes its own once (see
+// BuildShiftPlan) and keeps it.
 type ShiftPlan struct {
 	dims  Dims
 	Ports [Degree]ShiftPort
@@ -76,43 +75,20 @@ func probeShiftPort(d Dims, neighbors []int32, port int) (ShiftPort, bool) {
 	return out, true
 }
 
-// buildShiftPlan probes every port of a topology.  Prefer ShiftPlanOf, which
-// caches the result (including negative results) per topology value.
-func buildShiftPlan(t Topology) (*ShiftPlan, bool) {
-	d := t.Dims()
-	csr := CSROf(t)
-	plan := &ShiftPlan{dims: d}
+// BuildShiftPlan returns the shift decomposition of a torus index's
+// neighbor geometry (c comes from BuildCSR), or ok=false when it is not
+// shift-regular: some port does not decompose into a flat rotation plus at
+// most Rows+Cols border patches.  The probe builds a histogram over every
+// vertex, so callers derive the plan only once a run qualifies for the
+// bitplane tier on everything else.
+func BuildShiftPlan(c *CSR) (*ShiftPlan, bool) {
+	plan := &ShiftPlan{dims: c.Dims()}
 	for p := 0; p < Degree; p++ {
-		port, ok := probeShiftPort(d, csr.Neighbors, p)
+		port, ok := probeShiftPort(c.Dims(), c.Neighbors, p)
 		if !ok {
 			return nil, false
 		}
 		plan.Ports[p] = port
 	}
 	return plan, true
-}
-
-// shiftPlanCache memoizes shift plans per Topology value, mirroring CSROf.
-// A nil plan records a negative probe so irregular topologies pay the O(n)
-// probe only once.
-var shiftPlanCache sync.Map // Topology -> *ShiftPlan (nil = not shift-regular)
-
-// ShiftPlanOf returns the shift decomposition of a topology's neighbor
-// geometry, or ok=false when the topology is not shift-regular (no port
-// decomposes into a flat rotation plus at most Rows+Cols border patches).
-// Like CSROf it caches per comparable topology value for the life of the
-// process; non-comparable topologies are probed on every call.
-func ShiftPlanOf(t Topology) (*ShiftPlan, bool) {
-	if !comparableTopology(t) {
-		plan, ok := buildShiftPlan(t)
-		return plan, ok
-	}
-	if cached, hit := shiftPlanCache.Load(t); hit {
-		plan := cached.(*ShiftPlan)
-		return plan, plan != nil
-	}
-	plan, _ := buildShiftPlan(t)
-	cached, _ := shiftPlanCache.LoadOrStore(t, plan)
-	plan = cached.(*ShiftPlan)
-	return plan, plan != nil
 }

@@ -11,7 +11,7 @@ func TestShiftPlanMatchesNeighbors(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, sz := range sizes {
 			topo := MustNew(kind, sz[0], sz[1])
-			plan, ok := ShiftPlanOf(topo)
+			plan, ok := BuildShiftPlan(BuildCSR(topo))
 			if !ok {
 				t.Fatalf("%v %dx%d: expected shift-regular", kind, sz[0], sz[1])
 			}
@@ -56,7 +56,7 @@ func TestShiftPlanFixupShapes(t *testing.T) {
 		{KindTorusSerpentinus, [Degree]int{n, n, 0, 0}},
 	}
 	for _, c := range cases {
-		plan, ok := ShiftPlanOf(MustNew(c.kind, m, n))
+		plan, ok := BuildShiftPlan(BuildCSR(MustNew(c.kind, m, n)))
 		if !ok {
 			t.Fatalf("%v: expected shift-regular", c.kind)
 		}
@@ -68,26 +68,24 @@ func TestShiftPlanFixupShapes(t *testing.T) {
 	}
 }
 
-// irregularTopology wraps a torus but scrambles one port's neighbor far
-// beyond the fixup budget, so it must not be recognized as shift-regular.
+// irregularTopology is a symmetric 4-regular topology that is not
+// shift-regular: it keeps a torus's up/down ports but replaces left and
+// right by two far-jumping involutions, v ↦ (n-1-v) and v ↦ (n/2-1-v)
+// mod n.  Each involution's neighbor offset takes every value at most
+// twice, far beyond the fixup budget of any single rotation.
 type irregularTopology struct{ Topology }
 
 func (i irregularTopology) Neighbors(v int, buf []int) []int {
 	ns := i.Topology.Neighbors(v, buf)
-	d := i.Dims()
-	// Port 3 points at a pseudo-random vertex: no single rotation covers a
-	// majority of lanes.
-	ns[3] = (v*v + 7*v + 3) % d.N()
+	n := i.Dims().N()
+	ns[2] = n - 1 - v
+	ns[3] = (n/2 - 1 - v + n) % n
 	return ns
 }
 
 func TestShiftPlanRejectsIrregularTopology(t *testing.T) {
 	topo := irregularTopology{MustNew(KindToroidalMesh, 8, 8)}
-	if _, ok := ShiftPlanOf(topo); ok {
+	if _, ok := BuildShiftPlan(BuildCSR(topo)); ok {
 		t.Fatal("irregular topology must not be shift-regular")
-	}
-	// And the negative probe must be cached without panicking on re-query.
-	if _, ok := ShiftPlanOf(topo); ok {
-		t.Fatal("cached negative probe disagreed with the first")
 	}
 }

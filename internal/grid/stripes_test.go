@@ -108,7 +108,7 @@ func TestShardsCoverAllTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := CSROf(topo)
+			c := BuildCSR(topo)
 			if c.Uniform() != Degree {
 				t.Fatalf("%s %dx%d: Uniform = %d, want %d", topo.Name(), sz.rows, sz.cols, c.Uniform(), Degree)
 			}

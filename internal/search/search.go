@@ -16,6 +16,8 @@ import (
 	"repro/internal/dynamo"
 	"repro/internal/grid"
 	"repro/internal/rng"
+	"repro/internal/rules"
+	"repro/internal/sim"
 )
 
 // Found describes one configuration discovered by a search.
@@ -50,13 +52,19 @@ func DefaultOptions() Options {
 // other colors.  It returns the first hit, or nil if none is found within
 // opt.Trials attempts.
 func RandomDynamo(topo grid.Topology, size int, target color.Color, p color.Palette, opt Options) *Found {
+	return randomDynamo(sim.NewEngine(topo, rules.SMP{}), topo, size, target, p, opt)
+}
+
+// randomDynamo is RandomDynamo verifying every trial on eng, the SMP engine
+// over topo.
+func randomDynamo(eng *sim.Engine, topo grid.Topology, size int, target color.Color, p color.Palette, opt Options) *Found {
 	if opt.Trials <= 0 {
 		opt.Trials = DefaultOptions().Trials
 	}
 	src := rng.New(opt.Seed)
 	for trial := 0; trial < opt.Trials; trial++ {
 		c := dynamo.RandomSeedColoring(topo, size, target, p, func(b int) int { return src.Intn(b) })
-		v := dynamo.VerifyColoring(topo, c, target)
+		v := dynamo.VerifyWith(eng, c, target)
 		if !v.IsDynamo {
 			continue
 		}
@@ -73,10 +81,11 @@ func RandomDynamo(topo grid.Topology, size int, target color.Color, p color.Pale
 // which RandomDynamo still finds a configuration, together with the last
 // hit.  It returns (0, nil) when even size from-1 yields nothing.
 func SmallestRandomDynamo(topo grid.Topology, from int, target color.Color, p color.Palette, opt Options) (int, *Found) {
+	eng := sim.NewEngine(topo, rules.SMP{})
 	best := 0
 	var bestFound *Found
 	for size := from - 1; size >= 1; size-- {
-		found := RandomDynamo(topo, size, target, p, opt)
+		found := randomDynamo(eng, topo, size, target, p, opt)
 		if found == nil {
 			break
 		}
@@ -103,6 +112,7 @@ func ExhaustiveMonotoneDynamo(topo grid.Topology, size int, target color.Color, 
 	}
 	src := rng.New(7)
 	others := p.Others(target)
+	eng := sim.NewEngine(topo, rules.SMP{})
 
 	indices := make([]int, size)
 	for i := range indices {
@@ -125,7 +135,7 @@ func ExhaustiveMonotoneDynamo(topo grid.Topology, size int, target color.Color, 
 					c.Set(v, others[src.Intn(len(others))])
 				}
 			}
-			v := dynamo.VerifyColoring(topo, c, target)
+			v := dynamo.VerifyWith(eng, c, target)
 			if v.IsDynamo && v.Monotone {
 				return &Found{SeedSize: size, Coloring: c, Monotone: true, Rounds: v.Rounds}, placements, nil
 			}

@@ -18,7 +18,7 @@ var ErrBitplaneIneligible = errors.New("sim: combination does not qualify for th
 // Bitplane is the bit-sliced stepper: the configuration lives as one or two
 // bit planes of ⌈n/64⌉ uint64 words (bit v of plane b is bit b of the color
 // encoding of vertex v), neighbor gathering is a word rotation per port plus
-// O(rows+cols) border patches (grid.ShiftPlanOf), and the rule recolors 64
+// O(rows+cols) border patches (grid.BuildShiftPlan), and the rule recolors 64
 // vertices per word operation through its rules.BitKernel.  On the early
 // high-churn rounds of a run — where the dirty frontier is the whole lattice
 // and the scalar sweep is memory-bound — this is roughly an order of
@@ -83,17 +83,15 @@ type Bitplane struct {
 
 // bitplaneCheck decides bitplane eligibility for a run over initial (with
 // faults drawn from {1..noiseColors}; 0 for noise-free runs) and returns the
-// palette size, shift plan and kernel on success.
+// palette size, shift plan and kernel on success.  It checks the rule, then
+// the topology, then the colors and only then the shift plan, whose O(n)
+// probe a run that fails on anything else never pays.
 func (e *Engine) bitplaneCheck(initial *color.Coloring, noiseColors int) (int, *grid.ShiftPlan, rules.BitKernel, error) {
 	if e.bitRule == nil {
 		return 0, nil, nil, fmt.Errorf("%w: rule %q has no word-parallel kernel", ErrBitplaneIneligible, e.rule.Name())
 	}
 	if e.topo == nil {
 		return 0, nil, nil, fmt.Errorf("%w: substrate %q is not a torus topology", ErrBitplaneIneligible, e.sub.Name())
-	}
-	plan, ok := grid.ShiftPlanOf(e.topo)
-	if !ok {
-		return 0, nil, nil, fmt.Errorf("%w: topology %q is not shift-regular", ErrBitplaneIneligible, e.topo.Name())
 	}
 	if noiseColors > color.MaxPlaneColors {
 		return 0, nil, nil, fmt.Errorf("%w: noise palette {1..%d} exceeds {1..%d}", ErrBitplaneIneligible, noiseColors, color.MaxPlaneColors)
@@ -111,7 +109,11 @@ func (e *Engine) bitplaneCheck(initial *color.Coloring, noiseColors int) (int, *
 	if !ok {
 		return 0, nil, nil, fmt.Errorf("%w: rule %q has no kernel for palette {1..%d}", ErrBitplaneIneligible, e.rule.Name(), k)
 	}
-	return k, plan, kern, nil
+	e.planOnce.Do(func() { e.plan, _ = grid.BuildShiftPlan(e.csr) })
+	if e.plan == nil {
+		return 0, nil, nil, fmt.Errorf("%w: topology %q is not shift-regular", ErrBitplaneIneligible, e.topo.Name())
+	}
+	return k, e.plan, kern, nil
 }
 
 // NewBitplane returns a bit-sliced stepper over the engine's topology and

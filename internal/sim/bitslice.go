@@ -133,8 +133,8 @@ func (e *Engine) newBitslice() *Bitslice {
 
 // getSlice returns a pooled stepper.
 func (e *Engine) getSlice() *Bitslice {
-	if v := e.slicePool.Get(); v != nil {
-		return v.(*Bitslice)
+	if bs := e.slices.get(); bs != nil {
+		return bs
 	}
 	return e.newBitslice()
 }
@@ -144,7 +144,7 @@ func (e *Engine) putSlice(bs *Bitslice) {
 	for r := range bs.first {
 		bs.first[r] = nil // don't pin result slices between batches
 	}
-	e.slicePool.Put(bs)
+	e.slices.put(bs)
 }
 
 // reset packs the replicas and rewinds all bookkeeping to round zero.

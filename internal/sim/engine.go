@@ -52,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 
@@ -144,8 +143,8 @@ func ParseKernel(name string) (Kernel, error) {
 
 // Substrate is the minimal seam between an interaction substrate and the
 // engine: a vertex layout (grid.Dims) that sizes colorings, a CSR adjacency
-// index with forward and reverse neighbor lists, a display name for errors
-// and tables, and a default round budget.  The three tori satisfy it through
+// index over a symmetric neighbor relation, a display name for errors and
+// tables, and a default round budget.  The three tori satisfy it through
 // an internal adapter over grid.Topology (NewEngine); any other substrate —
 // internal/graphs.Graph is the shipped example — implements it directly and
 // runs through NewEngineOn, inheriting the frontier, parallel-stripe and
@@ -154,7 +153,8 @@ func ParseKernel(name string) (Kernel, error) {
 // probing.
 //
 // Implementations must be immutable for the lifetime of the engines built
-// over them: the engine snapshots CSR() once at construction.
+// over them: the engine calls CSR() once, at construction, and keeps the
+// index.
 type Substrate interface {
 	// Dims returns the vertex layout colorings must carry.  Torus substrates
 	// use their lattice dimensions; substrates without a lattice use the
@@ -162,7 +162,9 @@ type Substrate interface {
 	Dims() grid.Dims
 	// Name identifies the substrate in errors and experiment tables.
 	Name() string
-	// CSR returns the adjacency index the engine iterates over.
+	// CSR returns the adjacency index the engine iterates over.  Its
+	// neighbor relation must be symmetric: the frontier schedules the
+	// readers of a changed vertex from that vertex's own row.
 	CSR() *grid.CSR
 	// DefaultMaxRounds returns the round budget used when Options.MaxRounds
 	// is zero, generous enough that non-convergence within it means "does
@@ -170,12 +172,13 @@ type Substrate interface {
 	DefaultMaxRounds() int
 }
 
-// torusSubstrate adapts a grid.Topology to the Substrate seam.
+// torusSubstrate adapts a grid.Topology to the Substrate seam.  CSR builds
+// a fresh index on every call; NewEngineOn calls it once per engine.
 type torusSubstrate struct{ topo grid.Topology }
 
 func (s torusSubstrate) Dims() grid.Dims       { return s.topo.Dims() }
 func (s torusSubstrate) Name() string          { return s.topo.Name() }
-func (s torusSubstrate) CSR() *grid.CSR        { return grid.CSROf(s.topo) }
+func (s torusSubstrate) CSR() *grid.CSR        { return grid.BuildCSR(s.topo) }
 func (s torusSubstrate) DefaultMaxRounds() int { return DefaultMaxRounds(s.topo.Dims()) }
 
 // Availability decides which links are usable in a given round; it is the
@@ -383,14 +386,19 @@ func (r *Result) TimesMatrix(d grid.Dims) [][]int {
 // Engine evolves colorings over a fixed substrate under a fixed rule.  Its
 // configuration is immutable after construction and an Engine is safe for
 // concurrent use by multiple goroutines running independent simulations; the
-// only mutable state is an internal sync.Pool of per-run working buffers,
-// which is what makes repeated runs (and Session batches in the public
-// dynmon package) allocation-free in steady state.
+// only mutable state is the lazily probed shift plan and the free lists of
+// per-run working buffers, which is what makes repeated runs (and Session
+// batches in the public dynmon package) allocation-free in steady state.
+//
+// An engine owns its adjacency index and shift plan; nothing caches them
+// process-wide.  Callers that run many colorings over one system hold one
+// engine: dynmon.System, dynserve's system cache, graphs.View.EngineFor and
+// the search loops all do.
 type Engine struct {
 	// sub is the substrate seam the engine steps over.
 	sub Substrate
 	// topo is the torus view of the substrate, nil for non-torus substrates;
-	// it gates the bitplane tier (grid.ShiftPlanOf needs a Topology).
+	// it gates the bitplane tier, which needs a torus's shift plan.
 	topo grid.Topology
 	rule rules.Rule
 	// countRule is the rule's counts-based fast path, nil when the rule does
@@ -401,32 +409,62 @@ type Engine struct {
 	// implement rules.BitRule; with a shift-regular topology and a ≤4-color
 	// palette it enables the bitplane tier.
 	bitRule rules.BitRule
-	// csr is the substrate's CSR adjacency index, snapshotted once at
-	// construction: csr.Neighbors frames each vertex's forward neighbors,
-	// and csr.Rev lists who must be re-evaluated when v changes.
+	// csr is the substrate's CSR adjacency index, taken once at
+	// construction: csr.Neighbors frames each vertex's neighbors, which by
+	// symmetry are also the vertices that must be re-evaluated when it
+	// changes.
 	csr *grid.CSR
+	// plan is the torus's shift decomposition (nil when it is not
+	// shift-regular), probed once by bitplaneCheck under planOnce.
+	planOnce sync.Once
+	plan     *grid.ShiftPlan
 	// deg4 marks a dense 4-regular index (all tori), which licenses the
 	// unrolled degree-4 inner loops; irregular substrates take the generic
 	// offset-framed loops instead.
 	deg4 bool
 	// maxDeg sizes the per-run neighbor scratch buffers.
 	maxDeg int
-	// pool recycles per-run state (double buffers, frontier queues) across
-	// runs.
-	pool sync.Pool
-	// slicePool recycles bit-sliced ensemble steppers (Bitslice) across
-	// batches the same way.
-	slicePool sync.Pool
+	// states and slices recycle per-run state (double buffers, frontier
+	// queues) and bit-sliced steppers across runs.  They are free lists,
+	// not sync.Pools: the runtime keeps a pool used since the last
+	// collection, and the engine around it, alive through the next one.
+	states freeList[runState]
+	slices freeList[Bitslice]
 }
 
-// NewEngine builds an engine for the given torus topology and rule.  It is
+// freeList is a stack of recycled per-run values that grows to the
+// engine's peak number of concurrent runs and is freed with the engine.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops a recycled value, or returns nil when none is free.
+func (l *freeList[T]) get() (v *T) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		v, l.items = l.items[n-1], l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return v
+}
+
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	l.items = append(l.items, v)
+	l.mu.Unlock()
+}
+
+// NewEngine builds an engine for the given torus topology and rule: it
+// builds the topology's CSR index (grid.BuildCSR, which panics on an
+// asymmetric topology) and keeps it for the engine's lifetime.  It is
 // NewEngineOn over the topology's substrate adapter.
 func NewEngine(topo grid.Topology, rule rules.Rule) *Engine {
 	return NewEngineOn(torusSubstrate{topo: topo}, rule)
 }
 
 // NewEngineOn builds an engine over an arbitrary substrate — the
-// general-graph entry point.  The substrate's CSR index is snapshotted here;
+// general-graph entry point.  The substrate's CSR index is taken here;
 // mutating the underlying graph afterwards does not affect the engine.
 func NewEngineOn(sub Substrate, rule rules.Rule) *Engine {
 	csr := sub.CSR()
@@ -445,52 +483,6 @@ func NewEngineOn(sub Substrate, rule rules.Rule) *Engine {
 	return e
 }
 
-// engineKey identifies a cached engine by its substrate and rule values.
-type engineKey struct {
-	sub  Substrate
-	rule rules.Rule
-}
-
-// engineCache memoizes engines per (substrate, rule) value, mirroring
-// grid.CSROf: engines are immutable and safe for concurrent use, so sharing
-// one lets repeated runs over the same system — the analysis sweeps build
-// thousands of them — reuse the pooled run buffers instead of paying
-// construction and warm-up allocations per point.
-var engineCache sync.Map // engineKey -> *Engine
-
-// EngineOf returns a process-cached engine for the torus topology and rule,
-// building it on first use.  Values whose dynamic types are not comparable
-// cannot be cache keys and get a fresh engine per call.  Cached engines are
-// retained for the life of the process; callers that must bound memory over
-// unbounded topology streams should use NewEngine directly.
-func EngineOf(topo grid.Topology, rule rules.Rule) *Engine {
-	if !reflect.TypeOf(topo).Comparable() {
-		return NewEngine(topo, rule)
-	}
-	return EngineOn(torusSubstrate{topo: topo}, rule)
-}
-
-// EngineOn is EngineOf for arbitrary substrates: a process-cached engine
-// per (substrate, rule) value.  The cache retains its entries for the life
-// of the process, so it suits substrate values that genuinely repeat (small
-// comparable structs, long-lived shared views).  Identity-keyed substrates
-// that are created and dropped in volume would leak their entries — such
-// callers should use NewEngineOn, or memoize engines on the substrate
-// itself as internal/graphs does (graphs.View.EngineFor), tying the
-// engine's lifetime to the substrate's.
-func EngineOn(sub Substrate, rule rules.Rule) *Engine {
-	if !reflect.TypeOf(sub).Comparable() || !reflect.TypeOf(rule).Comparable() {
-		return NewEngineOn(sub, rule)
-	}
-	key := engineKey{sub: sub, rule: rule}
-	if cached, ok := engineCache.Load(key); ok {
-		return cached.(*Engine)
-	}
-	e := NewEngineOn(sub, rule)
-	cached, _ := engineCache.LoadOrStore(key, e)
-	return cached.(*Engine)
-}
-
 // Substrate returns the seam the engine was built over.
 func (e *Engine) Substrate() Substrate { return e.sub }
 
@@ -502,10 +494,7 @@ func (e *Engine) Substrate() Substrate { return e.sub }
 type runState struct {
 	f *Frontier
 	// cur and next are the sweep tier's double buffers, allocated lazily by
-	// buffers(): only the sweep drivers touch them, and eagerly allocating
-	// two O(n) colorings on every pool miss was the per-step bytes_per_op
-	// the parallel benchmarks showed whenever a GC cycle dropped pool
-	// entries mid-run.
+	// buffers(): only the sweep drivers touch them.
 	cur, next *color.Coloring
 	prevPrev  *color.Coloring
 	bp        *Bitplane
@@ -549,15 +538,15 @@ func (st *runState) stripes(n int) []stripeTask {
 }
 
 func (e *Engine) getState() *runState {
-	if v := e.pool.Get(); v != nil {
-		return v.(*runState)
+	if st := e.states.get(); st != nil {
+		return st
 	}
 	return &runState{
 		scratch: make([]color.Color, 0, e.maxDeg),
 	}
 }
 
-func (e *Engine) putState(st *runState) { e.pool.Put(st) }
+func (e *Engine) putState(st *runState) { e.states.put(st) }
 
 // stepRange applies one synchronous round to vertices [lo, hi) reading from
 // cur and writing to next, and returns how many of them changed.  scratch
@@ -742,12 +731,4 @@ func finish(res *Result, final *color.Coloring, opt Options) {
 func finishAborted(res *Result, final *color.Coloring, opt Options) *Result {
 	finish(res, final, opt)
 	return res
-}
-
-// Run is a convenience wrapper over a process-cached engine (EngineOf), so
-// repeated calls for the same topology and rule — the shape of the analysis
-// sweeps — share one engine and its pooled run buffers instead of paying
-// construction and warm-up allocations per call.
-func Run(topo grid.Topology, rule rules.Rule, initial *color.Coloring, opt Options) *Result {
-	return EngineOf(topo, rule).Run(initial, opt)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/color"
 	"repro/internal/grid"
@@ -319,7 +320,7 @@ func TestRunDoesNotModifyInitial(t *testing.T) {
 
 func TestRunConvenienceWrapper(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 5, 5)
-	res := Run(topo, rules.SMP{}, crossColoring(5, 5, 1), Options{Target: 1, StopWhenMonochromatic: true})
+	res := NewEngine(topo, rules.SMP{}).Run(crossColoring(5, 5, 1), Options{Target: 1, StopWhenMonochromatic: true})
 	if !res.Monochromatic {
 		t.Error("wrapper Run should behave like Engine.Run")
 	}
@@ -376,5 +377,29 @@ func TestRunDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDroppedEngineFreedByNextCollection pins that nothing outside an
+// engine keeps it alive once its holder drops it: after a run through each
+// of its free lists (run state and bit-sliced stepper), one collection
+// frees the engine's adjacency index.  A sync.Pool inside the engine would
+// keep the engine, and so the index, reachable through that collection.
+func TestDroppedEngineFreedByNextCollection(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		topo := grid.MustNew(grid.KindToroidalMesh, 16, 16)
+		eng := NewEngine(topo, rules.SMP{})
+		runtime.SetFinalizer(eng.csr, func(*grid.CSR) { close(freed) })
+		eng.Run(randomTestColoring(1, topo.Dims(), 5), Options{MaxRounds: 8})
+		if _, err := eng.RunBatchSliced(context.Background(), ensembleLanes(topo.Dims(), 64), Options{MaxRounds: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the engine's CSR outlived the first collection after the engine was dropped")
 	}
 }

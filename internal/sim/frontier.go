@@ -18,9 +18,11 @@ import (
 //
 //	v ∈ changed(t) ∪ { u : N(u) ∩ changed(t) ≠ ∅ }
 //
-// using the topology's reverse CSR index for the second set.  Round 1
-// evaluates every vertex (nothing is known about the initial configuration).
-// The journal also powers incremental bookkeeping that would otherwise cost
+// where the readers of a changed vertex are its own CSR row: the
+// substrate's neighbor relation is symmetric (see Substrate), so the
+// vertices that read v are exactly the vertices v reads.  Round 1 evaluates
+// every vertex (nothing is known about the initial configuration).  The
+// journal also powers incremental bookkeeping that would otherwise cost
 // O(n) per round: a color histogram for the monochromatic stop condition and
 // a last-change trace for period-2 cycle detection, so a whole run does no
 // full-lattice work after setup.
@@ -279,22 +281,28 @@ func (f *Frontier) Step() int {
 
 	// Schedule round r+1: the changed vertices and everyone who reads them.
 	f.nextQueue = f.nextQueue[:0]
-	rev, revOff := f.e.csr.Rev, f.e.csr.RevOff
-	mark := r + 1
 	for _, v := range f.chV {
-		if f.epoch[v] != mark {
-			f.epoch[v] = mark
-			f.nextQueue = append(f.nextQueue, v)
-		}
-		for _, u := range rev[revOff[v]:revOff[v+1]] {
-			if f.epoch[u] != mark {
-				f.epoch[u] = mark
-				f.nextQueue = append(f.nextQueue, u)
-			}
-		}
+		f.nextQueue = f.schedule(f.nextQueue, v, r+1)
 	}
 	f.queue, f.nextQueue = f.nextQueue, f.queue
 	return len(f.chV)
+}
+
+// schedule appends v and every vertex that reads it — v's own CSR row, by
+// symmetry — to q for the round marked mark, skipping vertices already
+// marked for it.
+func (f *Frontier) schedule(q []int32, v, mark int32) []int32 {
+	if f.epoch[v] != mark {
+		f.epoch[v] = mark
+		q = append(q, v)
+	}
+	for _, u := range f.e.csr.Neighbors[f.e.csr.Off[v]:f.e.csr.Off[v+1]] {
+		if f.epoch[u] != mark {
+			f.epoch[u] = mark
+			q = append(q, u)
+		}
+	}
+	return q
 }
 
 // seedFromBitplane rewinds the frontier onto a bitplane stepper's mid-run
@@ -312,22 +320,11 @@ func (f *Frontier) seedFromBitplane(bp *Bitplane) {
 	// that changed in the bitplane's last round and everyone who reads them,
 	// while seeding the period-2 trace with those vertices' previous colors.
 	r := int32(bp.round)
-	mark := r + 1
 	f.queue = f.queue[:0]
-	rev, revOff := f.e.csr.Rev, f.e.csr.RevOff
 	bp.lastChanges(func(v int32, old color.Color) {
 		f.lastRound[v] = r
 		f.lastOld[v] = old
-		if f.epoch[v] != mark {
-			f.epoch[v] = mark
-			f.queue = append(f.queue, v)
-		}
-		for _, u := range rev[revOff[v]:revOff[v+1]] {
-			if f.epoch[u] != mark {
-				f.epoch[u] = mark
-				f.queue = append(f.queue, u)
-			}
-		}
+		f.queue = f.schedule(f.queue, v, r+1)
 	})
 }
 
@@ -357,9 +354,7 @@ func (f *Frontier) seedFromCheckpoint(cfg, prev *color.Coloring, round int) {
 	}
 
 	r := int32(round)
-	mark := r + 1
 	f.queue = f.queue[:0]
-	rev, revOff := f.e.csr.Rev, f.e.csr.RevOff
 	cells := f.cfg.Cells()
 	prevCells := prev.Cells()
 	for v := range cells {
@@ -369,16 +364,6 @@ func (f *Frontier) seedFromCheckpoint(cfg, prev *color.Coloring, round int) {
 		f.prevChanged++
 		f.lastRound[v] = r
 		f.lastOld[v] = prevCells[v]
-		v32 := int32(v)
-		if f.epoch[v] != mark {
-			f.epoch[v] = mark
-			f.queue = append(f.queue, v32)
-		}
-		for _, u := range rev[revOff[v]:revOff[v+1]] {
-			if f.epoch[u] != mark {
-				f.epoch[u] = mark
-				f.queue = append(f.queue, u)
-			}
-		}
+		f.queue = f.schedule(f.queue, int32(v), r+1)
 	}
 }

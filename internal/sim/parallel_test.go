@@ -303,7 +303,9 @@ func TestParallelResumeMidRun(t *testing.T) {
 // `-race -count=2` step: several goroutines run striped simulations
 // concurrently over one shared engine (shared stripe pool, pooled run
 // states, in-stripe traces written by pool workers), each pinned against
-// the sweep oracle.
+// the sweep oracle.  Every other goroutine runs the auto tier instead,
+// which takes the bitplane kernel, so the engine's first shift-plan probe
+// happens under concurrent runs too.
 func TestParallelConcurrentRuns(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 24, 24)
 	eng := NewEngine(topo, rules.SMP{})
@@ -319,8 +321,14 @@ func TestParallelConcurrentRuns(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			i := g % len(initials)
-			opt := parallelOpts(Options{MaxRounds: 50, Target: 1, DetectCycles: true}, 1+g%4)
+			opt := Options{MaxRounds: 50, Target: 1, DetectCycles: true}
+			if g%2 == 0 {
+				opt = parallelOpts(opt, 1+g/2)
+			}
 			res := eng.Run(initials[i], opt)
+			if g%2 == 1 && res.Kernel != KernelBitplane {
+				t.Errorf("goroutine %d: auto run took %v, want bitplane", g, res.Kernel)
+			}
 			// t.Fatalf must not be called off the test goroutine.
 			if res.Rounds != oracle[i].Rounds || !res.Final.Equal(oracle[i].Final) || fmt.Sprint(res.FirstReached) != fmt.Sprint(oracle[i].FirstReached) {
 				t.Errorf("goroutine %d: parallel run diverged from oracle", g)

@@ -28,7 +28,7 @@ func tvRun(topo grid.Topology, avail Availability, rule rules.Rule, initial *col
 	if maxRounds <= 0 {
 		maxRounds = 6*topo.Dims().N() + 32
 	}
-	return sim.Run(topo, rule, initial, sim.Options{
+	return sim.NewEngine(topo, rule).Run(initial, sim.Options{
 		TimeVarying:           avail,
 		MaxRounds:             maxRounds,
 		StopWhenMonochromatic: true,
