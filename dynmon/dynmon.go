@@ -316,7 +316,7 @@ func (s *System) RandomColoring(seed uint64) *Coloring {
 // topology: Theorem 2 for the toroidal mesh, Theorem 4 for the torus
 // cordalis and Theorem 6 for the torus serpentinus.  Graph systems have no
 // such closed-form construction and return an error; use the target-set
-// helpers (SeedTopByDegree, GreedyTargetSet) instead.
+// helpers (SeedTopByDegree, SeedRandom, TargetSet) instead.
 func (s *System) MinimumDynamo(target Color) (*Construction, error) {
 	if s.topo == nil {
 		return nil, fmt.Errorf("dynmon: MinimumDynamo requires a torus topology; graph systems use the target-set helpers")

@@ -326,8 +326,15 @@ type AvailabilitySpec struct {
 	Off    int               `json:"off,omitempty"`
 }
 
-// Build instantiates the availability model the spec names.
+// Build instantiates the availability model the spec names.  Like the
+// schedule and noise parameters, the model's are validated here: P must lie
+// in [0, 1] and Period and Off must not be negative, and an error names the
+// model and the field.  P = 0 (links never up) and a zero Period (a static
+// network) are legal.
 func (as *AvailabilitySpec) Build() (Availability, error) {
+	if (as.Model == "bernoulli" || as.Model == "node-faults") && !(as.P >= 0 && as.P <= 1) { // also rejects NaN
+		return nil, fmt.Errorf("dynmon: %s availability p %v outside [0, 1]", as.Model, as.P)
+	}
 	switch as.Model {
 	case "always-on":
 		return AlwaysOn{}, nil
@@ -344,6 +351,12 @@ func (as *AvailabilitySpec) Build() (Availability, error) {
 		}
 		return NodeFaults{Links: links, P: as.P, Seed: as.Seed}, nil
 	case "periodic":
+		if as.Period < 0 {
+			return nil, fmt.Errorf("dynmon: periodic availability period %d is negative", as.Period)
+		}
+		if as.Off < 0 {
+			return nil, fmt.Errorf("dynmon: periodic availability off %d is negative", as.Off)
+		}
 		return Periodic{Period: as.Period, Off: as.Off}, nil
 	default:
 		return nil, fmt.Errorf("dynmon: unknown availability model %q (want always-on, bernoulli, node-faults or periodic)", as.Model)

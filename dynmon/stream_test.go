@@ -2,6 +2,7 @@ package dynmon
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -420,4 +421,45 @@ func TestRunSpecTimeVaryingSpecPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamResultsEqual(t, "tv-spec-vs-option", viaSpec, viaOption)
+}
+
+// TestAvailabilitySpecValidation pins the availability parameters to their
+// domains, as schedules and noise are: each out-of-range section below once
+// ran (a bernoulli p of -1 ran 112 rounds on an 8x8 mesh with no link ever
+// up), and System.Run now returns an error naming the model and the field.
+// P = 0 and the static zero-period model stay legal.
+func TestAvailabilitySpecValidation(t *testing.T) {
+	sys, err := New(Mesh(8, 8), Colors(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := randomInitial(sys, 3, 3)
+	run := func(section string) error {
+		var rs RunSpec
+		if err := json.Unmarshal([]byte(section), &rs); err != nil {
+			t.Fatal(err)
+		}
+		_, err := sys.Run(context.Background(), initial, WithRunSpec(rs))
+		return err
+	}
+	for _, c := range []struct{ section, want string }{
+		{`{"time_varying":{"model":"bernoulli","p":-1}}`, "bernoulli availability p -1 outside [0, 1]"},
+		{`{"time_varying":{"model":"node-faults","p":2,"links":{"model":"bernoulli","p":7}}}`, "node-faults availability p 2 outside [0, 1]"},
+		{`{"time_varying":{"model":"node-faults","p":0.5,"links":{"model":"bernoulli","p":7}}}`, "bernoulli availability p 7 outside [0, 1]"},
+		{`{"time_varying":{"model":"periodic","period":-4,"off":-1}}`, "periodic availability period -4 is negative"},
+		{`{"time_varying":{"model":"periodic","period":4,"off":-1}}`, "periodic availability off -1 is negative"},
+	} {
+		if err := run(c.section); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.section, err, c.want)
+		}
+	}
+	for _, section := range []string{
+		`{"time_varying":{"model":"bernoulli","p":0},"max_rounds":5}`,
+		`{"time_varying":{"model":"node-faults","p":1,"links":{"model":"bernoulli","p":0}},"max_rounds":5}`,
+		`{"time_varying":{"model":"periodic"},"max_rounds":5}`,
+	} {
+		if err := run(section); err != nil {
+			t.Errorf("%s: %v", section, err)
+		}
+	}
 }

@@ -451,11 +451,10 @@ func (s *Server) recoverJobs() ([]*job, error) {
 // builds it on the job's first restarted segment.
 func (s *Server) rebuildJob(pj persistedJob) (*job, bool) {
 	j := &job{
-		id:       pj.id,
-		digest:   pj.meta.Digest,
-		detached: pj.meta.Detached,
-		round:    pj.meta.Round,
-		subs:     make(map[*jobSub]struct{}),
+		id:     pj.id,
+		digest: pj.meta.Digest,
+		round:  pj.meta.Round,
+		subs:   make(map[*jobSub]struct{}),
 	}
 	fail := func(err error) (*job, bool) {
 		j.state = jobFailed

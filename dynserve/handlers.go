@@ -374,7 +374,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, err := s.newJob(fs, digest, true)
+	j, err := s.newJob(fs, digest)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return

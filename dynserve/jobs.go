@@ -36,12 +36,11 @@ func jobTerminal(state string) bool {
 // it bit-identically from that checkpoint, which the engine pins equal to an
 // uninterrupted run.
 type job struct {
-	id       string
-	digest   string
-	fs       *dynmon.FileSpec
-	sys      *dynmon.System
-	initial  *dynmon.Coloring
-	detached bool // submitted via POST /v1/jobs (eligible for idle eviction)
+	id      string
+	digest  string
+	fs      *dynmon.FileSpec
+	sys     *dynmon.System
+	initial *dynmon.Coloring
 
 	evict atomic.Bool // request: park at the next round boundary
 
@@ -144,7 +143,6 @@ func (s *Server) persistJob(j *job) {
 		ID:              j.id,
 		Digest:          j.digest,
 		State:           j.state,
-		Detached:        j.detached,
 		Round:           j.round,
 		CheckpointRound: -1,
 		Error:           j.errMsg,
@@ -310,7 +308,7 @@ func (t *jobTable) evictAll() {
 	}
 }
 
-// evictOneIdle asks one running detached job with no attached streams to
+// evictOneIdle asks one running job with no attached streams to
 // park — the load-shedding nudge: when admission sheds a request, an idle
 // background job gives back its worker instead of starving interactive
 // traffic.
@@ -319,7 +317,7 @@ func (t *jobTable) evictOneIdle() {
 	defer t.mu.Unlock()
 	for _, j := range t.byID {
 		j.mu.Lock()
-		idle := j.state == jobRunning && j.detached && len(j.subs) == 0 && !j.evict.Load()
+		idle := j.state == jobRunning && len(j.subs) == 0 && !j.evict.Load()
 		j.mu.Unlock()
 		if idle {
 			j.evict.Store(true)
@@ -332,20 +330,19 @@ func (t *jobTable) evictOneIdle() {
 // construction are built once here; the runner only steps.  With a store
 // configured, the spec and initial state land on disk before the job is
 // visible — from its first moment the job survives a crash.
-func (s *Server) newJob(fs *dynmon.FileSpec, digest string, detached bool) (*job, error) {
+func (s *Server) newJob(fs *dynmon.FileSpec, digest string) (*job, error) {
 	sys, initial, err := s.buildRun(fs)
 	if err != nil {
 		return nil, err
 	}
 	j := &job{
-		id:       s.newJobID(),
-		digest:   digest,
-		fs:       fs,
-		sys:      sys,
-		initial:  initial,
-		detached: detached,
-		state:    jobEvicted, // parked with no checkpoint = not yet started
-		subs:     make(map[*jobSub]struct{}),
+		id:      s.newJobID(),
+		digest:  digest,
+		fs:      fs,
+		sys:     sys,
+		initial: initial,
+		state:   jobEvicted, // parked with no checkpoint = not yet started
+		subs:    make(map[*jobSub]struct{}),
 	}
 	if s.store != nil {
 		if err := s.store.SaveSpec(j.id, fs); err != nil {

@@ -33,10 +33,9 @@ func TestJobTableLifecycleRaces(t *testing.T) {
 			states := []string{jobQueued, jobRunning, jobEvicted, jobDone, jobFailed}
 			for i := 0; i < rounds; i++ {
 				j := &job{
-					id:       fmt.Sprintf("j%03d-%03d", w, i),
-					state:    states[i%len(states)],
-					detached: i%2 == 0,
-					subs:     make(map[*jobSub]struct{}),
+					id:    fmt.Sprintf("j%03d-%03d", w, i),
+					state: states[i%len(states)],
+					subs:  make(map[*jobSub]struct{}),
 				}
 				if jobTerminal(j.state) {
 					j.finishedAt = time.Now().Add(-time.Hour)

@@ -177,6 +177,39 @@ func TestOversizedPaletteRejected(t *testing.T) {
 	}
 }
 
+// TestAvailabilityOutOfRangeRejected pins the availability parameter checks
+// at the HTTP boundary: each of these run sections was once served with 200
+// (a bernoulli p of -1 ran with no link ever up); each now gets a 422 naming
+// the model, and the server stays ready.
+func TestAvailabilityOutOfRangeRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct{ section, want string }{
+		{`{"time_varying":{"model":"bernoulli","p":-1}}`, "bernoulli availability p -1"},
+		{`{"time_varying":{"model":"node-faults","p":2,"links":{"model":"bernoulli","p":7}}}`, "node-faults availability p 2"},
+		{`{"time_varying":{"model":"periodic","period":-4,"off":-1}}`, "periodic availability period -4"},
+	} {
+		body := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":8,"cols":8}},"colors":3,"rule":"smp"},"initial":{"config":"random","seed":1},"run":` + c.section + `}`
+		resp := postRun(t, ts.URL, []byte(body), "application/json")
+		respBody := readAll(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d (%s), want 422", c.section, resp.StatusCode, respBody)
+		}
+		if !strings.Contains(string(respBody), c.want) {
+			t.Fatalf("%s: error body %s does not name %q", c.section, respBody, c.want)
+		}
+	}
+	if n := srv.metrics.RunsCompleted.Load(); n != 0 {
+		t.Fatalf("out-of-range availability completed %d runs, want 0", n)
+	}
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, ready); ready.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after out-of-range availability %d, want 200", ready.StatusCode)
+	}
+}
+
 // TestOversizedCellColorRejected pins the cell-color cap at the HTTP
 // boundary: a 4x4 two-color spec whose explicit cells carry color 10^9, and
 // a checkpoint whose config does, once killed the process by running out of

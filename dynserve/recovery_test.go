@@ -61,7 +61,7 @@ func fabricateCrash(t *testing.T, dir string, spec []byte, cpRound int) (id, dig
 	if !saved {
 		t.Fatalf("run ended before round %d, cannot fabricate a mid-run crash", cpRound)
 	}
-	meta := jobMeta{ID: id, Digest: digest, State: jobRunning, Detached: true, Round: cpRound, CheckpointRound: cpRound}
+	meta := jobMeta{ID: id, Digest: digest, State: jobRunning, Round: cpRound, CheckpointRound: cpRound}
 	if err := st.SaveMeta(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRecoveryReencodesLegacyResultWire(t *testing.T) {
 	if err := st.SaveResult(id, legacy); err != nil {
 		t.Fatal(err)
 	}
-	meta := jobMeta{ID: id, Digest: digest, State: jobDone, Detached: true, Round: 8, CheckpointRound: 2, FinishedAtNanos: time.Now().UnixNano()}
+	meta := jobMeta{ID: id, Digest: digest, State: jobDone, Round: 8, CheckpointRound: 2, FinishedAtNanos: time.Now().UnixNano()}
 	if err := st.SaveMeta(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRecoveryCorruptResult(t *testing.T) {
 	if err := st.SaveResult(id, []byte(`{"rounds":8,"final":{"rows":`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveMeta(jobMeta{ID: id, Digest: digest, State: jobDone, Detached: true}); err != nil {
+	if err := st.SaveMeta(jobMeta{ID: id, Digest: digest, State: jobDone}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -56,7 +56,6 @@ type jobMeta struct {
 	ID              string `json:"id"`
 	Digest          string `json:"digest"`
 	State           string `json:"state"`
-	Detached        bool   `json:"detached"`
 	Round           int    `json:"round"`
 	CheckpointRound int    `json:"checkpoint_round"`
 	Error           string `json:"error,omitempty"`

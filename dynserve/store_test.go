@@ -55,7 +55,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.SaveSpec("j000007", fs); err != nil {
 		t.Fatal(err)
 	}
-	meta := jobMeta{ID: "j000007", Digest: "abc", State: jobDone, Detached: true, Round: 8, CheckpointRound: 4, FinishedAtNanos: 12345}
+	meta := jobMeta{ID: "j000007", Digest: "abc", State: jobDone, Round: 8, CheckpointRound: 4, FinishedAtNanos: 12345}
 	if err := st.SaveMeta(meta); err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,69 @@ func TestNoPackageLevelSyncMap(t *testing.T) {
 	})
 }
 
+// TestOneRuleApplication keeps internal/sim on one rule application,
+// Engine.next.  Outside it, a rule's counts form (a NextFromCounts call) is
+// allowed only in stepRange, whose dense degree-4 loop is next's one
+// inlined copy, kept for a measured 8-10% on the torus sweep; and a rule's
+// slice form (a call of a method named Next) only in stepRangeTV, which
+// applies the rule to a time-varying round's reduced neighborhood.
+func TestOneRuleApplication(t *testing.T) {
+	allowed := map[string]map[string]bool{
+		"NextFromCounts": {"Engine.next": true, "Engine.stepRange": true},
+		"Next":           {"Engine.next": true, "Engine.stepRangeTV": true},
+	}
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	walkNonTestGo(t, fset, func(path string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/sim" {
+			return
+		}
+		for _, decl := range f.Decls {
+			owner := "a package-level declaration"
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				owner = funcDeclName(fd)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || allowed[sel.Sel.Name] == nil {
+					return true
+				}
+				seen[owner] = true
+				if !allowed[sel.Sel.Name][owner] {
+					t.Errorf("%s: %s calls %s; apply the rule through Engine.next", fset.Position(call.Pos()), owner, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	})
+	if !seen["Engine.next"] {
+		t.Error("no rule application found in internal/sim's Engine.next; the guard checks nothing")
+	}
+}
+
+// funcDeclName returns a function's name, qualified by its receiver's base
+// type for a method ("Engine.next").
+func funcDeclName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if idx, ok := typ.(*ast.IndexExpr); ok {
+		typ = idx.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
 // walkNonTestGo parses every non-test .go file under the repository root,
 // hidden and testdata directories excluded, and hands each to fn with its
 // slash-separated path.

@@ -58,7 +58,10 @@ type AsyncResult struct {
 // It is the standalone differential-test oracle the engine's sequential
 // schedules (Options.Schedule with ScheduleSequential or
 // ScheduleRandomSequential) are pinned against
-// (TestScheduleSequentialMatchesRunAsync).
+// (TestScheduleSequentialMatchesRunAsync): it has its own sweep loop and
+// order but shares the engine's rule application, Engine.next, so its
+// independent reference is naiveAsyncSweep, which reads neighbors through
+// the Topology and applies Rule.Next (TestRunAsyncParityWithNaivePath).
 func (e *Engine) RunAsync(initial *color.Coloring, opt AsyncOptions) *AsyncResult {
 	d := e.sub.Dims()
 	if initial.Dims() != d {
@@ -77,8 +80,6 @@ func (e *Engine) RunAsync(initial *color.Coloring, opt AsyncOptions) *AsyncResul
 		order[i] = i
 	}
 
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	var scratch4 [grid.Degree]color.Color
 	scratch := make([]color.Color, 0, e.maxDeg)
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		if opt.Order == AsyncRandom {
@@ -89,64 +90,10 @@ func (e *Engine) RunAsync(initial *color.Coloring, opt AsyncOptions) *AsyncResul
 			src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 		changed := 0
-		switch cr := e.countRule; {
-		case e.deg4 && cr != nil:
-			for _, v := range order {
-				base := v * grid.Degree
-				var cs rules.Counts
-				cs.Add(cells[fwd[base]])
-				cs.Add(cells[fwd[base+1]])
-				cs.Add(cells[fwd[base+2]])
-				cs.Add(cells[fwd[base+3]])
-				nc := cr.NextFromCounts(cells[v], cs)
-				if nc != cells[v] {
-					cells[v] = nc
-					changed++
-				}
-			}
-		case e.deg4:
-			for _, v := range order {
-				base := v * grid.Degree
-				scratch4[0] = cells[fwd[base]]
-				scratch4[1] = cells[fwd[base+1]]
-				scratch4[2] = cells[fwd[base+2]]
-				scratch4[3] = cells[fwd[base+3]]
-				nc := e.rule.Next(cells[v], scratch4[:])
-				if nc != cells[v] {
-					cells[v] = nc
-					changed++
-				}
-			}
-		default:
-			for _, v := range order {
-				row := fwd[off[v]:off[v+1]]
-				cur := cells[v]
-				var nc color.Color
-				fits := false
-				if cr != nil {
-					var cs rules.Counts
-					fits = true
-					for _, u := range row {
-						if !cs.AddOK(cells[u]) {
-							fits = false
-							break
-						}
-					}
-					if fits {
-						nc = cr.NextFromCounts(cur, cs)
-					}
-				}
-				if !fits {
-					scratch = scratch[:0]
-					for _, u := range row {
-						scratch = append(scratch, cells[u])
-					}
-					nc = e.rule.Next(cur, scratch)
-				}
-				if nc != cur {
-					cells[v] = nc
-					changed++
-				}
+		for _, v := range order {
+			if nc := e.next(cells, v, &scratch); nc != cells[v] {
+				cells[v] = nc
+				changed++
 			}
 		}
 		res.Sweeps = sweep

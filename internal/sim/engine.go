@@ -418,9 +418,9 @@ type Engine struct {
 	// shift-regular), probed once by bitplaneCheck under planOnce.
 	planOnce sync.Once
 	plan     *grid.ShiftPlan
-	// deg4 marks a dense 4-regular index (all tori), which licenses the
-	// unrolled degree-4 inner loops; irregular substrates take the generic
-	// offset-framed loops instead.
+	// deg4 marks a dense 4-regular index (all tori), which licenses next's
+	// unrolled degree-4 counts tally and its inlined copy in stepRange;
+	// irregular substrates tally their offset-framed CSR rows instead.
 	deg4 bool
 	// maxDeg sizes the per-run neighbor scratch buffers.
 	maxDeg int
@@ -503,10 +503,14 @@ type runState struct {
 	sweep     sweepDriver
 	wg        sync.WaitGroup
 	stripeBuf []stripeTask
-	// scratch backs the neighbor gathering of Step's generic path and of
-	// the in-place sequential schedules, sized to the substrate's maximum
-	// degree so steady-state stepping allocates nothing.
+	// scratch backs next's slice path in the public Step, sized to the
+	// substrate's maximum degree so steady-state stepping allocates nothing;
+	// the sweep tier's stripes carry their own (stripeTask.scratch).
 	scratch []color.Color
+	// order is the sweep-order buffer of ScheduleRandomSequential, refilled
+	// with each round's permutation.  It lives here, not on the sweep
+	// driver, because the driver is rebuilt on every run.
+	order []int
 }
 
 // frontier returns the state's frontier stepper, creating it on first use.
@@ -549,22 +553,19 @@ func (e *Engine) getState() *runState {
 func (e *Engine) putState(st *runState) { e.states.put(st) }
 
 // stepRange applies one synchronous round to vertices [lo, hi) reading from
-// cur and writing to next, and returns how many of them changed.  scratch
-// backs the generic path's neighbor gathering (capacity >= the substrate's
-// maximum degree); the dense 4-regular path ignores it.
+// cur and writing to next, and returns how many of them changed.  It
+// applies the rule through next; scratch backs next's slice path (capacity
+// >= the substrate's maximum degree).
+//
+// The dense degree-4 counts loop is next's first case copied inline, the
+// one such copy: it is the hot loop of every torus sweep, and routing it
+// through next made BenchmarkEngineStepSequential/256x256 8-10% slower in
+// the median (2-core Intel Xeon, GOMAXPROCS 2, Go 1.24; two measurements
+// of 4 and 5 alternated runs).
 func (e *Engine) stepRange(cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	if e.deg4 {
-		return e.stepRange4(cur, next, lo, hi)
-	}
-	return e.stepRangeGeneric(cur, next, lo, hi, scratch)
-}
-
-// stepRange4 is the unrolled inner loop for dense 4-regular indexes — the
-// hot path of every torus run, kept free of per-vertex offset loads.
-func (e *Engine) stepRange4(cur, next []color.Color, lo, hi int) int {
-	fwd := e.csr.Neighbors
 	changed := 0
-	if cr := e.countRule; cr != nil {
+	if cr := e.countRule; cr != nil && e.deg4 {
+		fwd := e.csr.Neighbors
 		for v := lo; v < hi; v++ {
 			base := v * grid.Degree
 			var cs rules.Counts
@@ -580,14 +581,8 @@ func (e *Engine) stepRange4(cur, next []color.Color, lo, hi int) int {
 		}
 		return changed
 	}
-	var scratch [grid.Degree]color.Color
 	for v := lo; v < hi; v++ {
-		base := v * grid.Degree
-		scratch[0] = cur[fwd[base]]
-		scratch[1] = cur[fwd[base+1]]
-		scratch[2] = cur[fwd[base+2]]
-		scratch[3] = cur[fwd[base+3]]
-		nc := e.rule.Next(cur[v], scratch[:])
+		nc := e.next(cur, v, &scratch)
 		next[v] = nc
 		if nc != cur[v] {
 			changed++
@@ -596,45 +591,44 @@ func (e *Engine) stepRange4(cur, next []color.Color, lo, hi int) int {
 	return changed
 }
 
-// stepRangeGeneric is the variable-degree inner loop: each vertex's
-// neighbors are framed by the CSR offsets, tallied through the counts fast
-// path when the multiset fits a Counts vector exactly, and gathered into
-// scratch for the rule's slice path otherwise.
-func (e *Engine) stepRangeGeneric(cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	changed := 0
-	cr := e.countRule
-	for v := lo; v < hi; v++ {
-		row := fwd[off[v]:off[v+1]]
-		cv := cur[v]
-		var nc color.Color
-		fits := false
-		if cr != nil {
-			var cs rules.Counts
-			fits = true
-			for _, u := range row {
-				if !cs.AddOK(cur[u]) {
-					fits = false
-					break
-				}
-			}
-			if fits {
-				nc = cr.NextFromCounts(cv, cs)
+// next is the engine's one rule application: the color v takes when the
+// rule reads its neighbors' colors in cells.  A rule with a counts form
+// (rules.CountRule) gets v's neighborhood tallied, unrolled on a dense
+// degree-4 index and through Counts.AddOK over v's CSR row otherwise.  A
+// rule without a counts form, or a row whose multiset does not fit a
+// Counts vector, takes the rule's slice path over the neighbors gathered
+// into *scratch, which grows in place so the caller's next vertex reuses
+// it.
+func (e *Engine) next(cells []color.Color, v int, scratch *[]color.Color) color.Color {
+	fwd, cr := e.csr.Neighbors, e.countRule
+	if cr != nil && e.deg4 {
+		base := v * grid.Degree
+		var cs rules.Counts
+		cs.Add(cells[fwd[base]])
+		cs.Add(cells[fwd[base+1]])
+		cs.Add(cells[fwd[base+2]])
+		cs.Add(cells[fwd[base+3]])
+		return cr.NextFromCounts(cells[v], cs)
+	}
+	row := fwd[e.csr.Off[v]:e.csr.Off[v+1]]
+	if cr != nil {
+		var cs rules.Counts
+		fits := true
+		for _, u := range row {
+			if fits = cs.AddOK(cells[u]); !fits {
+				break
 			}
 		}
-		if !fits {
-			scratch = scratch[:0]
-			for _, u := range row {
-				scratch = append(scratch, cur[u])
-			}
-			nc = e.rule.Next(cv, scratch)
-		}
-		next[v] = nc
-		if nc != cv {
-			changed++
+		if fits {
+			return cr.NextFromCounts(cells[v], cs)
 		}
 	}
-	return changed
+	s := (*scratch)[:0]
+	for _, u := range row {
+		s = append(s, cells[u])
+	}
+	*scratch = s
+	return e.rule.Next(cells[v], s)
 }
 
 // stepRangeTV is the time-varying inner loop: vertex v reads only the
@@ -678,12 +672,9 @@ func (e *Engine) Step(cur, next *color.Coloring) int {
 	if cur.Dims() != e.sub.Dims() || next.Dims() != e.sub.Dims() {
 		panic(fmt.Sprintf("sim: Step dimension mismatch (%v, %v) vs %v", cur.Dims(), next.Dims(), e.sub.Dims()))
 	}
-	if e.deg4 {
-		return e.stepRange4(cur.Cells(), next.Cells(), 0, cur.N())
-	}
 	st := e.getState()
 	defer e.putState(st)
-	return e.stepRangeGeneric(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
+	return e.stepRange(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
 }
 
 // Run evolves the initial coloring under the engine's rule until a stop

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/color"
-	"repro/internal/grid"
-	"repro/internal/rules"
 )
 
 // Frontier is the dirty-frontier stepper: the allocation-free core that
@@ -63,11 +61,9 @@ type Frontier struct {
 	prevChanged int
 	cycle       bool
 	round       int
-	// scratch4 backs the slice-path rule invocation on dense 4-regular
-	// substrates; scratch backs it (and the counts-overflow fallback) on
-	// irregular ones.  Both live here so Step stays allocation-free.
-	scratch4 [grid.Degree]color.Color
-	scratch  []color.Color
+	// scratch backs the slice path of the engine's rule application (see
+	// Engine.next); it lives here so Step stays allocation-free.
+	scratch []color.Color
 }
 
 // newFrontier allocates a frontier with a blank configuration; callers must
@@ -189,76 +185,15 @@ func (f *Frontier) Step() int {
 	f.round++
 	r := int32(f.round)
 	cells := f.cfg.Cells()
-	fwd := f.e.csr.Neighbors
 
 	// Evaluate the frontier against pre-round state, journaling changes.
 	f.chV, f.chOld, f.chNew = f.chV[:0], f.chOld[:0], f.chNew[:0]
-	switch cr := f.e.countRule; {
-	case f.e.deg4 && cr != nil:
-		for _, v := range f.queue {
-			base := int(v) * grid.Degree
-			var cs rules.Counts
-			cs.Add(cells[fwd[base]])
-			cs.Add(cells[fwd[base+1]])
-			cs.Add(cells[fwd[base+2]])
-			cs.Add(cells[fwd[base+3]])
-			cur := cells[v]
-			if nc := cr.NextFromCounts(cur, cs); nc != cur {
-				f.chV = append(f.chV, v)
-				f.chOld = append(f.chOld, cur)
-				f.chNew = append(f.chNew, nc)
-			}
-		}
-	case f.e.deg4:
-		rule := f.e.rule
-		for _, v := range f.queue {
-			base := int(v) * grid.Degree
-			f.scratch4[0] = cells[fwd[base]]
-			f.scratch4[1] = cells[fwd[base+1]]
-			f.scratch4[2] = cells[fwd[base+2]]
-			f.scratch4[3] = cells[fwd[base+3]]
-			cur := cells[v]
-			if nc := rule.Next(cur, f.scratch4[:]); nc != cur {
-				f.chV = append(f.chV, v)
-				f.chOld = append(f.chOld, cur)
-				f.chNew = append(f.chNew, nc)
-			}
-		}
-	default:
-		// Irregular substrate: offset-framed rows, counts fast path when
-		// the multiset fits a Counts vector exactly, slice path otherwise.
-		off := f.e.csr.Off
-		rule := f.e.rule
-		for _, v := range f.queue {
-			row := fwd[off[v]:off[v+1]]
-			cur := cells[v]
-			var nc color.Color
-			fits := false
-			if cr != nil {
-				var cs rules.Counts
-				fits = true
-				for _, u := range row {
-					if !cs.AddOK(cells[u]) {
-						fits = false
-						break
-					}
-				}
-				if fits {
-					nc = cr.NextFromCounts(cur, cs)
-				}
-			}
-			if !fits {
-				scratch := f.scratch[:0]
-				for _, u := range row {
-					scratch = append(scratch, cells[u])
-				}
-				nc = rule.Next(cur, scratch)
-			}
-			if nc != cur {
-				f.chV = append(f.chV, v)
-				f.chOld = append(f.chOld, cur)
-				f.chNew = append(f.chNew, nc)
-			}
+	for _, v := range f.queue {
+		cur := cells[v]
+		if nc := f.e.next(cells, int(v), &f.scratch); nc != cur {
+			f.chV = append(f.chV, v)
+			f.chOld = append(f.chOld, cur)
+			f.chNew = append(f.chNew, nc)
 		}
 	}
 

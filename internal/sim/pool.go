@@ -65,6 +65,15 @@ func (t *stripeTask) runStochastic() {
 	t.trace()
 }
 
+// runInPlace is the sequential schedules' round, always a single stripe
+// over the whole lattice.
+func (t *stripeTask) runInPlace() {
+	d := t.sw
+	t.growScratch()
+	t.changed = d.e.stepInPlace(d.round, d.sched, d.noise, d.cur.Cells(), d.next.Cells(), &d.st.order, t.scratch)
+	t.trace()
+}
+
 // growScratch sizes the task's scratch buffer to the substrate's maximum
 // degree.  It allocates at most once per task slot (the slot keeps the
 // buffer across steps); the WaitGroup handoff orders the write against the
@@ -116,6 +125,7 @@ var (
 	runSweepTask      = (*stripeTask).runSweep
 	runSweepTVTask    = (*stripeTask).runSweepTV
 	runStochasticTask = (*stripeTask).runStochastic
+	runInPlaceTask    = (*stripeTask).runInPlace
 	runBitSlabTask    = (*stripeTask).runBitSlab
 )
 

@@ -224,8 +224,6 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 // parallelize exactly like the synchronous sweep; all randomness is
 // counter-based, making the result independent of the stripe partition.
 func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	cr := e.countRule
 	r := uint64(round)
 	var faults rules.FaultRound
 	if noise != nil {
@@ -238,7 +236,7 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 			next[v] = cv
 			continue
 		}
-		nc := e.nextColor(cr, fwd, off, cur, v, cv, &scratch)
+		nc := e.next(cur, v, &scratch)
 		if noise != nil {
 			if c, ok := faults.Fault(uint64(v)); ok {
 				nc = c
@@ -252,170 +250,57 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 	return changed
 }
 
-// nextColor computes one rule application over the CSR row of v: the counts
-// fast path when the neighborhood fits a Counts vector exactly, the rule's
-// slice path otherwise.  scratch is passed by pointer so growth survives for
-// the caller's next vertex.
-func (e *Engine) nextColor(cr rules.CountRule, fwd, off []int32, cells []color.Color, v int, cv color.Color, scratch *[]color.Color) color.Color {
-	row := fwd[off[v]:off[v+1]]
-	if cr != nil {
-		var cs rules.Counts
-		fits := true
-		for _, u := range row {
-			if !cs.AddOK(cells[u]) {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return cr.NextFromCounts(cv, cs)
-		}
-	}
-	s := (*scratch)[:0]
-	for _, u := range row {
-		s = append(s, cells[u])
-	}
-	*scratch = s
-	return e.rule.Next(cv, s)
-}
-
-// inPlaceDriver is the tier behind drive for the sequential schedules: one
-// in-place sweep per round in which each vertex commits immediately, so
-// later vertices observe earlier commits and the sweep cannot be striped.
-// Every random draw is counter-based, so the driver carries no generator
-// state and a resumed run continues bit-identically from just
-// (configuration, round).  The masked schedules run on sweepDriver.
-type inPlaceDriver struct {
-	e         *Engine
-	st        *runState
-	cur, next *color.Coloring
-	sched     Schedule
-	noise     *Noise
-	// order is the sweep-order buffer of ScheduleRandomSequential, a
-	// per-round derived permutation.
-	order []int
-	// prevPrev backs period-2 cycle detection, maintained only for the
-	// deterministic raster-sequential noise-free case (every other stochastic
-	// run makes the verdict meaningless).
-	prevPrev  *color.Coloring
-	cycleFlag bool
-	stepped   bool
-	seedPrev  *color.Coloring
-}
-
-func (e *Engine) newInPlaceDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, rs *Resume) *inPlaceDriver {
-	cur, next := st.buffers(e)
-	d := &inPlaceDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise}
-	d.cur.CopyFrom(initial)
-	if opt.DetectCycles && sched.Kind == ScheduleSequential && noise == nil {
-		if st.prevPrev == nil {
-			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
-		}
-		d.prevPrev = st.prevPrev
-		if rs != nil && rs.Prev != nil {
-			d.prevPrev.CopyFrom(rs.Prev)
-		} else {
-			d.prevPrev.CopyFrom(initial)
-		}
-	}
-	if rs != nil && rs.Prev != nil {
-		d.seedPrev = rs.Prev
-	}
-	return d
-}
-
-// stepRound runs one sequential sweep: the configuration before the sweep
-// is snapshotted into the spare buffer (it becomes prevConfig), then each
-// vertex in this round's order recomputes its color against the live cells
-// so later vertices observe earlier commits.
-func (d *inPlaceDriver) stepRound(round int, res *Result, opt Options) int {
-	e := d.e
-	cells := d.cur.Cells()
-	n := len(cells)
-	d.next.CopyFrom(d.cur)
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	cr := e.countRule
-	scratch := d.st.scratch
+// stepInPlace is the round of the sequential schedules: next starts as a
+// copy of cur, and each vertex in turn (raster order, or the round's
+// permutation under ScheduleRandomSequential) recomputes its color against
+// next's live cells, so later vertices observe earlier commits and the
+// round cannot be striped.  Every random draw is counter-based, so a
+// resumed run continues bit-identically from (configuration, round).
+// order backs the permutation.
+func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, cur, next []color.Color, order *[]int, scratch []color.Color) int {
+	copy(next, cur)
 	r := uint64(round)
+	var perm []int
+	if sched.Kind == ScheduleRandomSequential {
+		perm = sched.permutation(r, len(next), order)
+	}
 	var faults rules.FaultRound
-	if d.noise != nil {
-		faults = d.noise.round(r)
+	if noise != nil {
+		faults = noise.round(r)
 	}
 	changed := 0
-	step := func(v int) {
-		cv := cells[v]
-		nc := e.nextColor(cr, fwd, off, cells, v, cv, &scratch)
-		if d.noise != nil {
+	for i := range next {
+		v := i
+		if perm != nil {
+			v = perm[i]
+		}
+		cv := next[v]
+		nc := e.next(next, v, &scratch)
+		if noise != nil {
 			if c, ok := faults.Fault(uint64(v)); ok {
 				nc = c
 			}
 		}
-		if nc == cv {
-			return
-		}
-		cells[v] = nc
-		changed++
-		if opt.Target != color.None {
-			if cv == opt.Target {
-				res.MonotoneTarget = false
-			}
-			if nc == opt.Target && res.FirstReached[v] < 0 {
-				res.FirstReached[v] = round
-			}
+		if nc != cv {
+			next[v] = nc
+			changed++
 		}
 	}
-	if d.sched.Kind == ScheduleRandomSequential {
-		for _, v := range d.orderFor(r, n) {
-			step(v)
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			step(v)
-		}
-	}
-	d.st.scratch = scratch
-	if d.prevPrev != nil {
-		d.cycleFlag = d.cur.Equal(d.prevPrev)
-		d.prevPrev.CopyFrom(d.next)
-	}
-	d.stepped = true
 	return changed
 }
 
-// orderFor returns this round's sweep permutation, derived statelessly from
+// permutation returns the round's random-sequential sweep order over n
+// vertices in *buf (grown as needed), derived statelessly from
 // (Seed, round) so any resumed run replays the identical order.
-func (d *inPlaceDriver) orderFor(round uint64, n int) []int {
-	if cap(d.order) < n {
-		d.order = make([]int, n)
+func (s *Schedule) permutation(round uint64, n int, buf *[]int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
 	}
-	order := d.order[:n]
+	order := (*buf)[:n]
 	for i := range order {
 		order[i] = i
 	}
-	src := rng.New(rng.Hash(d.sched.Seed, round))
+	src := rng.New(rng.Hash(s.Seed, round))
 	src.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	return order
 }
-
-func (d *inPlaceDriver) config() *color.Coloring { return d.cur }
-
-func (d *inPlaceDriver) prevConfig() *color.Coloring {
-	if !d.stepped {
-		if d.seedPrev != nil {
-			return d.seedPrev.Clone()
-		}
-		return nil
-	}
-	// The pre-sweep snapshot left the previous configuration in the spare
-	// buffer.
-	return d.next.Clone()
-}
-
-func (d *inPlaceDriver) mono() bool {
-	_, ok := d.cur.IsMonochromatic()
-	return ok
-}
-
-func (d *inPlaceDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
-
-func (d *inPlaceDriver) downshift(int, int, int, *Result) runDriver { return nil }

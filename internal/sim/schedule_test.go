@@ -331,3 +331,45 @@ func TestParseScheduleKindRoundTrip(t *testing.T) {
 		t.Fatal("bogus schedule name accepted")
 	}
 }
+
+// flipRule swaps colors 1 and 2 at every application, whatever the
+// neighbors say, so under any schedule that gives every vertex one turn
+// per round the configuration repeats every two rounds.
+type flipRule struct{}
+
+func (flipRule) Name() string                                    { return "flip" }
+func (flipRule) Next(c color.Color, _ []color.Color) color.Color { return 3 - c }
+
+// TestSequentialScheduleDetectsCycle pins the period-2 trace of the
+// sequential schedules' in-place round: under flipRule a raster-sequential
+// run stops on the cycle at round 2, as the synchronous run does, also when
+// resumed from a checkpoint taken after round 1.  A random-sequential run
+// keeps no trace (a repeat two rounds apart is no cycle under a fresh sweep
+// order each round) and runs to its budget.
+func TestSequentialScheduleDetectsCycle(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 5, 6)
+	eng := NewEngine(topo, flipRule{})
+	initial := randomTestColoring(1, topo.Dims(), 2)
+	for _, c := range []struct {
+		name   string
+		sched  *Schedule
+		rounds int
+		cycle  bool
+	}{
+		{"synchronous", nil, 2, true},
+		{"sequential", &Schedule{Kind: ScheduleSequential}, 2, true},
+		{"random-sequential", &Schedule{Kind: ScheduleRandomSequential, Seed: 1}, 10, false},
+	} {
+		opt := Options{Schedule: c.sched, DetectCycles: true, MaxRounds: 10}
+		res := eng.Run(initial, opt)
+		if res.Rounds != c.rounds || res.Cycle != c.cycle || !res.Final.Equal(initial) {
+			t.Errorf("%s: rounds %d cycle %v back at the initial coloring %v, want rounds %d cycle %v",
+				c.name, res.Rounds, res.Cycle, res.Final.Equal(initial), c.rounds, c.cycle)
+		}
+		resumed, err := eng.ResumeContext(context.Background(), checkpointAt(t, eng, initial, opt, 1), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, c.name+"/resumed", resumed, res)
+	}
+}

@@ -85,9 +85,9 @@ type Resume struct {
 
 // runDriver is one stepping tier viewed through the single round loop of
 // drive: it advances rounds, exposes the post-round configuration and the
-// stop-detector verdicts, and snapshots resumable state.  The four
-// implementations (sweep, in-place sequential, frontier, bitplane) carry
-// the per-tier bookkeeping.
+// stop-detector verdicts, and snapshots resumable state.  The three
+// implementations (sweep, frontier, bitplane) carry the per-tier
+// bookkeeping.
 type runDriver interface {
 	// stepRound applies round `round`, updating the result's target trace,
 	// and returns the number of vertices that changed color.
@@ -206,11 +206,15 @@ func initTargetTrace(res *Result, initial *color.Coloring, target color.Color) {
 
 // sweepDriver is the full-sweep tier behind drive: the double-buffered loop
 // over all n vertices every round, striped across workers (one worker is a
-// single stripe, run inline).  Its stripe kind — plain, time-varying or
-// masked stochastic — is fixed when the driver is built, and every stripe
-// also does the round's per-vertex bookkeeping for its own range (see
-// stripeTask.trace), so no serial pass over the lattice follows the
-// round's barrier.
+// single stripe, run inline).  Its stripe kind — plain, time-varying,
+// masked stochastic or in-place sequential — is fixed when the driver is
+// built, and every stripe also does the round's per-vertex bookkeeping for
+// its own range (see stripeTask.trace), so no serial pass over the lattice
+// follows the round's barrier.  The in-place kind serves the sequential
+// schedules: it commits each vertex within the round, so it always runs as
+// one stripe, and it leaves the pre-round configuration in cur and the
+// post-round one in next exactly like the other kinds, which is what lets
+// it share the trace, the swap and the resume seed.
 type sweepDriver struct {
 	e         *Engine
 	st        *runState
@@ -238,25 +242,32 @@ type sweepDriver struct {
 
 // newSweepDriver builds the sweep tier over the pooled state; sched and
 // noise are the run's stochastic parameters, both nil for a deterministic
-// run.
-func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, rs *Resume) *sweepDriver {
+// run, and fixedPointStops reports whether a zero-change round ends it.
+func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, fixedPointStops bool, rs *Resume) *sweepDriver {
 	cur, next := st.buffers(e)
 	d := &st.sweep
 	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next,
 		tv: opt.TimeVarying, sched: sched, noise: noise, target: opt.Target}
 	switch {
+	case sched != nil && sched.inPlace():
+		d.run = runInPlaceTask
 	case sched != nil:
 		d.run = runStochasticTask
 	case opt.TimeVarying != nil:
 		d.run = runSweepTVTask
 	}
 	d.cur.CopyFrom(initial)
-	// The period-2 trace is maintained only when the verdict can ever be
-	// consulted: under a non-static availability model cycle detection is
-	// inert (see Options.TimeVarying), and a stochastic run never stops on
-	// a cycle, so paying an O(n) compare-and-copy per round for it would be
-	// pure waste.
-	if opt.DetectCycles && sched == nil && (opt.TimeVarying == nil || staticAvailability(opt.TimeVarying)) {
+	// The period-2 trace costs an O(n) compare-and-copy per round, so it is
+	// kept only when its verdict can stop the run.  drive consults it only
+	// when a zero-change round is a fixed point (a static network, no
+	// noise), and a configuration repeating two rounds apart is a cycle only
+	// when every round applies the rule in the same fixed order: the
+	// synchronous sweep and the raster-sequential schedule.  Under a random
+	// sweep order a repeat two rounds apart is not a cycle, since the next
+	// permutation can leave it.  The masked schedules are excluded too, even
+	// where the mask activates everyone (uniform-async at p=1, vertex-clock
+	// at period 1).
+	if opt.DetectCycles && fixedPointStops && (sched == nil || sched.Kind == ScheduleSequential) {
 		if st.prevPrev == nil {
 			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
 		}
@@ -677,17 +688,17 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		case drv != nil:
 		case opt.Kernel == KernelFrontier || (opt.Kernel == KernelAuto && sched == nil && tv == nil && workers == 1 && !opt.FullSweep):
 			drv, kernel, workers = e.newFrontierDriver(st, initial, rs), KernelFrontier, 1
-		case sched != nil && sched.inPlace():
-			drv, kernel, workers = e.newInPlaceDriver(st, initial, opt, sched, noise, rs), KernelSweep, 1
 		default:
-			if opt.Kernel == KernelSweep {
+			// The sequential schedules commit within a round, so they step
+			// as one stripe.
+			if opt.Kernel == KernelSweep || sched != nil && sched.inPlace() {
 				workers = 1
 			}
 			kernel = KernelSweep
 			if workers > 1 || opt.Kernel == KernelParallel {
 				kernel = KernelParallel
 			}
-			drv = e.newSweepDriver(st, initial, opt, sched, noise, workers, rs)
+			drv = e.newSweepDriver(st, initial, opt, sched, noise, workers, fixedPointStops, rs)
 		}
 
 		res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
