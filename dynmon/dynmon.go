@@ -75,9 +75,10 @@
 // seeds riding RunSpec and Checkpoint automatically.  The Monte-Carlo
 // harness on top is Ensemble: an EnsembleSpec (system + run + replica
 // count + master seed + optional one-axis sweep over
-// density/eps/p/threshold) fans counter-seeded replicas through a Session —
-// deterministic points ride the bit-sliced batch tier, synchronous noisy
-// replicas the bitplane tier — and aggregates an EnsembleReport with Wilson
+// density/eps/p/threshold) runs counter-seeded replicas of every point on
+// one worker pool — deterministic points in 64-replica bit-sliced tiles,
+// synchronous noisy replicas on the bitplane tier, each replica kept only
+// as its outcome record — and aggregates an EnsembleReport with Wilson
 // 95% takeover intervals and rounds-to-takeover quantiles, byte-identical
 // for any worker count.  ParseEnsembleSpec is strict and fuzzed;
 // EnsembleSpec.Digest is the content address dynserve's POST /v1/ensembles

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -64,6 +68,14 @@ type SweepSpec struct {
 	Values []float64 `json:"values"`
 }
 
+// maxEnsembleRuns caps replicas × sweep points: Run allocates one outcome
+// record per run up front, so the cap keeps that table at tens of MiB.
+const maxEnsembleRuns = 1 << 20
+
+// ErrEnsembleTooLarge reports an ensemble of more than 2^20 runs (replicas
+// × sweep points).  Callers branch on it with errors.Is.
+var ErrEnsembleTooLarge = fmt.Errorf("dynmon: ensemble exceeds %d runs (replicas × sweep points)", maxEnsembleRuns)
+
 // seed-derivation tags, one stream per consumer (cf. rules.FaultRound).
 const (
 	ensTagInit uint64 = iota + 1
@@ -96,6 +108,9 @@ func (es *EnsembleSpec) Validate() error {
 	}
 	if es.Replicas < 1 {
 		return fmt.Errorf("dynmon: ensemble needs replicas >= 1, have %d", es.Replicas)
+	}
+	if points := len(es.pointValues()); points > 0 && es.Replicas > maxEnsembleRuns/points {
+		return fmt.Errorf("%w: %d replicas × %d points", ErrEnsembleTooLarge, es.Replicas, points)
 	}
 	if es.Initial.Config == "" && es.Initial.Cells == nil {
 		return fmt.Errorf("dynmon: ensemble initial section needs a named config or explicit cells")
@@ -252,7 +267,8 @@ type Ensemble struct {
 }
 
 // NewEnsemble validates the spec and prepares an executor running at most
-// workers replicas concurrently (workers <= 0 selects GOMAXPROCS).
+// workers units — a tile of replicas or one replica — concurrently
+// (workers <= 0 selects GOMAXPROCS).
 func NewEnsemble(spec *EnsembleSpec, workers int) (*Ensemble, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("dynmon: nil ensemble spec")
@@ -264,6 +280,9 @@ func NewEnsemble(spec *EnsembleSpec, workers int) (*Ensemble, error) {
 	if err != nil {
 		return nil, err
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return &Ensemble{spec: spec, digest: digest, workers: workers}, nil
 }
 
@@ -273,19 +292,52 @@ func (e *Ensemble) Spec() *EnsembleSpec { return e.spec }
 // Digest returns the spec's content address.
 func (e *Ensemble) Digest() string { return e.digest }
 
+// ensemblePoint is a sweep point ready to run: its system, the base
+// sections its replicas derive from and the engine options of the base run
+// section, which every replica of a tile shares.
+type ensemblePoint struct {
+	sys   *System
+	ispec InitialSpec
+	rs    RunSpec
+	opt   sim.Options
+}
+
+// ensembleUnit is the replicas [lo, hi) of one point, built and stepped by
+// one worker: several replicas of a deterministic point form a bit-sliced
+// tile, and a single replica runs alone.
+type ensembleUnit struct{ point, lo, hi int }
+
 // Run executes every replica of every sweep point and aggregates the
-// per-point takeover statistics.  The report is a pure function of the
-// spec: deterministic replicas of a point ride the session's bit-sliced
-// batch tier where eligible, stochastic ones run per replica, and either
-// way the aggregation consumes results in replica order, so the report is
-// byte-identical across worker counts and batch tiers.  When ctx is
-// canceled the first incomplete point aborts the run.
+// per-point takeover statistics.  One pool of workers runs the whole
+// ensemble.  Its units are tiles of up to 64 replicas of a deterministic
+// point (no schedule, no noise), stepped together on the bit-sliced tier,
+// and single replicas of stochastic points; a tile the tier refuses (a
+// replica using a third color, say) is queued again as single replicas.
+// A unit derives its replicas' seeds, builds their colorings and steps
+// them, and each replica is reduced where it finishes to an outcome record
+// in a slot indexed by (point, replica): rounds, stop reason, final color
+// and the number of target-colored vertices, nothing else.  The
+// aggregation reads the slots in replica order, so the report is a pure
+// function of the spec, byte-identical across worker counts, tiers and
+// completion orders.  A replica that cannot be built or run fails the
+// ensemble with the error of the lowest failing (point, replica), whatever
+// the worker count.  When ctx is canceled the pool drains and Run returns
+// the context's error.
 func (e *Ensemble) Run(ctx context.Context) (*EnsembleReport, error) {
 	es := e.spec
 	target := es.target()
 	values := es.pointValues()
+	points, err := e.points()
+	if err != nil {
+		return nil, err
+	}
+	outcomes, err := e.runUnits(ctx, points, target)
+	if err != nil {
+		return nil, err
+	}
 	report := &EnsembleReport{
 		Digest:   e.digest,
+		System:   points[0].sys.String(),
 		Target:   target,
 		Replicas: es.Replicas,
 		Points:   make([]EnsemblePoint, len(values)),
@@ -293,113 +345,164 @@ func (e *Ensemble) Run(ctx context.Context) (*EnsembleReport, error) {
 	if es.Sweep != nil {
 		report.Axis = es.Sweep.Axis
 	}
-
-	// Systems are cached per rule name: only the threshold axis changes the
-	// system between points, every other axis shares one engine (and its
-	// adjacency tables) across the whole ensemble.
-	sessions := map[string]*Session{}
-	sessionFor := func(system Spec) (*Session, error) {
-		if se, ok := sessions[system.Rule]; ok {
-			return se, nil
-		}
-		sys, err := system.New()
-		if err != nil {
-			return nil, err
-		}
-		if report.System == "" {
-			report.System = sys.String()
-		}
-		se := sys.NewSession(e.workers)
-		sessions[system.Rule] = se
-		return se, nil
-	}
-
-	for i := range values {
-		system, ispec, rs := es.pointSpec(i)
-		se, err := sessionFor(system)
-		if err != nil {
-			return nil, fmt.Errorf("dynmon: ensemble point %d: %w", i, err)
-		}
-		results, err := e.runPoint(ctx, se, i, ispec, rs, target)
-		if err != nil {
-			return nil, fmt.Errorf("dynmon: ensemble point %d: %w", i, err)
-		}
-		report.Points[i] = aggregatePoint(values[i], results, target, es.TakeoverFraction)
+	n := es.Replicas
+	for i, p := range points {
+		report.Points[i] = aggregatePoint(values[i], outcomes[i*n:(i+1)*n], target, es.TakeoverFraction, p.sys.Dims().N())
 	}
 	return report, nil
 }
 
-// runPoint executes the point's replicas and returns their results in
-// replica order.  A point whose run spec is deterministic (no schedule, no
-// noise) shares one RunSpec across replicas and goes through RunBatch —
-// the bit-sliced tier where eligible; a stochastic point derives
-// per-replica schedule/noise seeds and runs replica-at-a-time over the same
-// worker pool.
-func (e *Ensemble) runPoint(ctx context.Context, se *Session, i int, ispec InitialSpec, rs RunSpec, target Color) ([]*Result, error) {
+// points prepares every sweep point.  Systems are cached per rule name:
+// only the threshold axis changes the system between points, every other
+// axis shares one engine (and its adjacency tables) across the whole
+// ensemble.
+func (e *Ensemble) points() ([]ensemblePoint, error) {
 	es := e.spec
-	sys := se.System()
-	initials := make([]*Coloring, es.Replicas)
-	specs := make([]RunSpec, es.Replicas)
-	for r := range initials {
-		rispec, rrs := es.replicaSpec(i, r, ispec, rs)
-		cons, err := sys.BuildInitial(&rispec, target)
-		if err != nil {
-			return nil, fmt.Errorf("replica %d: %w", r, err)
+	systems := map[string]*System{}
+	points := make([]ensemblePoint, len(es.pointValues()))
+	for i := range points {
+		system, ispec, rs := es.pointSpec(i)
+		sys, ok := systems[system.Rule]
+		if !ok {
+			var err error
+			if sys, err = system.New(); err != nil {
+				return nil, fmt.Errorf("dynmon: ensemble point %d: %w", i, err)
+			}
+			systems[system.Rule] = sys
 		}
-		initials[r], specs[r] = cons.Coloring, rrs
-	}
-	if rs.Schedule == nil && rs.Noise == nil {
-		// Deterministic dynamics: every replica shares the base run spec, so
-		// the whole point is one batch (rides the bit-sliced tier when the
-		// system qualifies).
-		return se.RunBatch(ctx, initials, WithRunSpec(rs))
-	}
-	results := make([]*Result, es.Replicas)
-	err := se.forEach(ctx, es.Replicas, func(ctx context.Context, r int) error {
-		opt, err := se.batchOptions(specs[r])
+		opt, err := sys.batchOptions(rs)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("dynmon: ensemble point %d: %w", i, err)
 		}
-		res, err := sys.engine.RunContext(ctx, initials[r], opt)
-		if err != nil {
-			return err
-		}
-		results[r] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		points[i] = ensemblePoint{sys: sys, ispec: ispec, rs: rs, opt: opt}
 	}
-	return results, nil
+	return points, nil
 }
 
-// aggregatePoint reduces a point's replica results to its statistics.  It
-// walks results in replica order, so the aggregate is independent of the
+// runUnits runs every replica of every point on one pool and returns their
+// outcomes, replica r of point i in slot i*Replicas + r.
+func (e *Ensemble) runUnits(ctx context.Context, points []ensemblePoint, target Color) ([]sim.Outcome, error) {
+	es := e.spec
+	n := es.Replicas
+	var units []ensembleUnit
+	for i, p := range points {
+		width := 1
+		if p.rs.Schedule == nil && p.rs.Noise == nil {
+			width = sim.BitsliceLanes
+		}
+		for lo := 0; lo < n; lo += width {
+			units = append(units, ensembleUnit{point: i, lo: lo, hi: min(lo+width, n)})
+		}
+	}
+
+	outcomes := make([]sim.Outcome, len(points)*n)
+	var (
+		mu       sync.Mutex
+		refused  []ensembleUnit
+		failSlot = len(outcomes) // slot of the lowest failing replica so far
+		failErr  error
+	)
+	// fail records replica r of point i as failed unless a lower slot
+	// already did.  A unit whose first slot lies above the lowest failure
+	// cannot change the error, so it is skipped.
+	fail := func(i, r int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if slot := i*n + r; slot < failSlot {
+			failSlot, failErr = slot, fmt.Errorf("dynmon: ensemble point %d: replica %d: %w", i, r, err)
+		}
+	}
+	skip := func(u ensembleUnit) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return failSlot < u.point*n+u.lo
+	}
+	work := func(ctx context.Context, u ensembleUnit) error {
+		if skip(u) {
+			return nil
+		}
+		p := &points[u.point]
+		slots := outcomes[u.point*n+u.lo : u.point*n+u.hi]
+		initials := make([]*Coloring, len(slots))
+		for r := u.lo; r < u.hi; r++ {
+			ispec, _ := es.replicaSpec(u.point, r, p.ispec, p.rs)
+			cons, err := p.sys.construct(&ispec, target)
+			if err != nil {
+				fail(u.point, r, err)
+				return nil
+			}
+			initials[r-u.lo] = cons.Coloring
+		}
+		if len(initials) > 1 {
+			err := p.sys.engine.RunBatchOutcomes(ctx, initials, p.opt, target, slots)
+			if errors.Is(err, sim.ErrBitsliceIneligible) {
+				mu.Lock()
+				for r := u.lo; r < u.hi; r++ {
+					refused = append(refused, ensembleUnit{point: u.point, lo: r, hi: r + 1})
+				}
+				mu.Unlock()
+				return nil
+			}
+			return err
+		}
+		// A lone replica steps on the per-run tiers with its own seeds and
+		// no target trace: the outcome reads neither FirstReached nor
+		// MonotoneTarget, the only things Target feeds.
+		_, rs := es.replicaSpec(u.point, u.lo, p.ispec, p.rs)
+		opt, err := p.sys.batchOptions(rs)
+		if err != nil {
+			fail(u.point, u.lo, err)
+			return nil
+		}
+		opt.Target = None
+		res, err := p.sys.engine.RunContext(ctx, initials[0], opt)
+		if err != nil {
+			if ctx.Err() != nil {
+				return err
+			}
+			fail(u.point, u.lo, err)
+			return nil
+		}
+		slots[0] = res.Outcome(target)
+		return nil
+	}
+	for len(units) > 0 {
+		err := forEach(ctx, e.workers, len(units), func(ctx context.Context, j int) error {
+			return work(ctx, units[j])
+		})
+		if err != nil {
+			return nil, fmt.Errorf("dynmon: ensemble: %w", err)
+		}
+		units, refused = refused, nil
+	}
+	return outcomes, failErr
+}
+
+// aggregatePoint reduces a point's replica outcomes to its statistics.  It
+// walks them in replica order, so the aggregate is independent of the
 // order replicas completed in.  fraction is the takeover criterion
-// (EnsembleSpec.TakeoverFraction; 0 means 1, total takeover).
-func aggregatePoint(value float64, results []*Result, target Color, fraction float64) EnsemblePoint {
+// (EnsembleSpec.TakeoverFraction; 0 means 1, total takeover) over the
+// substrate's n vertices.
+func aggregatePoint(value float64, outcomes []sim.Outcome, target Color, fraction float64, n int) EnsemblePoint {
 	if fraction == 0 {
 		fraction = 1
 	}
-	pt := EnsemblePoint{Value: value, Replicas: len(results)}
+	pt := EnsemblePoint{Value: value, Replicas: len(outcomes)}
 	var rounds stats.Welford
 	var taken []int
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		tookOver := res.Monochromatic && res.FinalColor == target
-		if !tookOver && fraction < 1 && res.Final != nil {
-			tookOver = float64(res.Final.Count(target)) >= fraction*float64(res.Final.Dims().N())
+	for _, o := range outcomes {
+		tookOver := o.Monochromatic && o.FinalColor == target
+		if !tookOver && fraction < 1 {
+			tookOver = float64(o.Count) >= fraction*float64(n)
 		}
 		switch {
 		case tookOver:
 			pt.Takeovers++
-			rounds.Add(float64(res.Rounds))
-			taken = append(taken, res.Rounds)
-		case res.Cycle:
+			rounds.Add(float64(o.Rounds))
+			taken = append(taken, o.Rounds)
+		case o.Cycle:
 			pt.Cycles++
-		case res.FixedPoint || res.Monochromatic:
+		case o.FixedPoint || o.Monochromatic:
 			pt.FixedPoints++
 		default:
 			pt.Exhausted++

@@ -2,9 +2,14 @@ package dynmon
 
 import (
 	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ensembleSpecDoc is a small, fast, fully wired example: a density sweep of
@@ -61,6 +66,10 @@ func TestParseEnsembleSpecRejects(t *testing.T) {
 				t.Fatalf("%s accepted", label)
 			}
 		})
+	}
+	huge := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":8,"cols":8}},"colors":2},"initial":{"config":"bernoulli"},"replicas":2000000000}`
+	if _, err := ParseEnsembleSpec([]byte(huge)); !errors.Is(err, ErrEnsembleTooLarge) {
+		t.Fatalf("2e9 replicas: err = %v, want ErrEnsembleTooLarge", err)
 	}
 	if _, err := ParseEnsembleSpec([]byte(`{"system": {}, "voltage": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
@@ -122,30 +131,128 @@ func runEnsemble(t *testing.T, es *EnsembleSpec, workers int) *EnsembleReport {
 }
 
 // TestEnsembleDeterministicAcrossWorkers is the ensemble determinism
-// acceptance: the same spec must produce a byte-identical report whether
-// replicas run on 1 worker or 4, for both the stochastic per-replica path
-// (noisy runs) and the batch path (deterministic runs, which ride the
-// bit-sliced tier on this 2-color mesh system).
+// acceptance: the same spec must produce a byte-identical report on 1, 2
+// and 4 workers, over the stochastic per-replica path (noisy runs), the
+// bit-sliced tiles (deterministic runs on this 2-color mesh system), a
+// point of two tiles, the fractional takeover count, tiles the sliced tier
+// refuses (3 colors), the per-point systems of the threshold axis and an
+// eps axis whose eps=0 point is deterministic.  Each report's sha256 was
+// computed with a harness that stepped points one after another and kept
+// every replica's full Result, so the pinned bytes are independent of how
+// the pool schedules units and what it keeps of each replica.
 func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
-	noisy := parseEnsembleDoc(t)
-	det := parseEnsembleDoc(t)
-	det.Run.Noise = nil
-	for label, es := range map[string]*EnsembleSpec{"stochastic": noisy, "deterministic": det} {
-		t.Run(label, func(t *testing.T) {
-			seq := runEnsemble(t, es, 1)
-			par := runEnsemble(t, es, 4)
-			seqWire, err := seq.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			parWire, err := par.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(seqWire) != string(parWire) {
-				t.Fatalf("report differs across worker counts:\n--- 1 worker\n%s\n--- 4 workers\n%s", seqWire, parWire)
+	cases := []struct {
+		label  string
+		mutate func(*EnsembleSpec)
+		sha256 string
+	}{
+		{"stochastic", func(es *EnsembleSpec) {}, "0d6439bc0662e1c9f654b274f5023319b8043a91d887ad46c54d92793bc5abbc"},
+		{"deterministic", func(es *EnsembleSpec) { es.Run.Noise = nil }, "546c4b2a1b90afb7d1acc7145d780f6458a6a0f7796331617653e1970a6d9bbc"},
+		{"two tiles", func(es *EnsembleSpec) {
+			es.System.Substrate.Topology.Name = "torus-serpentinus"
+			es.Run = RunSpec{MaxRounds: 48, Target: 2, DetectCycles: true, StopWhenMonochromatic: true}
+			es.Replicas = 100
+			es.Initial.Density = 0.7
+			es.Sweep = nil
+		}, "affdc6656e822a07eecb175d4785469735865207bf7b3540a1a1cb2faec9f2dc"},
+		{"takeover fraction", func(es *EnsembleSpec) {
+			es.Run.Noise = nil
+			es.TakeoverFraction = 0.75
+			es.Sweep.Values = []float64{0.4, 0.5, 0.55, 0.6}
+		}, "2c948341985bbcafd11e9d54bea6920a0f1fc4efe31b30c0ef2a3c82f9701bc6"},
+		{"three colors", func(es *EnsembleSpec) { es.System.Colors = 3; es.Run.Noise = nil }, "6dfbee3b057cd593d4250d2201d92df7b6377673294eba6e3d7031a097ebe316"},
+		{"threshold axis", func(es *EnsembleSpec) {
+			es.Run.Noise = nil
+			es.Initial.Density = 0.3
+			es.Sweep = &SweepSpec{Axis: "threshold", Values: []float64{1, 2, 3, 4}}
+		}, "8e7c5ce873ee538b18175b89d556aaf2961191b95340f26847c52c253cab80b4"},
+		{"eps axis", func(es *EnsembleSpec) {
+			es.Initial.Density = 0.5
+			es.Sweep = &SweepSpec{Axis: "eps", Values: []float64{0, 0.01, 0.05}}
+		}, "f6a2ef06faa075999a16811cc590bb2fae0927ea1779c9911003cc592bdeff6c"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.label, func(t *testing.T) {
+			es := parseEnsembleDoc(t)
+			tc.mutate(es)
+			for _, workers := range []int{1, 2, 4} {
+				wire, err := runEnsemble(t, es, workers).JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != tc.sha256 {
+					t.Errorf("%d workers: report sha256 %s, want %s:\n%s", workers, got, tc.sha256, wire)
+				}
 			}
 		})
+	}
+}
+
+// TestEnsembleErrorIndependentOfWorkers: when every replica fails to build
+// (the cross config exists only on the toroidal mesh), the error names the
+// lowest failing (point, replica) at any worker count, with and without a
+// sweep whose points run as tiles and as single replicas.
+func TestEnsembleErrorIndependentOfWorkers(t *testing.T) {
+	for label, sweep := range map[string]*SweepSpec{
+		"sweepless": nil,
+		"eps axis":  {Axis: "eps", Values: []float64{0, 0.01}},
+	} {
+		t.Run(label, func(t *testing.T) {
+			es := parseEnsembleDoc(t)
+			es.System.Substrate.Topology.Name = "torus-cordalis"
+			es.Initial = InitialSpec{Config: "cross"}
+			es.Run.Noise = nil
+			es.Replicas = 100
+			es.Sweep = sweep
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				e, err := NewEnsemble(es, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = e.Run(context.Background())
+				if err == nil {
+					t.Fatalf("%d workers: an unbuildable ensemble ran", workers)
+				}
+				if workers == 1 {
+					want = err.Error()
+					if !strings.Contains(want, "point 0: replica 0:") {
+						t.Fatalf("error %q does not name point 0, replica 0", want)
+					}
+				} else if err.Error() != want {
+					t.Fatalf("%d workers: error %q, want %q", workers, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEnsembleCancelLeaksNothing cancels Run while its pool is stepping:
+// the error wraps context.Canceled and every worker is joined, so the
+// goroutine count returns to its baseline.
+func TestEnsembleCancelLeaksNothing(t *testing.T) {
+	// Uncanceled, this ensemble steps for about a second on a 2-core Xeon.
+	es := parseEnsembleDoc(t)
+	es.System.Substrate.Topology.Rows, es.System.Substrate.Topology.Cols = 128, 128
+	es.Run.MaxRounds = 96
+	es.Sweep.Values = []float64{0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75}
+	e, err := NewEnsemble(es, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	if _, err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before the run, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

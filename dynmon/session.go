@@ -55,17 +55,17 @@ func (se *Session) System() *System { return se.sys }
 // Workers returns the pool bound.
 func (se *Session) Workers() int { return se.workers }
 
-// batchOptions folds run options into the engine options every batch item
-// runs with, applying the session's normalization: per-run parallel stepping
-// would oversubscribe the pool — the batch is the unit of parallelism — so
-// Parallel is cleared and a forced parallel tier is normalized to the sweep
-// it would otherwise degrade to.
-func (se *Session) batchOptions(rs RunSpec) (sim.Options, error) {
+// batchOptions folds run options into the engine options every item of a
+// pooled batch or ensemble runs with, applying the pool's normalization:
+// per-run parallel stepping would oversubscribe the pool — the batch is the
+// unit of parallelism — so Parallel is cleared and a forced parallel tier
+// is normalized to the sweep it would otherwise degrade to.
+func (s *System) batchOptions(rs RunSpec) (sim.Options, error) {
 	rs.Parallel = false
 	if rs.Kernel == sim.KernelParallel.String() {
 		rs.Kernel = sim.KernelSweep.String()
 	}
-	return rs.engineOptions(se.sys.palette.K)
+	return rs.engineOptions(s.palette.K)
 }
 
 // RunBatch evolves every initial coloring under the system's rule and
@@ -76,7 +76,7 @@ func (se *Session) batchOptions(rs RunSpec) (sim.Options, error) {
 // When ctx is canceled mid-batch the call returns ctx.Err(); entries whose
 // simulation did not complete are nil.
 func (se *Session) RunBatch(ctx context.Context, initials []*Coloring, opts ...RunOption) ([]*Result, error) {
-	opt, err := se.batchOptions(runSpecOf(opts))
+	opt, err := se.sys.batchOptions(runSpecOf(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (se *Session) runBatchInto(ctx context.Context, initials []*Coloring, opt s
 	n := len(initials)
 	tiles := (n + sim.BitsliceLanes - 1) / sim.BitsliceLanes
 	missed := make([][]int, tiles)
-	err := se.forEach(ctx, tiles, func(ctx context.Context, t int) error {
+	err := forEach(ctx, se.workers, tiles, func(ctx context.Context, t int) error {
 		lo := t * sim.BitsliceLanes
 		hi := min(lo+sim.BitsliceLanes, n)
 		results, err := se.sys.engine.RunBatchSliced(ctx, initials[lo:hi], opt)
@@ -135,7 +135,7 @@ func (se *Session) runBatchInto(ctx context.Context, initials []*Coloring, opt s
 	if len(fallback) == 0 {
 		return nil
 	}
-	return se.forEach(ctx, len(fallback), func(ctx context.Context, j int) error {
+	return forEach(ctx, se.workers, len(fallback), func(ctx context.Context, j int) error {
 		i := fallback[j]
 		res, err := se.sys.engine.RunContext(ctx, initials[i], opt)
 		if err != nil {
@@ -159,7 +159,7 @@ func (se *Session) VerifyBatch(ctx context.Context, initials []*Coloring, target
 	for _, opt := range opts {
 		opt(&rs)
 	}
-	opt, err := se.batchOptions(rs)
+	opt, err := se.sys.batchOptions(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +170,12 @@ func (se *Session) VerifyBatch(ctx context.Context, initials []*Coloring, target
 	return reports, err
 }
 
-// forEach runs fn(0..n-1) on up to se.workers goroutines and returns the
+// forEach runs fn(0..n-1) on up to workers goroutines and returns the
 // first error (worker errors win over the context error only in the sense
-// that both are ctx.Err() here; fn errors are surfaced as-is).
-func (se *Session) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	workers := se.workers
+// that both are ctx.Err() here; fn errors are surfaced as-is).  The first
+// error cancels the context fn runs under, and the remaining indices drain
+// without working.
+func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if workers > n {
 		workers = n
 	}

@@ -465,6 +465,21 @@ type InitialSpec struct {
 // seeds (graph families also need a background color and use the first
 // palette color distinct from target).
 func (s *System) BuildInitial(ispec *InitialSpec, target Color) (*Construction, error) {
+	cons, err := s.construct(ispec, target)
+	if err != nil {
+		return nil, err
+	}
+	if cons.Seed == nil {
+		cons.Seed = cons.Coloring.Vertices(target)
+	}
+	return cons, nil
+}
+
+// construct is BuildInitial without the seed list of the families that
+// would only read it back off the coloring (Seed stays nil); the named
+// theorem constructions carry theirs.  Ensembles build one coloring per
+// replica through it and read nothing else.
+func (s *System) construct(ispec *InitialSpec, target Color) (*Construction, error) {
 	if ispec == nil {
 		return nil, fmt.Errorf("dynmon: nil initial spec")
 	}
@@ -495,7 +510,6 @@ func (s *System) wrapConstruction(c *Coloring, name string, target Color) *Const
 		Topology: s.topo,
 		Target:   target,
 		Palette:  s.palette,
-		Seed:     c.Vertices(target),
 		Coloring: c,
 	}
 }
@@ -589,7 +603,6 @@ func (s *System) buildGraphInitial(ispec *InitialSpec, target Color) (*Construct
 			Name:     "bernoulli",
 			Target:   target,
 			Palette:  s.palette,
-			Seed:     c.Vertices(target),
 			Coloring: c,
 		}, nil
 	}
@@ -618,7 +631,6 @@ func (s *System) buildGraphInitial(ispec *InitialSpec, target Color) (*Construct
 		Name:     ispec.Config,
 		Target:   target,
 		Palette:  s.palette,
-		Seed:     c.Vertices(target),
 		Coloring: c,
 	}, nil
 }

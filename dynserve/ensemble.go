@@ -24,9 +24,11 @@ func ensembleCacheKey(digest string) string { return "ensemble:" + digest }
 // byte-identical to a fresh run and the endpoint is safe to retry.  A
 // cached answer costs no worker slot; a miss occupies one admission slot
 // (like /v1/batch: the ensemble, not the replica, is the admission unit)
-// and fans its replicas over a session bounded by the server's worker
-// budget, riding the bit-sliced batch tier where the points are
-// deterministic and eligible.
+// and runs every sweep point at once on one pool bounded by the server's
+// worker budget: 64-replica tiles of deterministic points on the
+// bit-sliced tier, stochastic replicas one by one, each replica kept only
+// as its outcome record.  A spec of more runs than an ensemble may hold
+// (dynmon.ErrEnsembleTooLarge) answers 422 before admission.
 func (s *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Add(1)
 	body, ok := s.readBody(w, r)

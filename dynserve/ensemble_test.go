@@ -100,8 +100,8 @@ func TestEnsembleEndpoint(t *testing.T) {
 }
 
 // TestEnsembleEndpointErrors pins the failure modes: malformed or invalid
-// specs answer 400 before admission; a spec that validates but cannot build
-// answers 422.
+// specs answer 400 before admission; a spec that validates but cannot
+// build, or one of more runs than an ensemble may hold, answers 422.
 func TestEnsembleEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, bad := range []string{
@@ -115,9 +115,13 @@ func TestEnsembleEndpointErrors(t *testing.T) {
 			t.Errorf("bad spec %.60q: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	unbuildable := `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"no-such-family"},"replicas":2}`
-	resp := postEnsemble(t, ts.URL, []byte(unbuildable))
-	if readAll(t, resp); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("unbuildable ensemble: status %d, want 422", resp.StatusCode)
+	for label, spec := range map[string]string{
+		"unbuildable": `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"no-such-family"},"replicas":2}`,
+		"too large":   `{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":8,"cols":8}},"colors":2},"initial":{"config":"bernoulli"},"replicas":2000000000}`,
+	} {
+		resp := postEnsemble(t, ts.URL, []byte(spec))
+		if readAll(t, resp); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s ensemble: status %d, want 422", label, resp.StatusCode)
+		}
 	}
 }

@@ -92,10 +92,10 @@ func parseSubmission(body []byte) (*dynmon.FileSpec, *dynmon.Checkpoint, error) 
 }
 
 // parseStatus is the status of a body that failed to parse: 400, except
-// 422 for a well-formed body whose cells exceed the color cap, a resource
-// limit like the ones building a system enforces.
+// 422 for a well-formed body over a resource limit like the ones building a
+// system enforces — cells above the color cap, an ensemble of too many runs.
 func parseStatus(err error) int {
-	if errors.Is(err, color.ErrCellColorTooLarge) {
+	if errors.Is(err, color.ErrCellColorTooLarge) || errors.Is(err, dynmon.ErrEnsembleTooLarge) {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest

@@ -156,6 +156,7 @@ func GreedyTargetSetEngine(eng *sim.Engine, target, background color.Color, maxS
 	sliceable := true
 	base := color.NewColoring(d, background)
 	var lanes []*color.Coloring
+	outcomes := make([]sim.Outcome, color.MaxLanes)
 	batchGains := func(candidates []int, gains []int) bool {
 		base.Fill(background)
 		for v := range seed {
@@ -171,12 +172,11 @@ func GreedyTargetSetEngine(eng *sim.Engine, target, background color.Color, maxS
 				chunk[i].CopyFrom(base)
 				chunk[i].Set(v, target)
 			}
-			results, err := eng.RunBatchSliced(context.Background(), chunk, sim.Options{MaxRounds: maxRounds})
-			if err != nil {
+			if err := eng.RunBatchOutcomes(context.Background(), chunk, sim.Options{MaxRounds: maxRounds}, target, outcomes); err != nil {
 				return false
 			}
-			for i, res := range results {
-				gains[lo+i] = res.Final.Count(target)
+			for i := range chunk {
+				gains[lo+i] = outcomes[i].Count
 			}
 		}
 		return true

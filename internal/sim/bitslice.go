@@ -328,6 +328,83 @@ func (bs *Bitslice) unpackPrev(r int) *color.Coloring {
 	return prev
 }
 
+// laneStop is why a lane stopped in the round just stepped; laneRunning
+// means it keeps stepping.
+type laneStop uint8
+
+const (
+	laneRunning laneStop = iota
+	laneFixedPoint
+	laneMonochromatic
+	laneCycle
+	laneBudget
+)
+
+// startSliced checks that the batch may run on the bit-sliced tier and
+// returns a pooled stepper holding the packed replicas, configured for the
+// options' cycle detection and target tracking.  The caller returns it
+// with putSlice.  Ineligible batches return an error wrapping
+// ErrBitsliceIneligible.
+func (e *Engine) startSliced(initials []*color.Coloring, opt Options) (*Bitslice, error) {
+	if err := e.batchSliceable(initials, opt); err != nil {
+		return nil, err
+	}
+	bs := e.getSlice()
+	if err := bs.reset(initials); err != nil {
+		e.putSlice(bs)
+		return nil, err
+	}
+	bs.detectCycles = opt.DetectCycles
+	if opt.Target != color.None {
+		bs.setTarget(opt.Target)
+	}
+	return bs, nil
+}
+
+// run is the tier's one stepping loop: it steps every active lane a round
+// at a time until each has stopped, with the stop conditions and their
+// precedence replicating drive's.  After each round it calls lane(r,
+// changed, stop) for every lane that stepped, in lane order, while the
+// stepper still holds that round's state; lanes that stopped then freeze.
+// It returns ctx.Err() when the context is canceled between rounds.
+func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r, changed int, stop laneStop)) error {
+	maxRounds := opt.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = bs.e.sub.DefaultMaxRounds()
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		bs.Step()
+		round := bs.round
+		var freeze uint64
+		for m := bs.active; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			c := bs.counts[r]
+			stop := laneRunning
+			switch {
+			case c == 0:
+				stop = laneFixedPoint
+			case opt.StopWhenMonochromatic && bs.Monochromatic(r):
+				stop = laneMonochromatic
+			case opt.DetectCycles && bs.Cycle(r):
+				stop = laneCycle
+			case round == maxRounds:
+				stop = laneBudget
+			}
+			lane(r, c, stop)
+			if stop != laneRunning {
+				freeze |= 1 << uint(r)
+			}
+		}
+		bs.Freeze(freeze)
+		if bs.active == 0 {
+			return nil
+		}
+	}
+}
+
 // RunBatchSliced evolves up to 64 initial colorings to their terminal
 // Results in one bit-sliced word stream, byte-identical on the JSON wire
 // (and in the checkpoint seed) to running each replica through RunContext
@@ -343,24 +420,11 @@ func (bs *Bitslice) unpackPrev(r int) *color.Coloring {
 // the results of the lanes that already terminated; still-active lanes are
 // nil, matching the batch-session contract.
 func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring, opt Options) ([]*Result, error) {
-	if err := e.batchSliceable(initials, opt); err != nil {
-		return nil, err
-	}
-	bs := e.getSlice()
-	if err := bs.reset(initials); err != nil {
-		e.putSlice(bs)
+	bs, err := e.startSliced(initials, opt)
+	if err != nil {
 		return nil, err
 	}
 	defer e.putSlice(bs)
-
-	maxRounds := opt.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = e.sub.DefaultMaxRounds()
-	}
-	bs.detectCycles = opt.DetectCycles
-	if opt.Target != color.None {
-		bs.setTarget(opt.Target)
-	}
 
 	results := make([]*Result, len(initials))
 	resBuf := make([]*Result, len(initials))
@@ -370,55 +434,93 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 		bs.first[r] = res.FirstReached
 		resBuf[r] = res
 	}
+	err = bs.run(ctx, opt, func(r, changed int, stop laneStop) {
+		res := resBuf[r]
+		res.Rounds = bs.round
+		res.ChangesPerRound = append(res.ChangesPerRound, changed)
+		if bs.lostTarget>>uint(r)&1 == 1 {
+			res.MonotoneTarget = false
+		}
+		if stop == laneRunning {
+			return
+		}
+		res.FixedPoint = stop == laneFixedPoint
+		res.Cycle = stop == laneCycle
+		if stop == laneCycle || stop == laneBudget {
+			res.prev = bs.unpackPrev(r)
+		}
+		// Inline finish() on the freshly unpacked final (no extra clone).
+		res.Final = bs.Unpack(r, nil)
+		res.FinalColor, res.Monochromatic = res.Final.IsMonochromatic()
+		if opt.Target == color.None {
+			res.MonotoneTarget = false
+		}
+		results[r] = res
+	})
+	return results, err
+}
 
-	for {
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		bs.Step()
-		round := bs.round
-		var freeze uint64
-		for m := bs.active; m != 0; m &= m - 1 {
-			r := bits.TrailingZeros64(m)
-			res := resBuf[r]
-			c := bs.counts[r]
-			res.Rounds = round
-			res.ChangesPerRound = append(res.ChangesPerRound, c)
-			if bs.lostTarget>>uint(r)&1 == 1 {
-				res.MonotoneTarget = false
-			}
-			// The stop conditions and their precedence replicate drive's.
-			done, needPrev := false, true
-			switch {
-			case c == 0:
-				res.FixedPoint = true
-				done, needPrev = true, false
-			case opt.StopWhenMonochromatic && bs.Monochromatic(r):
-				done, needPrev = true, false
-			case opt.DetectCycles && bs.Cycle(r):
-				res.Cycle = true
-				done = true
-			case round == maxRounds:
-				done = true
-			}
-			if !done {
-				continue
-			}
-			freeze |= 1 << uint(r)
-			if needPrev {
-				res.prev = bs.unpackPrev(r)
-			}
-			// Inline finish() on the freshly unpacked final (no extra clone).
-			res.Final = bs.Unpack(r, nil)
-			res.FinalColor, res.Monochromatic = res.Final.IsMonochromatic()
-			if opt.Target == color.None {
-				res.MonotoneTarget = false
-			}
-			results[r] = res
-		}
-		bs.Freeze(freeze)
-		if bs.active == 0 {
-			return results, nil
-		}
+// Outcome is a run's terminal verdict without its trajectory: the fields of
+// a Result that an ensemble aggregate or a seed search reads, plus the
+// number of vertices holding one chosen color at the end.
+type Outcome struct {
+	Rounds        int
+	FixedPoint    bool
+	Cycle         bool
+	Monochromatic bool
+	FinalColor    color.Color
+	// Count is the number of vertices of the counted color in the final
+	// configuration.
+	Count int
+}
+
+// Outcome reduces a completed Result to its verdict, counting the vertices
+// of color count in Final.
+func (r *Result) Outcome(count color.Color) Outcome {
+	return Outcome{
+		Rounds:        r.Rounds,
+		FixedPoint:    r.FixedPoint,
+		Cycle:         r.Cycle,
+		Monochromatic: r.Monochromatic,
+		FinalColor:    r.FinalColor,
+		Count:         r.Final.Count(count),
 	}
+}
+
+// RunBatchOutcomes is RunBatchSliced reduced to each lane's Outcome: out[r]
+// is written when lane r stops and equals the Outcome(count) of
+// RunContext(initials[r], opt).  The lanes step in the same loop, but no
+// configuration is unpacked and no per-round trace is kept: Options.Target
+// is ignored, since it feeds only the traces, and the final color and
+// count come from the packed words.  Eligibility and cancellation follow
+// RunBatchSliced; on a canceled batch the entries of lanes still active
+// are left as they were.
+func (e *Engine) RunBatchOutcomes(ctx context.Context, initials []*color.Coloring, opt Options, count color.Color, out []Outcome) error {
+	opt.Target = color.None
+	bs, err := e.startSliced(initials, opt)
+	if err != nil {
+		return err
+	}
+	defer e.putSlice(bs)
+	return bs.run(ctx, opt, func(r, _ int, stop laneStop) {
+		if stop == laneRunning {
+			return
+		}
+		o := Outcome{Rounds: bs.round, FixedPoint: stop == laneFixedPoint, Cycle: stop == laneCycle}
+		if bs.Monochromatic(r) {
+			o.Monochromatic = true
+			o.FinalColor = color.Color(1 + bs.monoAnd>>uint(r)&1)
+		}
+		ones := 0
+		for _, w := range bs.st.Cur[0] {
+			ones += int(w >> uint(r) & 1)
+		}
+		switch count {
+		case 1:
+			o.Count = bs.n - ones
+		case 2:
+			o.Count = ones
+		}
+		out[r] = o
+	})
 }

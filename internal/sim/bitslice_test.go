@@ -39,17 +39,19 @@ func ensembleLanes(d grid.Dims, lanes int) []*color.Coloring {
 // covering fixed points, monochromatic stops, cycle detection, target
 // traces and budget exhaustion, RunBatchSliced must produce per-lane
 // Results byte-identical (JSON form and checkpoint seed) to 64 scalar
-// RunContext runs.  Rule × substrate pairs without a two-color kernel are
-// skipped, but the core matrix must qualify.
+// RunContext runs, and RunBatchOutcomes each scalar Result's Outcome
+// (counting color count).  Rule × substrate pairs without a two-color
+// kernel are skipped, but the core matrix must qualify.
 func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
 	sizes := [][2]int{{3, 3}, {4, 6}, {9, 9}, {3, 67}}
 	options := []struct {
-		name string
-		opt  Options
+		name  string
+		opt   Options
+		count color.Color
 	}{
-		{"plain", Options{MaxRounds: 40}},
-		{"verify", Options{MaxRounds: 40, Target: 1, StopWhenMonochromatic: true, DetectCycles: true}},
-		{"budget", Options{MaxRounds: 6, Target: 2, DetectCycles: true}},
+		{"plain", Options{MaxRounds: 40}, 2},
+		{"verify", Options{MaxRounds: 40, Target: 1, StopWhenMonochromatic: true, DetectCycles: true}, 1},
+		{"budget", Options{MaxRounds: 6, Target: 2, DetectCycles: true}, 2},
 	}
 	qualified, cycles, budgets := 0, 0, 0
 	for _, name := range rules.RegisteredNames() {
@@ -72,12 +74,19 @@ func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					qualified++
+					outcomes := make([]Outcome, len(lanes))
+					if err := eng.RunBatchOutcomes(context.Background(), lanes, tc.opt, tc.count, outcomes); err != nil {
+						t.Fatalf("%s: outcomes: %v", label, err)
+					}
 					for r, res := range sliced {
 						scalar, err := eng.RunContext(context.Background(), lanes[r], tc.opt)
 						if err != nil {
 							t.Fatalf("%s: scalar lane %d: %v", label, r, err)
 						}
 						resultBytesEqual(t, label, res, scalar)
+						if want := scalar.Outcome(tc.count); outcomes[r] != want {
+							t.Fatalf("%s: lane %d outcome %+v, want %+v", label, r, outcomes[r], want)
+						}
 						if res.Cycle {
 							cycles++
 						}
