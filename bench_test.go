@@ -532,8 +532,10 @@ func BenchmarkTimeVaryingRun(b *testing.B) {
 // ~6-8x.  On the torus it is the bitplane tier, which downshifts to the
 // frontier mid-run, and the downshift, not slicing, makes up the gap: on a
 // 2-core Intel Xeon (GOMAXPROCS 2, Go 1.24.0) scalar-auto-256x256 took
-// 392-488 ms, 141-155 ms with the downshift disabled, and sliced-256x256
-// 149-175 ms (3 runs each).  The fallback-ba10k pair documents
+// 392-488 ms and 141-155 ms with the downshift disabled (3 runs each), and
+// sliced-256x256, which gathers neighbor words by the torus's shift plan,
+// 113-138 ms against 138-156 ms through the CSR index (3 alternated runs
+// of 10 batches each).  The fallback-ba10k pair documents
 // the ineligible path: a Barabási–Albert substrate under generalized-smp
 // is not bit-sliceable, so Session.RunBatch falls back to the per-run
 // scalar loop and must stay at parity with calling Run directly.
@@ -684,6 +686,14 @@ func BenchmarkRunBatchBitsliced(b *testing.B) {
 // dynserve /v1/ensembles endpoint serves.  noisy-sweep is the same noisy
 // ensemble forced onto the scalar sweep, the within-run reference for the
 // bitplane fault path.
+//
+// The -workers1 pair gates the sliced ensemble path, tile build included:
+// deterministic-64x64-workers1 is one 32-lane tile, and
+// deterministic-sweep-64x64-workers1 forces the scalar sweep, which the
+// sliced tier refuses, so each replica is built and stepped alone.  Both
+// run on one worker, because the fast side is a single tile: with a
+// GOMAXPROCS pool only the slow side would spread, and the ratio would
+// grow with the runner's core count.
 func BenchmarkEnsemble(b *testing.B) {
 	base := func() *dynmon.EnsembleSpec {
 		return &dynmon.EnsembleSpec{
@@ -700,9 +710,9 @@ func BenchmarkEnsemble(b *testing.B) {
 			Seed:     1,
 		}
 	}
-	run := func(b *testing.B, spec *dynmon.EnsembleSpec) {
+	run := func(b *testing.B, spec *dynmon.EnsembleSpec, workers int) {
 		b.Helper()
-		ens, err := dynmon.NewEnsemble(spec, 0)
+		ens, err := dynmon.NewEnsemble(spec, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -720,7 +730,15 @@ func BenchmarkEnsemble(b *testing.B) {
 		}
 	}
 	b.Run("deterministic-64x64", func(b *testing.B) {
-		run(b, base())
+		run(b, base(), 0)
+	})
+	b.Run("deterministic-64x64-workers1", func(b *testing.B) {
+		run(b, base(), 1)
+	})
+	b.Run("deterministic-sweep-64x64-workers1", func(b *testing.B) {
+		spec := base()
+		spec.Run.Kernel = "sweep"
+		run(b, spec, 1)
 	})
 	noisy := func() *dynmon.EnsembleSpec {
 		spec := base()
@@ -729,11 +747,11 @@ func BenchmarkEnsemble(b *testing.B) {
 		return spec
 	}
 	b.Run("noisy-64x64", func(b *testing.B) {
-		run(b, noisy())
+		run(b, noisy(), 0)
 	})
 	b.Run("noisy-sweep-64x64", func(b *testing.B) {
 		spec := noisy()
 		spec.Run.Kernel = "sweep"
-		run(b, spec)
+		run(b, spec, 0)
 	})
 }

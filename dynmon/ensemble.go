@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/color"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -117,6 +118,11 @@ func (es *EnsembleSpec) Validate() error {
 	}
 	if !(es.TakeoverFraction >= 0 && es.TakeoverFraction <= 1) { // also rejects NaN
 		return fmt.Errorf("dynmon: takeover fraction %v outside [0, 1]", es.TakeoverFraction)
+	}
+	if es.Initial.Config == "bernoulli" && (es.Sweep == nil || es.Sweep.Axis != "density") {
+		if d := es.Initial.Density; !(d >= 0 && d <= 1) { // also rejects NaN
+			return fmt.Errorf("dynmon: bernoulli density %v outside [0, 1]", d)
+		}
 	}
 	if es.Sweep == nil {
 		return nil
@@ -313,16 +319,19 @@ type ensembleUnit struct{ point, lo, hi int }
 // point (no schedule, no noise), stepped together on the bit-sliced tier,
 // and single replicas of stochastic points; a tile the tier refuses (a
 // replica using a third color, say) is queued again as single replicas.
-// A unit derives its replicas' seeds, builds their colorings and steps
-// them, and each replica is reduced where it finishes to an outcome record
-// in a slot indexed by (point, replica): rounds, stop reason, final color
-// and the number of target-colored vertices, nothing else.  The
-// aggregation reads the slots in replica order, so the report is a pure
-// function of the spec, byte-identical across worker counts, tiers and
-// completion orders.  A replica that cannot be built or run fails the
-// ensemble with the error of the lowest failing (point, replica), whatever
-// the worker count.  When ctx is canceled the pool drains and Run returns
-// the context's error.
+// A unit derives its replicas' seeds, builds their initial states and
+// steps them.  A tile of bernoulli replicas on the palette {1, 2} draws
+// them straight into the sliced tier's lane words, one bit per replica and
+// vertex, with no coloring built; any other unit builds each replica's
+// coloring (a tile then packs them).  Each replica is reduced where it
+// finishes to an outcome record in a slot indexed by (point, replica):
+// rounds, stop reason, final color and the number of target-colored
+// vertices, nothing else.  The aggregation reads the slots in replica
+// order, so the report is a pure function of the spec, byte-identical
+// across worker counts, tiers and completion orders.  A replica that
+// cannot be built or run fails the ensemble with the error of the lowest
+// failing (point, replica), whatever the worker count.  When ctx is
+// canceled the pool drains and Run returns the context's error.
 func (e *Ensemble) Run(ctx context.Context) (*EnsembleReport, error) {
 	es := e.spec
 	target := es.target()
@@ -424,17 +433,27 @@ func (e *Ensemble) runUnits(ctx context.Context, points []ensemblePoint, target 
 		p := &points[u.point]
 		slots := outcomes[u.point*n+u.lo : u.point*n+u.hi]
 		initials := make([]*Coloring, len(slots))
-		for r := u.lo; r < u.hi; r++ {
-			ispec, _ := es.replicaSpec(u.point, r, p.ispec, p.rs)
-			cons, err := p.sys.construct(&ispec, target)
-			if err != nil {
-				fail(u.point, r, err)
-				return nil
+		fill := func(words []uint64) bool { return color.PackLanes(initials, words) }
+		if len(slots) > 1 && p.sys.laneDrawn(&p.ispec, target) {
+			seeds := make([]uint64, len(slots))
+			for r := range seeds {
+				ispec, _ := es.replicaSpec(u.point, u.lo+r, p.ispec, p.rs)
+				seeds[r] = ispec.Seed
 			}
-			initials[r-u.lo] = cons.Coloring
+			fill = func(words []uint64) bool { return bernoulliLanes(&p.ispec, target, seeds, words) }
+		} else {
+			for r := u.lo; r < u.hi; r++ {
+				ispec, _ := es.replicaSpec(u.point, r, p.ispec, p.rs)
+				cons, err := p.sys.construct(&ispec, target)
+				if err != nil {
+					fail(u.point, r, err)
+					return nil
+				}
+				initials[r-u.lo] = cons.Coloring
+			}
 		}
-		if len(initials) > 1 {
-			err := p.sys.engine.RunBatchOutcomes(ctx, initials, p.opt, target, slots)
+		if len(slots) > 1 {
+			err := p.sys.engine.RunBatchOutcomes(ctx, len(slots), fill, p.opt, target, slots)
 			if errors.Is(err, sim.ErrBitsliceIneligible) {
 				mu.Lock()
 				for r := u.lo; r < u.hi; r++ {

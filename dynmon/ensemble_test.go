@@ -48,6 +48,7 @@ func TestParseEnsembleSpecRejects(t *testing.T) {
 		"density out of range":   func(es *EnsembleSpec) { es.Sweep.Values = []float64{1.5} },
 		"density NaN":            func(es *EnsembleSpec) { es.Sweep.Values = []float64{math.NaN()} },
 		"density without family": func(es *EnsembleSpec) { es.Initial.Config = "random" },
+		"base density unswept":   func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Initial.Density = -1 },
 		"p on wrong schedule":    func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Run.Schedule = &ScheduleSpec{Mode: "sequential"} },
 		"p zero":                 func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{0} },
 		"p NaN":                  func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{math.NaN()} },

@@ -559,7 +559,8 @@ func (s *System) buildTorusInitial(ispec *InitialSpec, target Color) (*Construct
 // probability density, otherwise a uniform draw among the other palette
 // colors.  Draws are counter-based on (seed, vertex), so the configuration
 // is a pure function of the spec — the same on any substrate representation
-// and trivially shardable by ensembles that perturb only the seed.
+// and trivially shardable by ensembles that perturb only the seed.  The
+// target draw is bernoulliDraw, which bernoulliLanes shares.
 func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (*Coloring, error) {
 	if !(density >= 0 && density <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("dynmon: bernoulli density %v outside [0, 1]", density)
@@ -569,18 +570,55 @@ func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (
 		return nil, fmt.Errorf("dynmon: the bernoulli config needs a palette color distinct from the target; use 2 or more colors")
 	}
 	c := s.NewColoring(others[0])
+	pre, thresh := rng.NewPrefix(seed), rng.UnitThreshold(density)
 	n := c.Dims().N()
 	for v := 0; v < n; v++ {
-		if rng.Unit(rng.Hash(seed, uint64(v), 1)) < density {
+		if bernoulliDraw(pre, v, thresh) == 1 {
 			c.Set(v, target)
 			continue
 		}
 		if len(others) > 1 {
-			pick := rng.Hash(seed, uint64(v), 2)
+			pick := pre.Then(uint64(v)).Then(2).Sum()
 			c.Set(v, others[pick%uint64(len(others))])
 		}
 	}
 	return c, nil
+}
+
+// bernoulliDraw is the bernoulli family's target draw at vertex v of the
+// replica whose seed prefix is pre: 1 when rng.Unit(rng.Hash(seed, v, 1))
+// < density, for thresh = rng.UnitThreshold(density), else 0.
+func bernoulliDraw(pre rng.Prefix, v int, thresh uint64) uint64 {
+	return rng.UnitBelow(pre.Then(uint64(v)).Then(1).Sum(), thresh)
+}
+
+// laneDrawn reports whether bernoulliLanes can draw replicas of ispec: the
+// bernoulli family without explicit cells on the palette {1, 2} with the
+// target in it, where each vertex is a single draw.
+func (s *System) laneDrawn(ispec *InitialSpec, target Color) bool {
+	return ispec.Config == "bernoulli" && ispec.Cells == nil && s.palette.K == 2 && (target == 1 || target == 2)
+}
+
+// bernoulliLanes is the lane fill of the bernoulli replicas seeded seeds
+// (at most color.MaxLanes): it writes the words color.PackLanes would for
+// their bernoulliColorings, with no coloring built, and reports true.
+// ispec must pass laneDrawn, its density lie in [0, 1] (as
+// EnsembleSpec.Validate checks).
+func bernoulliLanes(ispec *InitialSpec, target Color, seeds []uint64, words []uint64) bool {
+	var prefixes [color.MaxLanes]rng.Prefix
+	pre := prefixes[:len(seeds)]
+	for r, seed := range seeds {
+		pre[r] = rng.NewPrefix(seed)
+	}
+	thresh := rng.UnitThreshold(ispec.Density)
+	for v := range words {
+		var hit uint64
+		for r := range pre {
+			hit |= bernoulliDraw(pre[r], v, thresh) << uint(r)
+		}
+		words[v] = color.LaneWord(hit, target, 3-target, len(pre))
+	}
+	return true
 }
 
 // buildGraphInitial realizes the graph seeding families.

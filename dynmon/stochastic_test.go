@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/color"
+	"repro/internal/rng"
 )
 
 // stochasticRunOpts enumerates the schedule × noise surface of the wire
@@ -228,6 +232,67 @@ func TestBernoulliInitialOnGraph(t *testing.T) {
 	n := cons.Coloring.Dims().N()
 	if got := cons.Coloring.Count(1) + cons.Coloring.Count(2); got != n {
 		t.Fatalf("colors outside the palette: %d of %d accounted for", got, n)
+	}
+}
+
+// TestBernoulliLanesMatchColorings pins an ensemble tile's lane-drawn
+// replicas to the scalar construction, on a torus and on a 4-regular ring
+// lattice: for every target, density and lane count, the words
+// bernoulliLanes writes equal color.PackLanes of the replicas'
+// bernoulliColorings, and every replica follows the family's definition,
+// rng.Unit(rng.Hash(seed, v, 1)) < density, evaluated here in floating
+// point.  One density equals an actual draw, which tells < from ≤.
+func TestBernoulliLanesMatchColorings(t *testing.T) {
+	mesh, err := New(Mesh(9, 11), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := New(WattsStrogatz(101, 4, 0, 1), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]uint64, color.MaxLanes)
+	for r := range seeds {
+		seeds[r] = rng.Hash(77, uint64(r))
+	}
+	tie := rng.Unit(rng.Hash(seeds[5], 17, 1)) // vertex 17 of lane 5 draws exactly this
+	for _, sys := range []*System{mesh, ring} {
+		n := sys.Dims().N()
+		for _, target := range []Color{1, 2} {
+			for _, density := range []float64{0, 0.5, 1, tie} {
+				ispec := InitialSpec{Config: "bernoulli", Density: density}
+				if !sys.laneDrawn(&ispec, target) {
+					t.Fatalf("%v, target %d: not lane-drawn", sys, target)
+				}
+				for _, lanes := range []int{1, 2, 63, 64} {
+					label := fmt.Sprintf("%v, target %d, density %v, %d lanes", sys, target, density, lanes)
+					got := make([]uint64, n)
+					if !bernoulliLanes(&ispec, target, seeds[:lanes], got) {
+						t.Fatalf("%s: lane fill refused", label)
+					}
+					replicas := make([]*Coloring, lanes)
+					for r := range replicas {
+						if replicas[r], err = sys.bernoulliColoring(density, seeds[r], target); err != nil {
+							t.Fatal(err)
+						}
+						for v := 0; v < n; v++ {
+							if hit := rng.Unit(rng.Hash(seeds[r], uint64(v), 1)) < density; (replicas[r].At(v) == target) != hit {
+								t.Fatalf("%s: replica %d vertex %d holds %d, draw below density %v", label, r, v, replicas[r].At(v), hit)
+							}
+						}
+					}
+					want := make([]uint64, n)
+					if !color.PackLanes(replicas, want) {
+						t.Fatalf("%s: replicas do not pack", label)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s: vertex %d lane word %#x, packed %#x", label, v, got[v], want[v])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -108,6 +108,7 @@ func TestEnsembleEndpointErrors(t *testing.T) {
 		`{not json`,
 		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"bernoulli"},"replicas":0}`,
 		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"bernoulli"},"replicas":2,"sweep":{"axis":"voltage","values":[1]}}`,
+		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"bernoulli","density":2},"replicas":2}`,
 		testEnsembleSpec + `trailing`,
 	} {
 		resp := postEnsemble(t, ts.URL, []byte(bad))

@@ -10,6 +10,11 @@ package color
 // greedy target-set candidate evaluation, Monte-Carlo replicas) want.  The
 // layout is exact only for two-color states (colors 1 and 2), the k = 2
 // regime of the carry-save BitRule kernels.
+//
+// This file is the only place that knows the encoding: replicas held as
+// colorings are packed by PackLanes, and replicas drawn straight into lane
+// words (the ensemble's Bernoulli tiles) get each vertex's word from
+// LaneWord, with no coloring built.
 
 // MaxLanes is the ensemble width of the lane layout: one replica per bit of
 // a 64-bit word.
@@ -17,23 +22,21 @@ const MaxLanes = 64
 
 // PackLanes packs the replica colorings runs[0..L-1] (1 ≤ L ≤ MaxLanes)
 // into words, one word per vertex: bit r of words[v] is runs[r]'s color at
-// v minus one.  Bits of unused lanes are cleared.  It returns the largest
-// color seen across the ensemble (its effective palette size, 1 or 2) and
-// whether the packing is exact; ok is false — and words is unspecified —
-// when the lane count is out of range, a replica's length disagrees with
-// len(words), or any cell holds a color outside {1, 2}.
-func PackLanes(runs []*Coloring, words []uint64) (k int, ok bool) {
+// v minus one.  Bits of unused lanes are cleared.  It reports whether the
+// packing is exact; it is false — and words is unspecified — when the lane
+// count is out of range, a replica's length disagrees with len(words), or
+// any cell holds a color outside {1, 2}.
+func PackLanes(runs []*Coloring, words []uint64) bool {
 	if len(runs) == 0 || len(runs) > MaxLanes {
-		return 0, false
+		return false
 	}
 	for i := range words {
 		words[i] = 0
 	}
-	k = 1
 	for r, run := range runs {
 		cells := run.Cells()
 		if len(cells) != len(words) {
-			return 0, false
+			return false
 		}
 		bit := uint64(1) << uint(r)
 		for v, c := range cells {
@@ -42,14 +45,24 @@ func PackLanes(runs []*Coloring, words []uint64) (k int, ok bool) {
 				// encoding 0: bit stays clear
 			case 2:
 				words[v] |= bit
-				k = 2
 			default:
-				return 0, false
+				return false
 			}
 		}
 	}
-	return k, true
+	return true
 }
+
+// LaneWord is one vertex's lane word over lanes replicas (1 ≤ lanes ≤
+// MaxLanes) whose lanes in mask hold color in and whose other lanes hold
+// color out, both in {1, 2}: the word PackLanes writes for that vertex,
+// with the bits of unused lanes cleared.
+func LaneWord(mask uint64, in, out Color, lanes int) uint64 {
+	return (mask&laneFill(in) | ^mask&laneFill(out)) & (^uint64(0) >> uint(MaxLanes-lanes))
+}
+
+// laneFill is the word whose every lane holds color c ∈ {1, 2}.
+func laneFill(c Color) uint64 { return -uint64(c - 1) }
 
 // UnpackLane extracts replica lane of a lane-packed word array back into
 // dst, the inverse of PackLanes for that lane.  dst must have exactly

@@ -172,7 +172,8 @@ func GreedyTargetSetEngine(eng *sim.Engine, target, background color.Color, maxS
 				chunk[i].CopyFrom(base)
 				chunk[i].Set(v, target)
 			}
-			if err := eng.RunBatchOutcomes(context.Background(), chunk, sim.Options{MaxRounds: maxRounds}, target, outcomes); err != nil {
+			pack := func(words []uint64) bool { return color.PackLanes(chunk, words) }
+			if err := eng.RunBatchOutcomes(context.Background(), len(chunk), pack, sim.Options{MaxRounds: maxRounds}, target, outcomes); err != nil {
 				return false
 			}
 			for i := range chunk {

@@ -16,6 +16,8 @@
 // bit-reproducible.
 package rng
 
+import "math"
+
 // golden is the SplitMix64 stream increment (the odd integer closest to
 // 2^64/φ).
 const golden = 0x9e3779b97f4a7c15
@@ -67,6 +69,15 @@ func (p Prefix) Sum() uint64 { return p.h }
 // Unit maps a 64-bit hash to a uniform float64 in [0, 1), the stateless twin
 // of Source.Float64 (same 53-bit construction).
 func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// UnitThreshold returns ⌈p·2⁵³⌉ for p in [0, 1] (exact in float64), the
+// threshold t of UnitBelow.
+func UnitThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// UnitBelow is Unit(h) < p in exact integer form, branch-free: 1 when h>>11
+// < t = UnitThreshold(p), else 0.  h>>11 and t lie below 2⁶³, so their
+// difference borrows into bit 63 exactly when h>>11 < t.
+func UnitBelow(h, t uint64) uint64 { return (h>>11 - t) >> 63 }
 
 // Source is a deterministic SplitMix64 pseudo random number generator.
 // The zero value is a valid generator seeded with 0; prefer New to make the

@@ -27,8 +27,7 @@ const (
 // draw through it, so the paths are identical by construction.  Building
 // one per round hoists the (seed, round) prefix of the hash out of the
 // per-vertex loop, and rng.Unit(h) < eps is evaluated in its exact integer
-// form h>>11 < ⌈eps·2⁵³⌉ (Unit(h) is (h>>11)/2⁵³, and both the scaling by
-// 2⁵³ and the ceiling are exact in float64).
+// form, rng.UnitBelow.
 type FaultRound struct {
 	prefix rng.Prefix
 	// thresh is ⌈eps·2⁵³⌉ clamped to 2⁵³; zero means no application faults.
@@ -44,7 +43,7 @@ func NewFaultRound(seed, round uint64, eps float64, k int) FaultRound {
 	}
 	return FaultRound{
 		prefix: rng.NewPrefix(seed).Then(round),
-		thresh: uint64(math.Ceil(math.Min(eps, 1) * (1 << 53))),
+		thresh: rng.UnitThreshold(math.Min(eps, 1)),
 		k:      uint64(k),
 	}
 }
@@ -66,9 +65,7 @@ func (f *FaultRound) Mask(base uint64, lanes int) uint64 {
 	var m uint64
 	for i := 0; i < lanes; i++ {
 		h := f.prefix.Then(base + uint64(i)).Then(faultTagDraw).Sum()
-		// h>>11 and thresh are both below 2⁶³, so the difference borrows
-		// into bit 63 exactly when h>>11 < thresh.
-		m |= (h>>11 - f.thresh) >> 63 << i
+		m |= rng.UnitBelow(h, f.thresh) << i
 	}
 	return m
 }

@@ -109,11 +109,21 @@ func (e *Engine) bitplaneCheck(initial *color.Coloring, noiseColors int) (int, *
 	if !ok {
 		return 0, nil, nil, fmt.Errorf("%w: rule %q has no kernel for palette {1..%d}", ErrBitplaneIneligible, e.rule.Name(), k)
 	}
-	e.planOnce.Do(func() { e.plan, _ = grid.BuildShiftPlan(e.csr) })
-	if e.plan == nil {
+	plan := e.shiftPlan()
+	if plan == nil {
 		return 0, nil, nil, fmt.Errorf("%w: topology %q is not shift-regular", ErrBitplaneIneligible, e.topo.Name())
 	}
-	return k, e.plan, kern, nil
+	return k, plan, kern, nil
+}
+
+// shiftPlan returns the torus's shift decomposition, probed on first use;
+// nil off the tori or when not shift-regular.
+func (e *Engine) shiftPlan() *grid.ShiftPlan {
+	if e.topo == nil {
+		return nil
+	}
+	e.planOnce.Do(func() { e.plan, _ = grid.BuildShiftPlan(e.csr) })
+	return e.plan
 }
 
 // NewBitplane returns a bit-sliced stepper over the engine's topology and

@@ -24,32 +24,41 @@ const BitsliceLanes = color.MaxLanes
 // flipping the bitplane tier's packing axis: where a Bitplane packs 64
 // VERTICES of one run per word, a Bitslice packs the same vertex of 64
 // REPLICAS per word (bit r = replica r's one-bit state, internal/color
-// PackLanes layout).  Each round gathers the four neighbor words through
-// the engine's CSR index and pushes all lanes through the same carry-save
-// rules.BitKernel the bitplane tier uses — the kernels are bitwise, so they
-// are exact per lane regardless of which axis the bits came from.  The tier
-// requires a 4-regular substrate, a BitRule with a two-color kernel and
-// replica colorings over {1, 2}.
+// lane layout), written by a fill the caller supplies: PackLanes over
+// colorings, or replicas drawn straight into the words.  Each round gathers
+// the four neighbor words — on a torus as the shift plan's rotations plus
+// border patches, elsewhere through the engine's CSR index — and pushes
+// all lanes through the same carry-save rules.BitKernel the bitplane tier
+// uses; the kernels are bitwise, so they are exact per lane regardless of
+// which axis the bits came from.  The tier requires a 4-regular substrate,
+// a BitRule with a two-color kernel and replica states over {1, 2}.
 //
 // Finished replicas freeze in place: Freeze masks lanes out of the update
 // (their bits hold their terminal state) while the remaining lanes keep
 // stepping, which is how ensembles with mixed termination rounds share one
-// word stream.  Steady-state stepping allocates nothing (pinned by
-// TestBitsliceStepAllocs).
+// word stream.  The fixed-point stop reads an OR-fold of each round's diff
+// words; per-lane change counts are kept only for RunBatchSliced, whose
+// Results carry ChangesPerRound.  Steady-state stepping allocates nothing
+// (pinned by TestBitsliceStepAllocs).
 type Bitslice struct {
 	e    *Engine
 	kern rules.BitKernel
+	// plan is the torus's shift decomposition, nil off the tori.
+	plan *grid.ShiftPlan
 	// n is the vertex count; every plane array holds one word per vertex.
 	n     int
 	lanes int
 	// laneMask has bits 0..lanes-1 set; active is the subset still stepping.
 	laneMask, active uint64
 	round            int
+	// counting keeps the per-lane change counts (else they read 0).
+	counting bool
 
 	// st is the kernel view: Planes == 1, slices indexed by vertex.
 	st rules.BitState
 
 	// Per-round bookkeeping, refreshed by Step and valid until the next one.
+	changed         uint64             // lanes where some vertex changed
 	counts          [BitsliceLanes]int // per-lane changed-vertex counts
 	monoAnd, monoOr uint64             // AND/OR folds of the new state over all vertices
 	cycleEq         uint64             // lanes whose new state equals the state two rounds ago
@@ -75,15 +84,15 @@ type Bitslice struct {
 // targetEnc sentinel: no target tracking configured.
 const trackOff = -2
 
-// batchSliceable decides whether a batch may run on the bit-sliced tier
-// under the given options.  Cell-level eligibility (colors ⊆ {1, 2}) is
-// decided later, by the pack.
-func (e *Engine) batchSliceable(initials []*color.Coloring, opt Options) error {
-	if len(initials) == 0 {
+// batchSliceable decides whether a batch of lanes replicas may run on the
+// bit-sliced tier under the given options.  Cell-level eligibility (colors
+// ⊆ {1, 2}) is decided later, by the fill.
+func (e *Engine) batchSliceable(lanes int, opt Options) error {
+	if lanes == 0 {
 		return fmt.Errorf("%w: empty batch", ErrBitsliceIneligible)
 	}
-	if len(initials) > BitsliceLanes {
-		return fmt.Errorf("%w: %d replicas exceed the %d-lane word", ErrBitsliceIneligible, len(initials), BitsliceLanes)
+	if lanes > BitsliceLanes {
+		return fmt.Errorf("%w: %d replicas exceed the %d-lane word", ErrBitsliceIneligible, lanes, BitsliceLanes)
 	}
 	if opt.Kernel != KernelAuto {
 		return fmt.Errorf("%w: kernel forced to %s", ErrBitsliceIneligible, opt.Kernel)
@@ -106,19 +115,13 @@ func (e *Engine) batchSliceable(initials []*color.Coloring, opt Options) error {
 	if _, ok := e.bitRule.BitKernel(2); !ok {
 		return fmt.Errorf("%w: rule %q has no kernel for palette {1, 2}", ErrBitsliceIneligible, e.rule.Name())
 	}
-	d := e.sub.Dims()
-	for _, c := range initials {
-		if c == nil || c.Dims() != d {
-			return fmt.Errorf("%w: replica dimensions disagree with the substrate", ErrBitsliceIneligible)
-		}
-	}
 	return nil
 }
 
 // newBitslice allocates a stepper's full working set for the engine.
 func (e *Engine) newBitslice() *Bitslice {
 	n := e.sub.Dims().N()
-	bs := &Bitslice{e: e, n: n}
+	bs := &Bitslice{e: e, plan: e.shiftPlan(), n: n}
 	bs.st.Planes = 1
 	bs.st.Cur[0] = make([]uint64, n)
 	bs.st.Next[0] = make([]uint64, n)
@@ -147,13 +150,15 @@ func (e *Engine) putSlice(bs *Bitslice) {
 	e.slices.put(bs)
 }
 
-// reset packs the replicas and rewinds all bookkeeping to round zero.
-func (bs *Bitslice) reset(initials []*color.Coloring) error {
-	bs.lanes = len(initials)
+// reset fills the lane words of lanes replicas (fill reports whether
+// every replica's colors lie in {1, 2}) and rewinds all bookkeeping to
+// round zero.
+func (bs *Bitslice) reset(lanes int, fill func(words []uint64) bool) error {
+	bs.lanes = lanes
 	bs.laneMask = ^uint64(0) >> uint(64-bs.lanes)
 	bs.active = bs.laneMask
 	bs.round = 0
-	if _, ok := color.PackLanes(initials, bs.st.Cur[0]); !ok {
+	if !fill(bs.st.Cur[0]) {
 		return fmt.Errorf("%w: a replica uses colors outside {1, 2}", ErrBitsliceIneligible)
 	}
 	// The two-color kernel is exact for every configuration over {1, 2},
@@ -165,9 +170,10 @@ func (bs *Bitslice) reset(initials []*color.Coloring) error {
 	bs.kern = kern
 	copy(bs.prevPrev, bs.st.Cur[0])
 	bs.detectCycles = false
+	bs.counting = false
 	bs.targetEnc = trackOff
 	bs.counts = [BitsliceLanes]int{}
-	bs.monoAnd, bs.monoOr, bs.cycleEq, bs.lostTarget = 0, 0, 0, 0
+	bs.changed, bs.monoAnd, bs.monoOr, bs.cycleEq, bs.lostTarget = 0, 0, 0, 0, 0
 	for i := range bs.cnt {
 		bs.cnt[i] = 0
 	}
@@ -218,38 +224,57 @@ func (bs *Bitslice) setTarget(target color.Color) {
 }
 
 // Step advances every active lane one synchronous round: gather the four
-// neighbor words per vertex through the CSR forward index, apply the
-// carry-save kernel to all lanes at once, freeze inactive lanes back to
-// their prior state, and refresh the per-lane bookkeeping (change counts,
+// neighbor words per vertex (by the shift plan on a torus, else through
+// the CSR forward index), apply the carry-save kernel to all lanes at
+// once, freeze inactive lanes back to their prior state, and refresh the
+// per-lane bookkeeping (changed lanes, change counts when counting,
 // monochromatic/cycle folds, target spread).  It allocates nothing.
 func (bs *Bitslice) Step() {
 	bs.round++
 	n := bs.n
 	cur, next := bs.st.Cur[0], bs.st.Next[0]
-	n0, n1, n2, n3 := bs.st.Nbr[0][0], bs.st.Nbr[1][0], bs.st.Nbr[2][0], bs.st.Nbr[3][0]
-	fwd := bs.e.csr.Neighbors
-	_ = fwd[grid.Degree*n-1]
-	for v := 0; v < n; v++ {
-		b := grid.Degree * v
-		n0[v] = cur[fwd[b]]
-		n1[v] = cur[fwd[b+1]]
-		n2[v] = cur[fwd[b+2]]
-		n3[v] = cur[fwd[b+3]]
+	if bs.plan != nil {
+		// Port p's neighbor words are cur rotated by the port's shift,
+		// then its border patches.
+		for p := range bs.plan.Ports {
+			port := &bs.plan.Ports[p]
+			nbr := bs.st.Nbr[p][0]
+			copy(nbr, cur[port.Shift:])
+			copy(nbr[n-port.Shift:], cur[:port.Shift])
+			for i, dst := range port.FixDst {
+				nbr[dst] = cur[port.FixSrc[i]]
+			}
+		}
+	} else {
+		n0, n1, n2, n3 := bs.st.Nbr[0][0], bs.st.Nbr[1][0], bs.st.Nbr[2][0], bs.st.Nbr[3][0]
+		fwd := bs.e.csr.Neighbors
+		_ = fwd[grid.Degree*n-1]
+		for v := 0; v < n; v++ {
+			b := grid.Degree * v
+			n0[v] = cur[fwd[b]]
+			n1[v] = cur[fwd[b+1]]
+			n2[v] = cur[fwd[b+2]]
+			n3[v] = cur[fwd[b+3]]
+		}
 	}
 	bs.kern.StepWords(&bs.st, 0, n)
 
 	act, lm := bs.active, bs.laneMask
+	var changed uint64
 	monoAnd, monoOr := ^uint64(0), uint64(0)
 	cycleEq := ^uint64(0)
 	var lost uint64
 	pp := bs.prevPrev
 	dc := bs.detectCycles
+	counting := bs.counting
 	enc := bs.targetEnc
 	for v := 0; v < n; v++ {
 		cv := cur[v]
 		nx := next[v]&act | cv&^act
 		next[v] = nx
-		if d := cv ^ nx; d != 0 {
+		d := cv ^ nx
+		changed |= d
+		if counting && d != 0 {
 			bs.countAdd(d)
 		}
 		monoAnd &= nx
@@ -276,6 +301,7 @@ func (bs *Bitslice) Step() {
 			}
 		}
 	}
+	bs.changed = changed
 	bs.monoAnd, bs.monoOr = monoAnd, monoOr
 	bs.cycleEq = cycleEq
 	bs.lostTarget = lost
@@ -340,17 +366,17 @@ const (
 	laneBudget
 )
 
-// startSliced checks that the batch may run on the bit-sliced tier and
-// returns a pooled stepper holding the packed replicas, configured for the
-// options' cycle detection and target tracking.  The caller returns it
-// with putSlice.  Ineligible batches return an error wrapping
-// ErrBitsliceIneligible.
-func (e *Engine) startSliced(initials []*color.Coloring, opt Options) (*Bitslice, error) {
-	if err := e.batchSliceable(initials, opt); err != nil {
+// startSliced checks that a batch of lanes replicas may run on the
+// bit-sliced tier and returns a pooled stepper holding the words fill
+// wrote, configured for the options' cycle detection and target tracking.
+// The caller returns it with putSlice.  Ineligible batches return an error
+// wrapping ErrBitsliceIneligible.
+func (e *Engine) startSliced(lanes int, fill func(words []uint64) bool, opt Options) (*Bitslice, error) {
+	if err := e.batchSliceable(lanes, opt); err != nil {
 		return nil, err
 	}
 	bs := e.getSlice()
-	if err := bs.reset(initials); err != nil {
+	if err := bs.reset(lanes, fill); err != nil {
 		e.putSlice(bs)
 		return nil, err
 	}
@@ -363,11 +389,11 @@ func (e *Engine) startSliced(initials []*color.Coloring, opt Options) (*Bitslice
 
 // run is the tier's one stepping loop: it steps every active lane a round
 // at a time until each has stopped, with the stop conditions and their
-// precedence replicating drive's.  After each round it calls lane(r,
-// changed, stop) for every lane that stepped, in lane order, while the
-// stepper still holds that round's state; lanes that stopped then freeze.
-// It returns ctx.Err() when the context is canceled between rounds.
-func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r, changed int, stop laneStop)) error {
+// precedence replicating drive's.  After each round it calls lane(r, stop)
+// for every lane that stepped, in lane order, while the stepper still
+// holds that round's state; lanes that stopped then freeze.  It returns
+// ctx.Err() when the context is canceled between rounds.
+func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r int, stop laneStop)) error {
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = bs.e.sub.DefaultMaxRounds()
@@ -381,10 +407,9 @@ func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r, changed i
 		var freeze uint64
 		for m := bs.active; m != 0; m &= m - 1 {
 			r := bits.TrailingZeros64(m)
-			c := bs.counts[r]
 			stop := laneRunning
 			switch {
-			case c == 0:
+			case bs.changed>>uint(r)&1 == 0:
 				stop = laneFixedPoint
 			case opt.StopWhenMonochromatic && bs.Monochromatic(r):
 				stop = laneMonochromatic
@@ -393,7 +418,7 @@ func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r, changed i
 			case round == maxRounds:
 				stop = laneBudget
 			}
-			lane(r, c, stop)
+			lane(r, stop)
 			if stop != laneRunning {
 				freeze |= 1 << uint(r)
 			}
@@ -420,11 +445,20 @@ func (bs *Bitslice) run(ctx context.Context, opt Options, lane func(r, changed i
 // the results of the lanes that already terminated; still-active lanes are
 // nil, matching the batch-session contract.
 func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring, opt Options) ([]*Result, error) {
-	bs, err := e.startSliced(initials, opt)
+	d := e.sub.Dims()
+	bs, err := e.startSliced(len(initials), func(words []uint64) bool {
+		for _, c := range initials {
+			if c == nil || c.Dims() != d {
+				return false
+			}
+		}
+		return color.PackLanes(initials, words)
+	}, opt)
 	if err != nil {
 		return nil, err
 	}
 	defer e.putSlice(bs)
+	bs.counting = true
 
 	results := make([]*Result, len(initials))
 	resBuf := make([]*Result, len(initials))
@@ -434,10 +468,10 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 		bs.first[r] = res.FirstReached
 		resBuf[r] = res
 	}
-	err = bs.run(ctx, opt, func(r, changed int, stop laneStop) {
+	err = bs.run(ctx, opt, func(r int, stop laneStop) {
 		res := resBuf[r]
 		res.Rounds = bs.round
-		res.ChangesPerRound = append(res.ChangesPerRound, changed)
+		res.ChangesPerRound = append(res.ChangesPerRound, bs.counts[r])
 		if bs.lostTarget>>uint(r)&1 == 1 {
 			res.MonotoneTarget = false
 		}
@@ -487,22 +521,24 @@ func (r *Result) Outcome(count color.Color) Outcome {
 	}
 }
 
-// RunBatchOutcomes is RunBatchSliced reduced to each lane's Outcome: out[r]
-// is written when lane r stops and equals the Outcome(count) of
-// RunContext(initials[r], opt).  The lanes step in the same loop, but no
-// configuration is unpacked and no per-round trace is kept: Options.Target
-// is ignored, since it feeds only the traces, and the final color and
-// count come from the packed words.  Eligibility and cancellation follow
-// RunBatchSliced; on a canceled batch the entries of lanes still active
-// are left as they were.
-func (e *Engine) RunBatchOutcomes(ctx context.Context, initials []*color.Coloring, opt Options, count color.Color, out []Outcome) error {
+// RunBatchOutcomes is RunBatchSliced reduced to each lane's Outcome, over
+// lanes replicas whose lane words fill writes (color.PackLanes behind a
+// closure, for callers holding colorings): out[r] is written when lane r
+// stops and equals the Outcome(count) of RunContext on replica r.  The
+// lanes step in the same loop, but no configuration is unpacked and
+// nothing per round is kept — no change counts and no target trace
+// (Options.Target is ignored) — and the final color and count come from
+// the packed words.  Eligibility and cancellation follow RunBatchSliced;
+// on a canceled batch the entries of lanes still active are left as they
+// were.
+func (e *Engine) RunBatchOutcomes(ctx context.Context, lanes int, fill func(words []uint64) bool, opt Options, count color.Color, out []Outcome) error {
 	opt.Target = color.None
-	bs, err := e.startSliced(initials, opt)
+	bs, err := e.startSliced(lanes, fill, opt)
 	if err != nil {
 		return err
 	}
 	defer e.putSlice(bs)
-	return bs.run(ctx, opt, func(r, _ int, stop laneStop) {
+	return bs.run(ctx, opt, func(r int, stop laneStop) {
 		if stop == laneRunning {
 			return
 		}

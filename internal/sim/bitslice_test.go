@@ -43,7 +43,7 @@ func ensembleLanes(d grid.Dims, lanes int) []*color.Coloring {
 // (counting color count).  Rule × substrate pairs without a two-color
 // kernel are skipped, but the core matrix must qualify.
 func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
-	sizes := [][2]int{{3, 3}, {4, 6}, {9, 9}, {3, 67}}
+	sizes := [][2]int{{3, 3}, {4, 6}, {9, 9}, {3, 67}, {2, 7}, {7, 2}}
 	options := []struct {
 		name  string
 		opt   Options
@@ -75,7 +75,7 @@ func TestBitsliceBitIdenticalAllRulesAllTopologies(t *testing.T) {
 					}
 					qualified++
 					outcomes := make([]Outcome, len(lanes))
-					if err := eng.RunBatchOutcomes(context.Background(), lanes, tc.opt, tc.count, outcomes); err != nil {
+					if err := eng.RunBatchOutcomes(context.Background(), len(lanes), packed(lanes), tc.opt, tc.count, outcomes); err != nil {
 						t.Fatalf("%s: outcomes: %v", label, err)
 					}
 					for r, res := range sliced {
@@ -291,8 +291,14 @@ func TestBitsliceIneligible(t *testing.T) {
 	}
 }
 
+// packed is the lane fill of replicas held as colorings.
+func packed(lanes []*color.Coloring) func(words []uint64) bool {
+	return func(words []uint64) bool { return color.PackLanes(lanes, words) }
+}
+
 // TestBitsliceStepAllocs pins the steady-state sliced step allocation-free,
-// with every bookkeeping feature (cycle detection, target tracing) enabled.
+// with every bookkeeping feature (cycle detection, target tracing) enabled,
+// with and without the per-lane change counters.
 func TestBitsliceStepAllocs(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 32, 32)
 	rule, err := rules.ByName("smp")
@@ -300,16 +306,19 @@ func TestBitsliceStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(topo, rule)
-	bs := eng.newBitslice()
-	if err := bs.reset(ensembleLanes(topo.Dims(), 64)); err != nil {
-		t.Fatal(err)
-	}
-	bs.detectCycles = true
-	bs.setTarget(1)
-	for r := 0; r < bs.lanes; r++ {
-		bs.first[r] = make([]int, topo.Dims().N())
-	}
-	if allocs := testing.AllocsPerRun(50, bs.Step); allocs != 0 {
-		t.Fatalf("Bitslice.Step allocates %.1f objects per round, want 0", allocs)
+	for _, counting := range []bool{true, false} {
+		bs := eng.newBitslice()
+		if err := bs.reset(64, packed(ensembleLanes(topo.Dims(), 64))); err != nil {
+			t.Fatal(err)
+		}
+		bs.counting = counting
+		bs.detectCycles = true
+		bs.setTarget(1)
+		for r := 0; r < bs.lanes; r++ {
+			bs.first[r] = make([]int, topo.Dims().N())
+		}
+		if allocs := testing.AllocsPerRun(50, bs.Step); allocs != 0 {
+			t.Fatalf("counting %v: Bitslice.Step allocates %.1f objects per round, want 0", counting, allocs)
+		}
 	}
 }

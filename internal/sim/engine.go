@@ -415,7 +415,8 @@ type Engine struct {
 	// changes.
 	csr *grid.CSR
 	// plan is the torus's shift decomposition (nil when it is not
-	// shift-regular), probed once by bitplaneCheck under planOnce.
+	// shift-regular), probed once under planOnce by shiftPlan, for the
+	// bitplane tier and the bit-sliced gather.
 	planOnce sync.Once
 	plan     *grid.ShiftPlan
 	// deg4 marks a dense 4-regular index (all tori), which licenses next's
