@@ -96,7 +96,10 @@ func BenchmarkEngineStepSequential(b *testing.B) {
 // striped parallel stepper, from cache-resident tori to the 4096x4096 torus
 // whose working set dwarfs any single cache hierarchy.  The CI gate requires
 // the 4-worker 4096x4096 step to beat the 1-worker step by at least 2x
-// within the same run.  Steady-state striped stepping is allocation-free
+// within the same run.  StepParallel looks colors up in the engine's rule
+// table, so the 1-worker 256x256 step is the tabulated round on the
+// coloring BenchmarkEngineStepSequential/256x256 steps through the oracle;
+// a second CI gate requires it to be at least 3x faster.  Steady-state striped stepping is allocation-free
 // (pinned by TestParallelStepDoesNotAllocate and by the CI zero-alloc gate
 // on this benchmark): the warm-up step below moves the one-time allocation
 // of the engine's run state out of the timed window, and the explicit GC
@@ -111,7 +114,7 @@ func BenchmarkEngineStepParallel(b *testing.B) {
 		workers []int
 	}{
 		{128, []int{2, 4, 8}},
-		{256, []int{2, 4, 8}},
+		{256, []int{1, 2, 4, 8}},
 		{1024, []int{1, 2, 4, 8}},
 		{4096, []int{1, 2, 4, 8}},
 	} {

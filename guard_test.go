@@ -133,13 +133,15 @@ func TestNoPackageLevelSyncMap(t *testing.T) {
 }
 
 // TestOneRuleApplication keeps internal/sim on one rule application,
-// Engine.next.  Outside it, a rule's counts form (a NextFromCounts call) is
-// allowed only in stepRange, whose dense degree-4 loop is next's one
-// inlined copy, kept for a measured 8-10% on the torus sweep; and a rule's
-// slice form (a call of a method named Next) only in stepRangeTV, which
-// applies the rule to a time-varying round's reduced neighborhood.
+// Engine.next.  Outside it, a rule-table lookup (a TableIndex call) and a
+// rule's counts form (a NextFromCounts call) are allowed only in stepRange,
+// whose dense degree-4 loops are next's one inlined copy, kept for a
+// measured 8-10% on the torus sweep; and a rule's slice form (a call of a
+// method named Next) only in stepRangeTV, which applies the rule to a
+// time-varying round's reduced neighborhood.
 func TestOneRuleApplication(t *testing.T) {
 	allowed := map[string]map[string]bool{
+		"TableIndex":     {"Engine.next": true, "Engine.stepRange": true},
 		"NextFromCounts": {"Engine.next": true, "Engine.stepRange": true},
 		"Next":           {"Engine.next": true, "Engine.stepRangeTV": true},
 	}

@@ -46,18 +46,31 @@ func maxShiftFixups(d Dims) int { return d.Rows + d.Cols }
 // probeShiftPort derives the shift decomposition of one port from the dense
 // neighbor table, or reports that the port is not shift-regular.  The base
 // rotation is the most common (neighbor - vertex) offset; ties break toward
-// the smallest offset so the plan is deterministic.
+// the smallest offset so the plan is deterministic.  The tally holds each
+// distinct offset once: a port with more than maxShiftFixups+1 of them
+// departs from any rotation at more than maxShiftFixups vertices, so the
+// probe refuses it there.
 func probeShiftPort(d Dims, neighbors []int32, port int) (ShiftPort, bool) {
 	n := d.N()
-	hist := make(map[int]int)
+	var offs, counts []int
+vertices:
 	for v := 0; v < n; v++ {
 		off := (int(neighbors[v*Degree+port]) - v + n) % n
-		hist[off]++
+		for i, o := range offs {
+			if o == off {
+				counts[i]++
+				continue vertices
+			}
+		}
+		if len(offs) > maxShiftFixups(d) {
+			return ShiftPort{}, false
+		}
+		offs, counts = append(offs, off), append(counts, 1)
 	}
 	shift, best := 0, -1
-	for off, count := range hist {
-		if count > best || (count == best && off < shift) {
-			shift, best = off, count
+	for i, off := range offs {
+		if counts[i] > best || (counts[i] == best && off < shift) {
+			shift, best = off, counts[i]
 		}
 	}
 	var out ShiftPort
@@ -78,9 +91,9 @@ func probeShiftPort(d Dims, neighbors []int32, port int) (ShiftPort, bool) {
 // BuildShiftPlan returns the shift decomposition of a torus index's
 // neighbor geometry (c comes from BuildCSR), or ok=false when it is not
 // shift-regular: some port does not decompose into a flat rotation plus at
-// most Rows+Cols border patches.  The probe builds a histogram over every
-// vertex, so callers derive the plan only once a run qualifies for the
-// bitplane tier on everything else.
+// most Rows+Cols border patches.  The probe reads every vertex's row, so
+// callers derive the plan only once a run qualifies for the bitplane tier
+// on everything else.
 func BuildShiftPlan(c *CSR) (*ShiftPlan, bool) {
 	plan := &ShiftPlan{dims: c.Dims()}
 	for p := 0; p < Degree; p++ {

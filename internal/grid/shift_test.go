@@ -1,6 +1,9 @@
 package grid
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestShiftPlanMatchesNeighbors verifies on every built-in topology and a
 // spread of sizes (including 2×n degenerates and non-word-multiple rows)
@@ -87,5 +90,62 @@ func TestShiftPlanRejectsIrregularTopology(t *testing.T) {
 	topo := irregularTopology{MustNew(KindToroidalMesh, 8, 8)}
 	if _, ok := BuildShiftPlan(BuildCSR(topo)); ok {
 		t.Fatal("irregular topology must not be shift-regular")
+	}
+}
+
+// histogramPort is the reference probe: a full map histogram of the
+// port's offsets, its mode with ties toward the smallest offset, and the
+// vertices that depart from it.
+func histogramPort(d Dims, neighbors []int32, port int) (ShiftPort, bool) {
+	n := d.N()
+	hist := make(map[int]int)
+	for v := 0; v < n; v++ {
+		hist[(int(neighbors[v*Degree+port])-v+n)%n]++
+	}
+	shift, best := 0, -1
+	for off, count := range hist {
+		if count > best || (count == best && off < shift) {
+			shift, best = off, count
+		}
+	}
+	out := ShiftPort{Shift: shift}
+	for v := 0; v < n; v++ {
+		if u := int(neighbors[v*Degree+port]); (v+shift)%n != u {
+			out.FixDst = append(out.FixDst, int32(v))
+			out.FixSrc = append(out.FixSrc, int32(u))
+		}
+	}
+	if len(out.FixDst) > maxShiftFixups(d) {
+		return ShiftPort{}, false
+	}
+	return out, true
+}
+
+// TestProbeShiftPortMatchesHistogram pins the probe's shift, patches and
+// refusals to histogramPort on every torus kind, and on its irregular
+// variant, at the sizes of TestShiftPlanMatchesNeighbors.
+func TestProbeShiftPortMatchesHistogram(t *testing.T) {
+	sizes := [][2]int{{2, 2}, {2, 7}, {7, 2}, {3, 3}, {4, 6}, {5, 13}, {9, 9}, {3, 67}}
+	refused := 0
+	for _, kind := range Kinds() {
+		for _, sz := range sizes {
+			topo := MustNew(kind, sz[0], sz[1])
+			for _, tp := range []Topology{topo, irregularTopology{topo}} {
+				c := BuildCSR(tp)
+				for p := 0; p < Degree; p++ {
+					got, gotOK := probeShiftPort(c.Dims(), c.Neighbors, p)
+					want, wantOK := histogramPort(c.Dims(), c.Neighbors, p)
+					if gotOK != wantOK || got.Shift != want.Shift || fmt.Sprint(got.FixDst, got.FixSrc) != fmt.Sprint(want.FixDst, want.FixSrc) {
+						t.Fatalf("%s %v port %d: probe (%v, %+v), histogram (%v, %+v)", tp.Name(), c.Dims(), p, gotOK, got, wantOK, want)
+					}
+					if !wantOK {
+						refused++
+					}
+				}
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no port was refused; the refusal path is untested")
 	}
 }

@@ -100,12 +100,16 @@ func (cs *Counts) Of(c color.Color) int {
 	return 0
 }
 
-// CountRule is the counts-based fast path of a Rule: the same decision
+// CountRule is the counts-based form of a Rule: the same decision
 // function, but taking the pre-tallied color-count vector of the four
 // neighbors instead of the raw neighbor slice.  The simulation engine
-// detects the interface once at construction and then drives the inner loop
-// through NextFromCounts, so no per-vertex neighbor slice is built and no
-// rule re-tallies a multiset the engine already has.
+// detects the interface once at construction.  On the tori its tabulated
+// tiers look colors up in a Table built from Next instead, and apply
+// NextFromCounts only to neighborhoods with a color above TableColors; the
+// oracle (a forced sequential sweep, Engine.Step) and irregular substrates
+// drive their inner loops through NextFromCounts, so no per-vertex
+// neighbor slice is built and no rule re-tallies a multiset the engine
+// already has.
 //
 // NextFromCounts must agree with Next on every four-neighbor multiset:
 // NextFromCounts(c, cs) == Next(c, ns) whenever cs tallies ns.  All rules

@@ -91,7 +91,7 @@ func (e *Engine) RunAsync(initial *color.Coloring, opt AsyncOptions) *AsyncResul
 		}
 		changed := 0
 		for _, v := range order {
-			if nc := e.next(cells, v, &scratch); nc != cells[v] {
+			if nc := e.next(nil, cells, v, &scratch); nc != cells[v] {
 				cells[v] = nc
 				changed++
 			}

@@ -104,7 +104,7 @@ func BenchmarkBitplaneNoisyStep(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.stepRangeStochastic(i+1, sched, noise, cur.Cells(), next.Cells(), 0, n, scratch)
+			eng.stepRangeStochastic(i+1, sched, noise, nil, cur.Cells(), next.Cells(), 0, n, scratch)
 			cur, next = next, cur
 		}
 		perVertex(b)

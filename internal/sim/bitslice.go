@@ -305,8 +305,14 @@ func (bs *Bitslice) Step() {
 	bs.monoAnd, bs.monoOr = monoAnd, monoOr
 	bs.cycleEq = cycleEq
 	bs.lostTarget = lost
-	// Fold the vertical counters into per-lane counts and clear them.
-	for m := act; m != 0; m &= m - 1 {
+	bs.foldCounts(act)
+	bs.st.Cur[0], bs.st.Next[0] = next, cur
+}
+
+// foldCounts moves the vertical counters of the lanes in mask into counts
+// and clears the counters.
+func (bs *Bitslice) foldCounts(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(m)
 		c := 0
 		for i := 0; i < bs.cntHi; i++ {
@@ -318,7 +324,6 @@ func (bs *Bitslice) Step() {
 		bs.cnt[i] = 0
 	}
 	bs.cntHi = 0
-	bs.st.Cur[0], bs.st.Next[0] = next, cur
 }
 
 // countAdd carry-saves one diff word into the vertical per-lane counters.
@@ -523,9 +528,9 @@ func (r *Result) Outcome(count color.Color) Outcome {
 
 // RunBatchOutcomes is RunBatchSliced reduced to each lane's Outcome, over
 // lanes replicas whose lane words fill writes (color.PackLanes behind a
-// closure, for callers holding colorings): out[r] is written when lane r
-// stops and equals the Outcome(count) of RunContext on replica r.  The
-// lanes step in the same loop, but no configuration is unpacked and
+// closure, for callers holding colorings): out[r] is written for every lane
+// r that stopped and equals the Outcome(count) of RunContext on replica r.
+// The lanes step in the same loop, but no configuration is unpacked and
 // nothing per round is kept — no change counts and no target trace
 // (Options.Target is ignored) — and the final color and count come from
 // the packed words.  Eligibility and cancellation follow RunBatchSliced;
@@ -538,7 +543,8 @@ func (e *Engine) RunBatchOutcomes(ctx context.Context, lanes int, fill func(word
 		return err
 	}
 	defer e.putSlice(bs)
-	return bs.run(ctx, opt, func(r int, stop laneStop) {
+	var stopped uint64
+	err = bs.run(ctx, opt, func(r int, stop laneStop) {
 		if stop == laneRunning {
 			return
 		}
@@ -547,16 +553,26 @@ func (e *Engine) RunBatchOutcomes(ctx context.Context, lanes int, fill func(word
 			o.Monochromatic = true
 			o.FinalColor = color.Color(1 + bs.monoAnd>>uint(r)&1)
 		}
-		ones := 0
-		for _, w := range bs.st.Cur[0] {
-			ones += int(w >> uint(r) & 1)
-		}
-		switch count {
-		case 1:
-			o.Count = bs.n - ones
-		case 2:
-			o.Count = ones
-		}
 		out[r] = o
+		stopped |= 1 << uint(r)
 	})
+	// A stopped lane's bits keep its final state (Freeze), so one pass of
+	// the vertical counters over the words counts the color-2 vertices of
+	// every stopped lane at once.  Lanes hold colors 1 and 2 only.
+	if stopped != 0 && (count == 1 || count == 2) {
+		for _, w := range bs.st.Cur[0] {
+			if w &= stopped; w != 0 {
+				bs.countAdd(w)
+			}
+		}
+		bs.foldCounts(stopped)
+		for m := stopped; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			out[r].Count = bs.counts[r]
+			if count == 1 {
+				out[r].Count = bs.n - bs.counts[r]
+			}
+		}
+	}
+	return err
 }

@@ -90,7 +90,9 @@ const (
 	KernelBitplane
 	// KernelFrontier forces the sequential dirty-frontier stepper.
 	KernelFrontier
-	// KernelSweep forces the sequential full-sweep oracle stepper.
+	// KernelSweep forces the sequential full-sweep oracle stepper, which
+	// applies the rule through its counts or slice form: the oracle never
+	// reads the rule table the other scalar tiers look colors up in.
 	KernelSweep
 	// KernelParallel forces the striped parallel sweep (Workers goroutines,
 	// GOMAXPROCS when unset).
@@ -215,7 +217,8 @@ type Options struct {
 	// FullSweep forces the sequential full-sweep oracle stepper instead of
 	// the dirty-frontier stepper.  Results are bit-identical either way; the
 	// knob exists for differential tests and for measuring the frontier's
-	// speedup.  It is ignored on the parallel path, which always sweeps.
+	// speedup.  Like KernelSweep it keeps the run off the engine's rule
+	// table, on a parallel run too, which sweeps either way.
 	FullSweep bool
 	// Kernel selects the stepping tier explicitly; the KernelAuto zero value
 	// keeps the automatic selection described on the constants.  A forced
@@ -386,9 +389,10 @@ func (r *Result) TimesMatrix(d grid.Dims) [][]int {
 // Engine evolves colorings over a fixed substrate under a fixed rule.  Its
 // configuration is immutable after construction and an Engine is safe for
 // concurrent use by multiple goroutines running independent simulations; the
-// only mutable state is the lazily probed shift plan and the free lists of
-// per-run working buffers, which is what makes repeated runs (and Session
-// batches in the public dynmon package) allocation-free in steady state.
+// only mutable state is the lazily built shift plan and rule table and the
+// free lists of per-run working buffers, which is what makes repeated runs
+// (and Session batches in the public dynmon package) allocation-free in
+// steady state.
 //
 // An engine owns its adjacency index and shift plan; nothing caches them
 // process-wide.  Callers that run many colorings over one system hold one
@@ -419,9 +423,15 @@ type Engine struct {
 	// bitplane tier and the bit-sliced gather.
 	planOnce sync.Once
 	plan     *grid.ShiftPlan
-	// deg4 marks a dense 4-regular index (all tori), which licenses next's
-	// unrolled degree-4 counts tally and its inlined copy in stepRange;
-	// irregular substrates tally their offset-framed CSR rows instead.
+	// tab is the rule tabulated over degree-4 neighborhoods in {1..8}
+	// (rules.Tabulate), built once under tabOnce by table on a dense degree-4
+	// index; nil elsewhere and when the rule answers outside a byte.
+	tabOnce sync.Once
+	tab     *rules.Table
+	// deg4 marks a dense 4-regular index (all tori), which licenses the rule
+	// table, next's unrolled degree-4 counts tally and its inlined copy in
+	// stepRange; irregular substrates tally their offset-framed CSR rows
+	// instead.
 	deg4 bool
 	// maxDeg sizes the per-run neighbor scratch buffers.
 	maxDeg int
@@ -553,21 +563,55 @@ func (e *Engine) getState() *runState {
 
 func (e *Engine) putState(st *runState) { e.states.put(st) }
 
+// table returns the engine's rule table, built on first use, or nil when
+// the index is not dense degree-4 or the rule has no byte table.  The
+// oracle paths (a forced sequential sweep, FullSweep, Step) never ask.
+func (e *Engine) table() *rules.Table {
+	if !e.deg4 {
+		return nil
+	}
+	e.tabOnce.Do(func() { e.tab = rules.Tabulate(e.rule) })
+	return e.tab
+}
+
 // stepRange applies one synchronous round to vertices [lo, hi) reading from
-// cur and writing to next, and returns how many of them changed.  It
-// applies the rule through next; scratch backs next's slice path (capacity
-// >= the substrate's maximum degree).
+// cur and writing to next, and returns how many of them changed.  With a
+// rule table (the engine's, or nil on the oracle paths) each vertex costs a
+// range check, an index and one byte load.  The first vertex whose
+// neighborhood leaves {1..8} sends itself and the rest of the range to the
+// counts loop, and left reports it, so the caller stops passing the table;
+// keeping that fallback out of the table loop keeps a call out of the hot
+// loop.  Without a table the rule applies through next; scratch backs
+// next's slice path (capacity >= the substrate's maximum degree).
 //
-// The dense degree-4 counts loop is next's first case copied inline, the
-// one such copy: it is the hot loop of every torus sweep, and routing it
+// The dense degree-4 counts loop is next's counts case copied inline, the
+// one such copy: it is the oracle's hot loop on every torus, and routing it
 // through next made BenchmarkEngineStepSequential/256x256 8-10% slower in
 // the median (2-core Intel Xeon, GOMAXPROCS 2, Go 1.24; two measurements
 // of 4 and 5 alternated runs).
-func (e *Engine) stepRange(cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	changed := 0
+func (e *Engine) stepRange(tab *rules.Table, cur, next []color.Color, lo, hi int, scratch []color.Color) (changed int, left bool) {
+	fwd := e.csr.Neighbors
+	v := lo
+	if tab != nil {
+		for ; v < hi; v++ {
+			nb := fwd[v*grid.Degree : v*grid.Degree+grid.Degree]
+			i, ok := rules.TableIndex(cur[v], cur[nb[0]], cur[nb[1]], cur[nb[2]], cur[nb[3]])
+			if !ok {
+				break
+			}
+			nc := color.Color(tab[i])
+			next[v] = nc
+			if nc != cur[v] {
+				changed++
+			}
+		}
+		if v == hi {
+			return changed, false
+		}
+		left = true
+	}
 	if cr := e.countRule; cr != nil && e.deg4 {
-		fwd := e.csr.Neighbors
-		for v := lo; v < hi; v++ {
+		for ; v < hi; v++ {
 			base := v * grid.Degree
 			var cs rules.Counts
 			cs.Add(cur[fwd[base]])
@@ -580,28 +624,36 @@ func (e *Engine) stepRange(cur, next []color.Color, lo, hi int, scratch []color.
 				changed++
 			}
 		}
-		return changed
+		return changed, left
 	}
-	for v := lo; v < hi; v++ {
-		nc := e.next(cur, v, &scratch)
+	for ; v < hi; v++ {
+		nc := e.next(nil, cur, v, &scratch)
 		next[v] = nc
 		if nc != cur[v] {
 			changed++
 		}
 	}
-	return changed
+	return changed, left
 }
 
 // next is the engine's one rule application: the color v takes when the
-// rule reads its neighbors' colors in cells.  A rule with a counts form
-// (rules.CountRule) gets v's neighborhood tallied, unrolled on a dense
-// degree-4 index and through Counts.AddOK over v's CSR row otherwise.  A
-// rule without a counts form, or a row whose multiset does not fit a
-// Counts vector, takes the rule's slice path over the neighbors gathered
-// into *scratch, which grows in place so the caller's next vertex reuses
-// it.
-func (e *Engine) next(cells []color.Color, v int, scratch *[]color.Color) color.Color {
+// rule reads its neighbors' colors in cells.  With a rule table (tab, the
+// engine's or nil) and all five colors in {1..8}, it is one byte load.
+// Otherwise a rule with a counts form (rules.CountRule) gets v's
+// neighborhood tallied, unrolled on a dense degree-4 index and through
+// Counts.AddOK over v's CSR row otherwise; this counts path is the
+// oracle's, and the table's fallback.  A rule without a counts form, or a
+// row whose multiset does not fit a Counts vector, takes the rule's slice
+// path over the neighbors gathered into *scratch, which grows in place so
+// the caller's next vertex reuses it.
+func (e *Engine) next(tab *rules.Table, cells []color.Color, v int, scratch *[]color.Color) color.Color {
 	fwd, cr := e.csr.Neighbors, e.countRule
+	if tab != nil {
+		base := v * grid.Degree
+		if i, ok := rules.TableIndex(cells[v], cells[fwd[base]], cells[fwd[base+1]], cells[fwd[base+2]], cells[fwd[base+3]]); ok {
+			return color.Color(tab[i])
+		}
+	}
 	if cr != nil && e.deg4 {
 		base := v * grid.Degree
 		var cs rules.Counts
@@ -668,14 +720,18 @@ func (e *Engine) stepRangeTV(round int, avail Availability, cur, next []color.Co
 
 // Step applies one synchronous round, reading from cur and writing into
 // next.  It returns the number of vertices that changed color.  cur and next
-// must have the engine's dimensions and must not alias.
+// must have the engine's dimensions and must not alias.  Step is the
+// sequential oracle: it applies the rule through its counts or slice form,
+// never the rule table, so differential tests pin the table to it.
+// StepParallel is the tabulated round.
 func (e *Engine) Step(cur, next *color.Coloring) int {
 	if cur.Dims() != e.sub.Dims() || next.Dims() != e.sub.Dims() {
 		panic(fmt.Sprintf("sim: Step dimension mismatch (%v, %v) vs %v", cur.Dims(), next.Dims(), e.sub.Dims()))
 	}
 	st := e.getState()
 	defer e.putState(st)
-	return e.stepRange(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
+	changed, _ := e.stepRange(nil, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
+	return changed
 }
 
 // Run evolves the initial coloring under the engine's rule until a stop

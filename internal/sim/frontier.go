@@ -185,12 +185,13 @@ func (f *Frontier) Step() int {
 	f.round++
 	r := int32(f.round)
 	cells := f.cfg.Cells()
+	tab := f.e.table()
 
 	// Evaluate the frontier against pre-round state, journaling changes.
 	f.chV, f.chOld, f.chNew = f.chV[:0], f.chOld[:0], f.chNew[:0]
 	for _, v := range f.queue {
 		cur := cells[v]
-		if nc := f.e.next(cells, int(v), &f.scratch); nc != cur {
+		if nc := f.e.next(tab, cells, int(v), &f.scratch); nc != cur {
 			f.chV = append(f.chV, v)
 			f.chOld = append(f.chOld, cur)
 			f.chNew = append(f.chNew, nc)

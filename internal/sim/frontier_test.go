@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/color"
@@ -60,7 +61,9 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 // degenerate 2×n and m×2 tori, the frontier, sequential full-sweep and
 // striped-parallel steppers must produce bit-identical Results — same
 // rounds, same per-round change counts, same verdicts, same final
-// configuration, same first-reach trace.
+// configuration, same first-reach trace.  The palettes run from one color
+// to nine: the frontier and the stripes look colors up in the rule table,
+// which covers colors up to 8, and the full sweep never does.
 func TestSteppersBitIdenticalAllRulesAllTopologies(t *testing.T) {
 	sizes := [][2]int{{2, 2}, {2, 7}, {7, 2}, {3, 3}, {4, 6}, {6, 6}}
 	for _, name := range rules.RegisteredNames() {
@@ -72,22 +75,23 @@ func TestSteppersBitIdenticalAllRulesAllTopologies(t *testing.T) {
 			for _, sz := range sizes {
 				topo := grid.MustNew(kind, sz[0], sz[1])
 				eng := NewEngine(topo, rule)
-				for seed := uint64(1); seed <= 3; seed++ {
-					initial := randomTestColoring(seed, topo.Dims(), 5)
-					// Bounded rounds: reversible rules may never settle.
-					base := Options{MaxRounds: 40, Target: 1, DetectCycles: true}
-					sweep := base
-					sweep.FullSweep = true
-					par := base
-					par.Parallel, par.Workers = true, 3
+				for _, k := range []int{1, 2, 5, 8, 9} {
+					for seed := uint64(1); seed <= 3; seed++ {
+						initial := randomTestColoring(seed, topo.Dims(), k)
+						// Bounded rounds: reversible rules may never settle.
+						base := Options{MaxRounds: 40, Target: 1, DetectCycles: true}
+						front := base
+						front.Kernel = KernelFrontier
+						sweep := base
+						sweep.FullSweep = true
+						par := base
+						par.Parallel, par.Workers = true, 3
 
-					front := eng.Run(initial, base)
-					oracle := eng.Run(initial, sweep)
-					striped := eng.Run(initial, par)
-
-					label := name + "/" + topo.Name() + "/" + topo.Dims().String()
-					resultsEqual(t, label+"/frontier-vs-sweep", front, oracle)
-					resultsEqual(t, label+"/parallel-vs-sweep", striped, oracle)
+						oracle := eng.Run(initial, sweep)
+						label := fmt.Sprintf("%s/%s/%v/k=%d", name, topo.Name(), topo.Dims(), k)
+						resultsEqual(t, label+"/frontier-vs-sweep", eng.Run(initial, front), oracle)
+						resultsEqual(t, label+"/parallel-vs-sweep", eng.Run(initial, par), oracle)
+					}
 				}
 			}
 		}

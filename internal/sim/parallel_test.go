@@ -30,7 +30,7 @@ func TestParallelStepMatchesSequential(t *testing.T) {
 		cur := randomColoring(42, 17, 23, 5)
 		seqNext := color.NewColoring(topo.Dims(), color.None)
 		parNext := color.NewColoring(topo.Dims(), color.None)
-		seqChanged := eng.stepRange(cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
+		seqChanged, _ := eng.stepRange(nil, cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
 		for _, workers := range []int{2, 3, 4, 8, 64, 1000} {
 			parChanged := eng.StepParallel(cur, parNext, workers)
 			if parChanged != seqChanged {
@@ -86,7 +86,7 @@ func TestParallelWithMoreWorkersThanVertices(t *testing.T) {
 	// Must not panic or deadlock.
 	eng.StepParallel(cur, next, 64)
 	seqNext := color.NewColoring(topo.Dims(), color.None)
-	eng.stepRange(cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
+	eng.stepRange(nil, cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
 	if !next.Equal(seqNext) {
 		t.Error("oversubscribed parallel step differs from sequential")
 	}
@@ -175,7 +175,8 @@ func resultBytesEqual(t *testing.T, label string, got, want *Result) {
 // sweep at 2, 3 and 4 workers must produce Results byte-identical (full
 // JSON) to the sequential full sweep, with target tracking and cycle
 // detection on so every stripe edge carries FirstReached, monotonicity and
-// period-2 bookkeeping.
+// period-2 bookkeeping.  The palettes of one to nine colors put the
+// stripes on the rule table, and at nine colors off it.
 func TestParallelBitIdenticalAllRulesAllTopologies(t *testing.T) {
 	sizes := [][2]int{{2, 7}, {7, 2}, {3, 3}, {4, 6}, {6, 6}}
 	for _, name := range rules.RegisteredNames() {
@@ -187,18 +188,20 @@ func TestParallelBitIdenticalAllRulesAllTopologies(t *testing.T) {
 			for _, sz := range sizes {
 				topo := grid.MustNew(kind, sz[0], sz[1])
 				eng := NewEngine(topo, rule)
-				for seed := uint64(1); seed <= 3; seed++ {
-					initial := randomTestColoring(seed, topo.Dims(), 5)
-					base := Options{MaxRounds: 40, Target: 1, DetectCycles: true}
-					sweep := base
-					sweep.Kernel = KernelSweep
-					oracle := eng.Run(initial, sweep)
-					for _, k := range []int{2, 3, 4} {
-						par := eng.Run(initial, parallelOpts(base, k))
-						label := fmt.Sprintf("%s/%s/%v/workers=%d", name, topo.Name(), topo.Dims(), k)
-						resultBytesEqual(t, label, par, oracle)
-						if par.Kernel != KernelParallel {
-							t.Fatalf("%s: kernel %v, want parallel", label, par.Kernel)
+				for _, colors := range []int{1, 2, 5, 8, 9} {
+					for seed := uint64(1); seed <= 3; seed++ {
+						initial := randomTestColoring(seed, topo.Dims(), colors)
+						base := Options{MaxRounds: 40, Target: 1, DetectCycles: true}
+						sweep := base
+						sweep.Kernel = KernelSweep
+						oracle := eng.Run(initial, sweep)
+						for _, k := range []int{2, 3, 4} {
+							par := eng.Run(initial, parallelOpts(base, k))
+							label := fmt.Sprintf("%s/%s/%v/k=%d/workers=%d", name, topo.Name(), topo.Dims(), colors, k)
+							resultBytesEqual(t, label, par, oracle)
+							if par.Kernel != KernelParallel {
+								t.Fatalf("%s: kernel %v, want parallel", label, par.Kernel)
+							}
 						}
 					}
 				}
@@ -303,9 +306,11 @@ func TestParallelResumeMidRun(t *testing.T) {
 // `-race -count=2` step: several goroutines run striped simulations
 // concurrently over one shared engine (shared stripe pool, pooled run
 // states, in-stripe traces written by pool workers), each pinned against
-// the sweep oracle.  Every other goroutine runs the auto tier instead,
-// which takes the bitplane kernel, so the engine's first shift-plan probe
-// happens under concurrent runs too.
+// the sweep oracle.  The oracle runs first and never reads the rule table,
+// so the engine's first table build happens under the concurrent striped
+// runs.  Every other goroutine runs the auto tier instead, which takes the
+// bitplane kernel, so the engine's first shift-plan probe happens under
+// concurrent runs too.
 func TestParallelConcurrentRuns(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 24, 24)
 	eng := NewEngine(topo, rules.SMP{})
@@ -314,6 +319,9 @@ func TestParallelConcurrentRuns(t *testing.T) {
 	for i := range initials {
 		initials[i] = randomTestColoring(uint64(10+i), topo.Dims(), 3)
 		oracle[i] = eng.Run(initials[i], Options{MaxRounds: 50, Target: 1, DetectCycles: true, Kernel: KernelSweep})
+	}
+	if eng.tab != nil {
+		t.Fatal("the oracle runs built the rule table; its first build would not race")
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -336,4 +344,7 @@ func TestParallelConcurrentRuns(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if eng.tab == nil {
+		t.Fatal("the striped runs did not build the rule table")
+	}
 }

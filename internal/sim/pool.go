@@ -40,14 +40,15 @@ type stripeTask struct {
 	changed int
 	// lost reports that a target-colored vertex of the stripe lost the
 	// color this round; same, that the stripe's range equals its slice of
-	// the configuration two rounds back (see trace).
-	lost, same bool
+	// the configuration two rounds back (see trace); leftTable, that a
+	// color outside the rule table sent the stripe to the counts path.
+	lost, same, leftTable bool
 }
 
 func (t *stripeTask) runSweep() {
 	d := t.sw
 	t.growScratch()
-	t.changed = d.e.stepRange(d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.changed, t.leftTable = d.e.stepRange(d.tab, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
 	t.trace()
 }
 
@@ -61,7 +62,7 @@ func (t *stripeTask) runSweepTV() {
 func (t *stripeTask) runStochastic() {
 	d := t.sw
 	t.growScratch()
-	t.changed = d.e.stepRangeStochastic(d.round, d.sched, d.noise, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.changed = d.e.stepRangeStochastic(d.round, d.sched, d.noise, d.tab, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
 	t.trace()
 }
 
@@ -70,7 +71,7 @@ func (t *stripeTask) runStochastic() {
 func (t *stripeTask) runInPlace() {
 	d := t.sw
 	t.growScratch()
-	t.changed = d.e.stepInPlace(d.round, d.sched, d.noise, d.cur.Cells(), d.next.Cells(), &d.st.order, t.scratch)
+	t.changed = d.e.stepInPlace(d.round, d.sched, d.noise, d.tab, d.cur.Cells(), d.next.Cells(), &d.st.order, t.scratch)
 	t.trace()
 }
 

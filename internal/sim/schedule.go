@@ -218,12 +218,13 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 }
 
 // stepRangeStochastic is the masked stochastic inner loop: vertex v applies
-// the rule only when the schedule activates it this round (keeping its color
-// otherwise), and the computed color passes through the ε-fault draw when
-// noise is active.  Reads come from cur, writes go to next, so stripes
-// parallelize exactly like the synchronous sweep; all randomness is
-// counter-based, making the result independent of the stripe partition.
-func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
+// the rule (through next, with the rule table tab when not nil) only when
+// the schedule activates it this round (keeping its color otherwise), and
+// the computed color passes through the ε-fault draw when noise is active.
+// Reads come from cur, writes go to next, so stripes parallelize exactly
+// like the synchronous sweep; all randomness is counter-based, making the
+// result independent of the stripe partition.
+func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, tab *rules.Table, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
 	r := uint64(round)
 	var faults rules.FaultRound
 	if noise != nil {
@@ -236,7 +237,7 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 			next[v] = cv
 			continue
 		}
-		nc := e.next(cur, v, &scratch)
+		nc := e.next(tab, cur, v, &scratch)
 		if noise != nil {
 			if c, ok := faults.Fault(uint64(v)); ok {
 				nc = c
@@ -256,8 +257,8 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 // next's live cells, so later vertices observe earlier commits and the
 // round cannot be striped.  Every random draw is counter-based, so a
 // resumed run continues bit-identically from (configuration, round).
-// order backs the permutation.
-func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, cur, next []color.Color, order *[]int, scratch []color.Color) int {
+// tab is the rule table next reads (or nil); order backs the permutation.
+func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, tab *rules.Table, cur, next []color.Color, order *[]int, scratch []color.Color) int {
 	copy(next, cur)
 	r := uint64(round)
 	var perm []int
@@ -275,7 +276,7 @@ func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, cur, next
 			v = perm[i]
 		}
 		cv := next[v]
-		nc := e.next(next, v, &scratch)
+		nc := e.next(tab, next, v, &scratch)
 		if noise != nil {
 			if c, ok := faults.Fault(uint64(v)); ok {
 				nc = c

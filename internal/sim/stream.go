@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/color"
 	"repro/internal/grid"
+	"repro/internal/rules"
 )
 
 // Step is one round of a streaming run, yielded by Engine.Stream (and by the
@@ -222,12 +223,14 @@ type sweepDriver struct {
 	workers   int
 	cur, next *color.Coloring
 
-	// The round's inputs, read by every stripe: the round number, the
-	// availability model of time-varying runs, the schedule and noise of
-	// stochastic runs, the tracked target color with the result's
-	// FirstReached trace (nil when no target is tracked), and the cells two
-	// rounds back (nil when cycle detection is off).
+	// The round's inputs, read by every stripe: the round number, the rule
+	// table (nil on the oracle, and from the round after a stripe met a
+	// color outside it), the availability model of time-varying runs, the
+	// schedule and noise of stochastic runs, the tracked target color with
+	// the result's FirstReached trace (nil when no target is tracked), and
+	// the cells two rounds back (nil when cycle detection is off).
 	round        int
+	tab          *rules.Table
 	tv           Availability
 	sched        *Schedule
 	noise        *Noise
@@ -255,6 +258,12 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 		d.run = runStochasticTask
 	case opt.TimeVarying != nil:
 		d.run = runSweepTVTask
+	}
+	// A forced sequential sweep or FullSweep is the oracle, which steps
+	// without the table; a time-varying round reduces neighborhoods the
+	// table does not cover.
+	if opt.Kernel != KernelSweep && !opt.FullSweep && opt.TimeVarying == nil {
+		d.tab = e.table()
 	}
 	d.cur.CopyFrom(initial)
 	// The period-2 trace costs an O(n) compare-and-copy per round, so it is
@@ -287,7 +296,8 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 // step applies one round from cur into next, one stripe per worker, and
 // returns the number of vertices that changed color and whether a
 // target-colored vertex lost the color; it records the stripes' joint
-// period-2 verdict in cycleFlag.
+// period-2 verdict in cycleFlag, and drops the rule table once a stripe
+// has left it.
 func (d *sweepDriver) step() (changed int, lost bool) {
 	st := d.st
 	done := st.stripeAcross(d.cur.N(), d.workers, func(t *stripeTask, lo, hi int) {
@@ -298,6 +308,9 @@ func (d *sweepDriver) step() (changed int, lost bool) {
 		changed += done[i].changed
 		lost = lost || done[i].lost
 		same = same && done[i].same
+		if done[i].leftTable {
+			d.tab = nil
+		}
 	}
 	d.cycleFlag = same
 	return changed, lost
@@ -340,7 +353,9 @@ func (d *sweepDriver) downshift(int, int, int, *Result) runDriver { return nil }
 // stepper, reading from cur and writing into next, and returns the number of
 // vertices that changed color.  It produces exactly the same result as Step;
 // it exists so benchmarks and throughput experiments can drive the parallel
-// path without going through Run.
+// path without going through Run.  Unlike Step it looks colors up in the
+// engine's rule table, so at one worker it is the tabulated round and Step
+// the oracle.
 //
 // Stripes run on the process-wide persistent worker pool (see pool.go)
 // through the run state's pre-allocated task buffer, so steady-state
@@ -358,7 +373,7 @@ func (e *Engine) StepParallel(cur, next *color.Coloring, workers int) int {
 	st := e.getState()
 	defer e.putState(st)
 	d := &st.sweep
-	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next}
+	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next, tab: e.table()}
 	changed, _ := d.step()
 	return changed
 }
