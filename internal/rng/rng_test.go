@@ -179,6 +179,31 @@ func TestHashPrefixMatchesFold(t *testing.T) {
 	}
 }
 
+// TestHashPinnedValues pins Hash at arities 1-4 to literal values, so a
+// rewrite of the fold (a hoisted coordinate mix, a precomputed constant)
+// cannot move a single drawn bit unnoticed.
+func TestHashPinnedValues(t *testing.T) {
+	cases := []struct {
+		seed uint64
+		ids  []uint64
+		want uint64
+	}{
+		{7, []uint64{1}, 0xaf9ba457354eb60a},
+		{7, []uint64{1, 2}, 0x72cb34d6fcadf09f},
+		{7, []uint64{1, 2, 3}, 0x2d57bd5303005ffd},
+		{7, []uint64{1, 2, 3, 4}, 0x65882cf192ed659a},
+		{0xdeadbeefcafe, []uint64{0}, 0xdfe3f9e8ba1dee4e},
+		{0xdeadbeefcafe, []uint64{1 << 63, 5}, 0xdfab2016bf88a807},
+		{0xdeadbeefcafe, []uint64{96, 16383, 1}, 0x1d5d2e859239e567},
+		{0xdeadbeefcafe, []uint64{math.MaxUint64, 0, 64, 2}, 0x9b5dca0e9778fa9e},
+	}
+	for _, c := range cases {
+		if got := Hash(c.seed, c.ids...); got != c.want {
+			t.Errorf("Hash(%#x, %v) = %#x, want %#x", c.seed, c.ids, got, c.want)
+		}
+	}
+}
+
 // TestHashBitBalance drives the counter-based form over a lattice of
 // (round, vertex) coordinates — exactly the schedule-mask workload — and
 // checks every output bit is balanced.

@@ -1,7 +1,11 @@
 package rules
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/color"
@@ -109,6 +113,35 @@ func TestFaultDrawMatchesFloatForm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFaultRoundStreamPinned pins a sha256 over the fault stream as the
+// bitplane tier reads it: every mask word of rounds 1-8 over 4,096
+// vertices, followed by the colors of the word's misfiring lanes, at rates
+// from none to certain and on two palettes.  A rewrite of the draw that
+// moves any bit of any mask or color fails here.
+func TestFaultRoundStreamPinned(t *testing.T) {
+	const want = "6eb1d7ba810e859bb435d58dad0c0d86557df8edf2b90fc9399d36de5ceb6312"
+	h := sha256.New()
+	var buf [8]byte
+	for _, eps := range []float64{0, 0.01, 0.5, 1} {
+		for _, k := range []int{2, 4} {
+			for r := uint64(1); r <= 8; r++ {
+				f := NewFaultRound(0x5eed, r, eps, k)
+				for base := uint64(0); base < 4096; base += 64 {
+					m := f.Mask(base, 64)
+					binary.LittleEndian.PutUint64(buf[:], m)
+					h.Write(buf[:])
+					for rest := m; rest != 0; rest &= rest - 1 {
+						h.Write([]byte{byte(f.Color(base + uint64(bits.TrailingZeros64(rest))))})
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("fault stream sha256 = %s, want %s", got, want)
 	}
 }
 
