@@ -146,7 +146,8 @@ type RunSpec struct {
 	// "sweep", "parallel"); empty or "auto" keeps the automatic selection.
 	Kernel string `json:"kernel,omitempty"`
 	// Parallel enables the striped parallel stepper with Workers goroutines
-	// (0 = GOMAXPROCS).
+	// (0 = GOMAXPROCS), capped at the vertex count and at 256 stripes per
+	// round; no Result byte depends on the count.
 	Parallel bool `json:"parallel,omitempty"`
 	Workers  int  `json:"workers,omitempty"`
 	// FullSweep forces the sequential full-sweep oracle stepper.
@@ -425,7 +426,7 @@ func RecordHistory() RunOption {
 
 // Parallel enables the striped parallel stepper with the given worker
 // count (0 selects GOMAXPROCS).  The effective count — capped at the vertex
-// count — is reported on Result.Workers, an in-process diagnostic that the
+// count and at 256 — is reported on Result.Workers, an in-process diagnostic that the
 // Result's JSON omits.  Parallel and sequential runs are bit-identical.
 func Parallel(workers int) RunOption {
 	return func(rs *RunSpec) { rs.Parallel, rs.Workers = true, workers }

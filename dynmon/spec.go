@@ -573,23 +573,24 @@ func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (
 	pre, thresh := rng.NewPrefix(seed), rng.UnitThreshold(density)
 	n := c.Dims().N()
 	for v := 0; v < n; v++ {
-		if bernoulliDraw(pre, v, thresh) == 1 {
+		pv := pre.Then(uint64(v))
+		if bernoulliDraw(pv, thresh) == 1 {
 			c.Set(v, target)
 			continue
 		}
 		if len(others) > 1 {
-			pick := pre.Then(uint64(v)).Then(2).Sum()
-			c.Set(v, others[pick%uint64(len(others))])
+			c.Set(v, others[pv.Then(2).Sum()%uint64(len(others))])
 		}
 	}
 	return c, nil
 }
 
-// bernoulliDraw is the bernoulli family's target draw at vertex v of the
-// replica whose seed prefix is pre: 1 when rng.Unit(rng.Hash(seed, v, 1))
-// < density, for thresh = rng.UnitThreshold(density), else 0.
-func bernoulliDraw(pre rng.Prefix, v int, thresh uint64) uint64 {
-	return rng.UnitBelow(pre.Then(uint64(v)).Then(1).Sum(), thresh)
+// bernoulliDraw is the bernoulli family's target draw at vertex v of a
+// replica, given pv, the replica's seed prefix with v folded in: 1 when
+// rng.Unit(rng.Hash(seed, v, 1)) < density, for thresh =
+// rng.UnitThreshold(density), else 0.
+func bernoulliDraw(pv rng.Prefix, thresh uint64) uint64 {
+	return rng.UnitBelow(pv.Then(1).Sum(), thresh)
 }
 
 // laneDrawn reports whether bernoulliLanes can draw replicas of ispec: the
@@ -612,9 +613,10 @@ func bernoulliLanes(ispec *InitialSpec, target Color, seeds []uint64, words []ui
 	}
 	thresh := rng.UnitThreshold(ispec.Density)
 	for v := range words {
+		key := rng.Key(uint64(v))
 		var hit uint64
 		for r := range pre {
-			hit |= bernoulliDraw(pre[r], v, thresh) << uint(r)
+			hit |= bernoulliDraw(pre[r].ThenKey(key), thresh) << uint(r)
 		}
 		words[v] = color.LaneWord(hit, target, 3-target, len(pre))
 	}

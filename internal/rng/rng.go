@@ -49,6 +49,10 @@ func Hash(seed uint64, ids ...uint64) uint64 {
 // Prefix is the fold state of Hash after a seed and a leading run of
 // coordinates, so a loop over the last coordinates can hoist the shared
 // part: Hash(seed, r, v, t) == NewPrefix(seed).Then(r).Then(v).Then(t).Sum().
+// Folding a coordinate costs two mixes: one of the coordinate alone (its
+// Key) and one of the fold.  A loop that folds the same coordinates under
+// many prefixes (every vertex, every round) computes each Key once and
+// folds it with ThenKey.
 type Prefix struct {
 	h, n uint64
 }
@@ -56,15 +60,38 @@ type Prefix struct {
 // NewPrefix starts a fold over seed with no coordinates yet.
 func NewPrefix(seed uint64) Prefix { return Prefix{h: Mix(seed + golden)} }
 
+// Key is the mix of coordinate id that Then folds in, a function of id
+// alone: p.Then(id) == p.ThenKey(Key(id)) for every prefix p.
+func Key(id uint64) uint64 { return Mix(id + golden) }
+
 // Then folds in the next coordinate.
-func (p Prefix) Then(id uint64) Prefix {
+func (p Prefix) Then(id uint64) Prefix { return p.ThenKey(Key(id)) }
+
+// ThenKey folds in the next coordinate given its Key, at one mix.
+func (p Prefix) ThenKey(key uint64) Prefix {
 	p.n++
-	p.h = Mix(p.h + golden*p.n + Mix(id+golden))
+	p.h = Mix(p.h + golden*p.n + key)
 	return p
 }
 
 // Sum returns the hash of the coordinates folded so far.
 func (p Prefix) Sum() uint64 { return p.h }
+
+// Stream is the family of draws p.ThenKey(key).Then(tag).Sum() of a fixed
+// prefix p and trailing tag, indexed by the key alone, with every term but
+// the key folded in ahead: a draw costs two mixes and two adds.
+type Stream struct {
+	head, tail uint64
+}
+
+// Stream returns p's draws over one more coordinate, given as its Key, and
+// then tag.
+func (p Prefix) Stream(tag uint64) Stream {
+	return Stream{head: p.h + golden*(p.n+1), tail: golden*(p.n+2) + Key(tag)}
+}
+
+// At returns p.ThenKey(key).Then(tag).Sum() for the p and tag of s.
+func (s Stream) At(key uint64) uint64 { return Mix(Mix(s.head+key) + s.tail) }
 
 // Unit maps a 64-bit hash to a uniform float64 in [0, 1), the stateless twin
 // of Source.Float64 (same 53-bit construction).

@@ -179,6 +179,20 @@ func TestHashPrefixMatchesFold(t *testing.T) {
 	}
 }
 
+// TestThenKeyMatchesThen: folding a coordinate's Key is folding the
+// coordinate, after any prefix, and a Stream draw is the fold it hoists.
+func TestThenKeyMatchesThen(t *testing.T) {
+	prop := func(seed, r, id, tag uint64) bool {
+		p := NewPrefix(seed).Then(r)
+		return p.Then(id) == p.ThenKey(Key(id)) &&
+			NewPrefix(seed).Then(id) == NewPrefix(seed).ThenKey(Key(id)) &&
+			p.Stream(tag).At(Key(id)) == p.Then(id).Then(tag).Sum()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHashPinnedValues pins Hash at arities 1-4 to literal values, so a
 // rewrite of the fold (a hoisted coordinate mix, a precomputed constant)
 // cannot move a single drawn bit unnoticed.

@@ -24,12 +24,16 @@ const (
 //
 // It is the single definition of the noise model: the engine's scalar
 // stochastic sweeps and the bitplane tier's word-parallel fault masks both
-// draw through it, so the paths are identical by construction.  Building
-// one per round hoists the (seed, round) prefix of the hash out of the
-// per-vertex loop, and rng.Unit(h) < eps is evaluated in its exact integer
-// form, rng.UnitBelow.
+// draw through it, so the paths are identical by construction.  A vertex
+// is named by its key, rng.Key(v), which callers compute once per vertex
+// (see sim.Engine's vertex keys), and building one FaultRound per round
+// folds the (seed, round) prefix and the stream tags in ahead, so a draw
+// costs two mixes of the key.  rng.Unit(h) < eps is evaluated in its exact
+// integer form, rng.UnitBelow.
 type FaultRound struct {
-	prefix rng.Prefix
+	// misfire and pick are the round's "did it misfire?" and "which
+	// color?" streams over the vertex keys.
+	misfire, pick rng.Stream
 	// thresh is ⌈eps·2⁵³⌉ clamped to 2⁵³; zero means no application faults.
 	thresh uint64
 	k      uint64
@@ -41,36 +45,38 @@ func NewFaultRound(seed, round uint64, eps float64, k int) FaultRound {
 	if !(eps > 0) || k < 1 {
 		return FaultRound{}
 	}
+	pre := rng.NewPrefix(seed).Then(round)
 	return FaultRound{
-		prefix: rng.NewPrefix(seed).Then(round),
-		thresh: rng.UnitThreshold(math.Min(eps, 1)),
-		k:      uint64(k),
+		misfire: pre.Stream(faultTagDraw),
+		pick:    pre.Stream(faultTagColor),
+		thresh:  rng.UnitThreshold(math.Min(eps, 1)),
+		k:       uint64(k),
 	}
 }
 
-// Fault reports whether the application at vertex v misfires this round
-// and, when it does, the color it takes.
-func (f *FaultRound) Fault(v uint64) (color.Color, bool) {
-	if f.Mask(v, 1) == 0 {
+// Fault reports whether the application at the vertex with the given key
+// misfires this round and, when it does, the color it takes.
+func (f *FaultRound) Fault(key uint64) (color.Color, bool) {
+	if f.Mask([]uint64{key}) == 0 {
 		return color.None, false
 	}
-	return f.Color(v), true
+	return f.Color(key), true
 }
 
-// Mask returns the misfire mask of the lanes (at most 64) consecutive
-// vertices starting at base: bit i is set when vertex base+i misfires this
-// round.  It is the one definition of the misfire draw: Fault is Mask over
-// a single vertex, and the bitplane tier calls it once per plane word.
-func (f *FaultRound) Mask(base uint64, lanes int) uint64 {
+// Mask returns the misfire mask of the vertices (at most 64) whose keys
+// are given: bit i is set when the vertex of keys[i] misfires this round.
+// It is the one definition of the misfire draw: Fault is Mask over a
+// single vertex, and the bitplane tier calls it once per plane word.
+func (f *FaultRound) Mask(keys []uint64) uint64 {
 	var m uint64
-	for i := 0; i < lanes; i++ {
-		h := f.prefix.Then(base + uint64(i)).Then(faultTagDraw).Sum()
-		m |= rng.UnitBelow(h, f.thresh) << i
+	for i := len(keys) - 1; i >= 0; i-- {
+		m = m<<1 | rng.UnitBelow(f.misfire.At(keys[i]), f.thresh)
 	}
 	return m
 }
 
-// Color returns the color vertex v takes when it misfires this round.
-func (f *FaultRound) Color(v uint64) color.Color {
-	return color.Color(1 + f.prefix.Then(v).Then(faultTagColor).Sum()%f.k)
+// Color returns the color the vertex with the given key takes when it
+// misfires this round.
+func (f *FaultRound) Color(key uint64) color.Color {
+	return color.Color(1 + f.pick.At(key)%f.k)
 }

@@ -16,7 +16,7 @@ import (
 // which case it is the color the misfire draws.
 func faultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
 	f := NewFaultRound(seed, round, eps, k)
-	if c, ok := f.Fault(v); ok {
+	if c, ok := f.Fault(rng.Key(v)); ok {
 		return c
 	}
 	return next
@@ -116,6 +116,36 @@ func TestFaultDrawMatchesFloatForm(t *testing.T) {
 	}
 }
 
+// TestFaultMaskLanesMatchFloatForm checks Mask over a one-lane, a 63-lane
+// and a full word, at unaligned bases too, lane by lane against the float
+// form rng.Unit(rng.Hash(seed, r, v, 1)) < eps, with no bit set above the
+// last lane.
+func TestFaultMaskLanesMatchFloatForm(t *testing.T) {
+	keys := make([]uint64, 512)
+	for v := range keys {
+		keys[v] = rng.Key(uint64(v))
+	}
+	for _, eps := range []float64{0.01, 0.3, 0.5, 0.97} {
+		for r := uint64(1); r <= 3; r++ {
+			f := NewFaultRound(77, r, eps, 4)
+			for _, lanes := range []int{1, 63, 64} {
+				for _, base := range []int{0, 1, 64, 130, 448} {
+					m := f.Mask(keys[base : base+lanes])
+					if lanes < 64 && m>>lanes != 0 {
+						t.Fatalf("eps=%v r=%d base=%d: mask %#x sets bits above lane %d", eps, r, base, m, lanes-1)
+					}
+					for i := 0; i < lanes; i++ {
+						want := rng.Unit(rng.Hash(77, r, uint64(base+i), faultTagDraw)) < eps
+						if got := m>>i&1 == 1; got != want {
+							t.Fatalf("eps=%v r=%d lanes=%d: lane %d (vertex %d) misfires %v, float form %v", eps, r, lanes, i, base+i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFaultRoundStreamPinned pins a sha256 over the fault stream as the
 // bitplane tier reads it: every mask word of rounds 1-8 over 4,096
 // vertices, followed by the colors of the word's misfiring lanes, at rates
@@ -123,18 +153,23 @@ func TestFaultDrawMatchesFloatForm(t *testing.T) {
 // moves any bit of any mask or color fails here.
 func TestFaultRoundStreamPinned(t *testing.T) {
 	const want = "6eb1d7ba810e859bb435d58dad0c0d86557df8edf2b90fc9399d36de5ceb6312"
+	keys := make([]uint64, 4096)
+	for v := range keys {
+		keys[v] = rng.Key(uint64(v))
+	}
 	h := sha256.New()
 	var buf [8]byte
 	for _, eps := range []float64{0, 0.01, 0.5, 1} {
 		for _, k := range []int{2, 4} {
 			for r := uint64(1); r <= 8; r++ {
 				f := NewFaultRound(0x5eed, r, eps, k)
-				for base := uint64(0); base < 4096; base += 64 {
-					m := f.Mask(base, 64)
+				for base := 0; base < len(keys); base += 64 {
+					word := keys[base : base+64]
+					m := f.Mask(word)
 					binary.LittleEndian.PutUint64(buf[:], m)
 					h.Write(buf[:])
 					for rest := m; rest != 0; rest &= rest - 1 {
-						h.Write([]byte{byte(f.Color(base + uint64(bits.TrailingZeros64(rest))))})
+						h.Write([]byte{byte(f.Color(word[bits.TrailingZeros64(rest)]))})
 					}
 				}
 			}

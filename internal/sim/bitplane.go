@@ -36,8 +36,9 @@ var ErrBitplaneIneligible = errors.New("sim: combination does not qualify for th
 // Synchronous ε-faulty runs (Options.Noise) step here too: after the kernel
 // writes a slab's Next planes, a fault pass overwrites the lanes that
 // misfire this round with their drawn colors.  The draws are the scalar
-// path's rules.FaultRound, so a noisy bitplane run equals the noisy sweep;
-// the palette then also covers the noise colors {1..Noise.Colors}.
+// path's rules.FaultRound over the same vertex keys, so a noisy bitplane
+// run equals the noisy sweep; the palette then also covers the noise
+// colors {1..Noise.Colors}.
 //
 // Like Frontier, a Bitplane is single-goroutine state (the engine stripes
 // kernel words across the worker pool internally on parallel runs); all
@@ -71,9 +72,10 @@ type Bitplane struct {
 	cfgRound int
 	// noise, when non-nil, makes every round ε-faulty; faults holds the
 	// current round's draws, derived before any slab runs and only read by
-	// the slab tasks.
+	// the slab tasks, and keys the engine's vertex keys they are drawn over.
 	noise  *Noise
 	faults rules.FaultRound
+	keys   []uint64
 
 	detectCycles bool
 	cycle        bool
@@ -290,23 +292,24 @@ func (bp *Bitplane) stepSlab(wlo, whi int) {
 }
 
 // faultSlab applies the round's ε-faults to the Next words in [wlo, whi):
-// each word's misfire mask comes from the same per-vertex draws as the
-// scalar sweep (rules.FaultRound.Mask over the word's vertices), and the
-// faulted lanes are overwritten with their drawn colors.  The drawn colors
-// lie in the palette, so they fit the planes.
+// each word's misfire mask is rules.FaultRound.Mask over its vertices'
+// keys, the draw the scalar sweep makes one vertex at a time, so a lane
+// costs two mixes of its key.  The faulted lanes are overwritten with their
+// drawn colors, which lie in the palette and so fit the planes.
 func (bp *Bitplane) faultSlab(wlo, whi int) {
 	f := &bp.faults
 	next := &bp.st.Next
 	for w := wlo; w < whi; w++ {
 		base := w << 6
-		mask := f.Mask(uint64(base), min(64, bp.nbits-base))
+		keys := bp.keys[base:min(base+64, bp.nbits)]
+		mask := f.Mask(keys)
 		if mask == 0 {
 			continue
 		}
 		var enc [rules.MaxBitPlanes]uint64
 		for m := mask; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			c := uint64(f.Color(uint64(base+b)) - 1)
+			c := uint64(f.Color(keys[b]) - 1)
 			enc[0] |= (c & 1) << b
 			enc[1] |= (c >> 1) << b
 		}

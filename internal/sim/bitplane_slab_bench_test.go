@@ -64,8 +64,9 @@ func BenchmarkBitplaneSlabWords(b *testing.B) {
 // BenchmarkBitplaneNoisyStep measures one ε-faulty bit-sliced round on the
 // two-color 128×128 torus of the ensemble-noisy benchmark workload, against
 // the same round without noise and on the scalar stochastic sweep, and
-// reports the cost per vertex.  The fault pass hashes every vertex every
-// round (rules.FaultRound), so it, not the kernel, sets the floor.
+// reports the cost per vertex.  The fault pass draws every vertex every
+// round, two mixes of its key (rules.FaultRound.Mask), so it, not the
+// kernel, still sets the floor.
 func BenchmarkBitplaneNoisyStep(b *testing.B) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 128, 128)
 	eng := NewEngine(topo, rules.SMP{})
@@ -87,7 +88,7 @@ func BenchmarkBitplaneNoisyStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			if noisy {
-				bp.noise = noise
+				bp.noise, bp.keys = noise, eng.vertexKeys()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -99,12 +100,12 @@ func BenchmarkBitplaneNoisyStep(b *testing.B) {
 	}
 	b.Run("sweep-noisy", func(b *testing.B) {
 		cur, next := initial.Clone(), initial.Clone()
-		sched := &Schedule{}
+		sched, keys := &Schedule{}, eng.vertexKeys()
 		scratch := make([]color.Color, 0, 4)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.stepRangeStochastic(i+1, sched, noise, nil, cur.Cells(), next.Cells(), 0, n, scratch)
+			eng.stepRangeStochastic(i+1, sched, noise, keys, nil, cur.Cells(), next.Cells(), 0, n, scratch)
 			cur, next = next, cur
 		}
 		perVertex(b)

@@ -474,7 +474,7 @@ func TestBitplaneNoisyStepDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.noise = &Noise{Eps: 0.01, Colors: 2, Seed: 1}
+	bp.noise, bp.keys = &Noise{Eps: 0.01, Colors: 2, Seed: 1}, eng.vertexKeys()
 	bp.Step()
 	if allocs := testing.AllocsPerRun(100, func() { bp.Step() }); allocs != 0 {
 		t.Fatalf("noisy bitplane step allocates %.1f objects per op, want 0", allocs)

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/color"
 	"repro/internal/grid"
+	"repro/internal/rng"
 	"repro/internal/rules"
 )
 
@@ -277,12 +278,21 @@ type Options struct {
 	Observers []Observer
 }
 
+// maxWorkers caps the stripes of a parallel round, far above any core
+// count the stripes could keep busy.  Uncapped, a spec asking for 2²⁰
+// workers on a 1024×1024 mesh split every round into 2²⁰ one-vertex pool
+// tasks: 8 rounds took 1.96 s and 190 MiB peak RSS against 0.24 s and
+// 84 MiB at two workers (dynamosim, 2-core Intel Xeon, GOMAXPROCS 2).  No
+// Result byte depends on the count.
+const maxWorkers = 256
+
 // EffectiveWorkers returns the number of stepping goroutines a run with
 // these options actually uses on a torus of n vertices:
 //
 //   - 1 when Parallel is unset (the sequential path ignores Workers);
 //   - otherwise Workers (or runtime.GOMAXPROCS(0) when Workers <= 0),
-//     capped at n so no goroutine gets an empty stripe, with a floor of 1.
+//     capped at n so no goroutine gets an empty stripe and at 256
+//     (maxWorkers), with a floor of 1.
 //
 // Run records this value on Result.Workers so callers can see the real
 // parallelism rather than the requested one.
@@ -294,13 +304,7 @@ func (o Options) EffectiveWorkers(n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, n, maxWorkers))
 }
 
 // DefaultMaxRounds returns a generous round budget for an m×n torus, aligned
@@ -428,6 +432,12 @@ type Engine struct {
 	// index; nil elsewhere and when the rule answers outside a byte.
 	tabOnce sync.Once
 	tab     *rules.Table
+	// keys holds each vertex's coordinate mix, rng.Key(v), built once under
+	// keysOnce by vertexKeys for the first run that draws per vertex
+	// (ε-faults, the masked schedules): 8 bytes per vertex, so that a
+	// round's draw folds in a vertex at one mix instead of two.
+	keysOnce sync.Once
+	keys     []uint64
 	// deg4 marks a dense 4-regular index (all tori), which licenses the rule
 	// table, next's unrolled degree-4 counts tally and its inlined copy in
 	// stepRange; irregular substrates tally their offset-framed CSR rows
@@ -572,6 +582,19 @@ func (e *Engine) table() *rules.Table {
 	}
 	e.tabOnce.Do(func() { e.tab = rules.Tabulate(e.rule) })
 	return e.tab
+}
+
+// vertexKeys returns the vertices' keys (rng.Key of each index), built on
+// first use.  Drivers of runs that draw per vertex fetch them at set-up, so
+// stepping never builds them.
+func (e *Engine) vertexKeys() []uint64 {
+	e.keysOnce.Do(func() {
+		e.keys = make([]uint64, e.sub.Dims().N())
+		for v := range e.keys {
+			e.keys[v] = rng.Key(uint64(v))
+		}
+	})
+	return e.keys
 }
 
 // stepRange applies one synchronous round to vertices [lo, hi) reading from

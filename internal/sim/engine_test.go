@@ -235,11 +235,12 @@ func TestEffectiveWorkers(t *testing.T) {
 		n    int
 		want int
 	}{
-		{Options{}, 100, 1},                           // sequential path ignores Workers
-		{Options{Workers: 8}, 100, 1},                 // Workers without Parallel is ignored
-		{Options{Parallel: true, Workers: 4}, 100, 4}, // requested count honored
-		{Options{Parallel: true, Workers: 64}, 9, 9},  // capped at the vertex count
-		{Options{Parallel: true, Workers: 1}, 100, 1}, // parallel with one worker is sequential
+		{Options{}, 100, 1},                                              // sequential path ignores Workers
+		{Options{Workers: 8}, 100, 1},                                    // Workers without Parallel is ignored
+		{Options{Parallel: true, Workers: 4}, 100, 4},                    // requested count honored
+		{Options{Parallel: true, Workers: 64}, 9, 9},                     // capped at the vertex count
+		{Options{Parallel: true, Workers: 1}, 100, 1},                    // parallel with one worker is sequential
+		{Options{Parallel: true, Workers: 1 << 20}, 1 << 20, maxWorkers}, // a stripe per vertex is capped
 	}
 	for i, tc := range cases {
 		if got := tc.opt.EffectiveWorkers(tc.n); got != tc.want {

@@ -62,7 +62,7 @@ func (t *stripeTask) runSweepTV() {
 func (t *stripeTask) runStochastic() {
 	d := t.sw
 	t.growScratch()
-	t.changed = d.e.stepRangeStochastic(d.round, d.sched, d.noise, d.tab, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
+	t.changed = d.e.stepRangeStochastic(d.round, d.sched, d.noise, d.keys, d.tab, d.cur.Cells(), d.next.Cells(), t.lo, t.hi, t.scratch)
 	t.trace()
 }
 
@@ -71,7 +71,7 @@ func (t *stripeTask) runStochastic() {
 func (t *stripeTask) runInPlace() {
 	d := t.sw
 	t.growScratch()
-	t.changed = d.e.stepInPlace(d.round, d.sched, d.noise, d.tab, d.cur.Cells(), d.next.Cells(), &d.st.order, t.scratch)
+	t.changed = d.e.stepInPlace(d.round, d.sched, d.noise, d.keys, d.tab, d.cur.Cells(), d.next.Cells(), &d.st.order, t.scratch)
 	t.trace()
 }
 

@@ -140,18 +140,43 @@ func (s Schedule) inPlace() bool {
 	return s.Kind == ScheduleSequential || s.Kind == ScheduleRandomSequential
 }
 
-// active reports whether vertex v applies the rule in the given round under
-// a masked (non-sequential) schedule.  It is a pure function of
-// (Seed, round, v); see the Schedule documentation.
-func (s *Schedule) active(round, v uint64) bool {
+// activation is a masked schedule's draws for one round, with the round's
+// part of every vertex's hash folded in ahead: a vertex costs one mix of its
+// key, rng.Key(v) (see Engine.vertexKeys).
+type activation struct {
+	kind ScheduleKind
+	pre  rng.Prefix
+	// thresh is ⌈P·2⁵³⌉ under uniform-async; round and period drive the
+	// vertex clock.
+	thresh, round, period uint64
+}
+
+// activation returns the schedule's draws for the given round.
+func (s *Schedule) activation(round uint64) activation {
+	a := activation{kind: s.Kind, pre: rng.NewPrefix(s.Seed), round: round}
 	switch s.Kind {
 	case ScheduleUniformAsync:
-		return rng.Unit(rng.Hash(s.Seed, round, v)) < s.P
+		a.pre, a.thresh = a.pre.Then(round), rng.UnitThreshold(s.P)
 	case ScheduleVertexClock:
-		h := rng.Hash(s.Seed, v)
-		period := 1 + h%uint64(s.Period)
-		phase := (h >> 32) % period
-		return round%period == phase
+		a.period = uint64(s.Period)
+	}
+	return a
+}
+
+// active reports whether the vertex with the given key applies the rule
+// this round.  Under uniform-async it does when rng.Unit(rng.Hash(Seed,
+// round, v)) < P, in the exact integer form rng.UnitBelow; under the vertex
+// clock, when the round matches the phase of the period drawn from
+// rng.Hash(Seed, v).  Both are pure functions of (Seed, round, v); see the
+// Schedule documentation.
+func (a *activation) active(key uint64) bool {
+	switch a.kind {
+	case ScheduleUniformAsync:
+		return rng.UnitBelow(a.pre.ThenKey(key).Sum(), a.thresh) == 1
+	case ScheduleVertexClock:
+		h := a.pre.ThenKey(key).Sum()
+		period := 1 + h%a.period
+		return a.round%period == (h>>32)%period
 	default:
 		return true
 	}
@@ -161,7 +186,8 @@ func (s *Schedule) active(round, v uint64) bool {
 // probability Eps the computed color is replaced by a uniform draw from the
 // whole palette {1..Colors}, so a fault changes the color with probability
 // Eps·(Colors−1)/Colors.  The draws are rules.FaultRound — counter-based on
-// (Seed, round, vertex) — so a noisy run is exactly as reproducible as a
+// (Seed, round, vertex), each vertex named by its key from the engine's
+// vertex keys — so a noisy run is exactly as reproducible as a
 // deterministic one.
 type Noise struct {
 	// Eps is the per-application fault probability in [0, 1]; zero disables
@@ -221,11 +247,13 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 // the rule (through next, with the rule table tab when not nil) only when
 // the schedule activates it this round (keeping its color otherwise), and
 // the computed color passes through the ε-fault draw when noise is active.
-// Reads come from cur, writes go to next, so stripes parallelize exactly
-// like the synchronous sweep; all randomness is counter-based, making the
-// result independent of the stripe partition.
-func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, tab *rules.Table, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
+// keys are the engine's vertex keys, which both draws read.  Reads come
+// from cur, writes go to next, so stripes parallelize exactly like the
+// synchronous sweep; all randomness is counter-based, making the result
+// independent of the stripe partition.
+func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, keys []uint64, tab *rules.Table, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
 	r := uint64(round)
+	act := sched.activation(r)
 	var faults rules.FaultRound
 	if noise != nil {
 		faults = noise.round(r)
@@ -233,13 +261,13 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t
 	changed := 0
 	for v := lo; v < hi; v++ {
 		cv := cur[v]
-		if !sched.active(r, uint64(v)) {
+		if !act.active(keys[v]) {
 			next[v] = cv
 			continue
 		}
 		nc := e.next(tab, cur, v, &scratch)
 		if noise != nil {
-			if c, ok := faults.Fault(uint64(v)); ok {
+			if c, ok := faults.Fault(keys[v]); ok {
 				nc = c
 			}
 		}
@@ -257,8 +285,9 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t
 // next's live cells, so later vertices observe earlier commits and the
 // round cannot be striped.  Every random draw is counter-based, so a
 // resumed run continues bit-identically from (configuration, round).
-// tab is the rule table next reads (or nil); order backs the permutation.
-func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, tab *rules.Table, cur, next []color.Color, order *[]int, scratch []color.Color) int {
+// keys are the engine's vertex keys (read only under noise), tab is the
+// rule table next reads (or nil), and order backs the permutation.
+func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, keys []uint64, tab *rules.Table, cur, next []color.Color, order *[]int, scratch []color.Color) int {
 	copy(next, cur)
 	r := uint64(round)
 	var perm []int
@@ -278,7 +307,7 @@ func (e *Engine) stepInPlace(round int, sched *Schedule, noise *Noise, tab *rule
 		cv := next[v]
 		nc := e.next(tab, next, v, &scratch)
 		if noise != nil {
-			if c, ok := faults.Fault(uint64(v)); ok {
+			if c, ok := faults.Fault(keys[v]); ok {
 				nc = c
 			}
 		}

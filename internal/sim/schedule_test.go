@@ -3,12 +3,15 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/color"
 	"repro/internal/grid"
+	"repro/internal/rng"
 	"repro/internal/rules"
 )
 
@@ -273,7 +276,7 @@ func TestVertexClockPeriodsCoverRange(t *testing.T) {
 	for v := uint64(0); v < 256; v++ {
 		fires := []uint64{}
 		for round := uint64(1); round <= 24; round++ {
-			if s.active(round, v) {
+			if a := s.activation(round); a.active(rng.Key(v)) {
 				fires = append(fires, round)
 			}
 		}
@@ -299,6 +302,44 @@ func TestVertexClockPeriodsCoverRange(t *testing.T) {
 		if !periods[p] {
 			t.Fatalf("no vertex drew period %d", p)
 		}
+	}
+}
+
+// TestNoisyConcurrentRunsRaceKeyBuild is a race-stress case for the
+// engine's vertex keys: eight goroutines start noisy and masked-schedule
+// runs on a fresh engine at once (bitplane, sequential and striped sweeps,
+// the in-place schedule), so the first key build happens under concurrent
+// runs, and every Result must equal the same run on a separate engine.
+func TestNoisyConcurrentRunsRaceKeyBuild(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 24, 24)
+	initial := randomTestColoring(4, topo.Dims(), 3)
+	noise := &Noise{Eps: 0.05, Colors: 3, Seed: 8}
+	base := Options{MaxRounds: 30, Target: 1, Noise: noise}
+	opts := []Options{base, base, base, base, base, base, base, base}
+	opts[1].Kernel = KernelSweep
+	opts[2] = parallelOpts(base, 3)
+	opts[3].Schedule = &Schedule{Kind: ScheduleUniformAsync, P: 0.5, Seed: 2}
+	opts[4] = parallelOpts(opts[3], 2)
+	opts[5].Schedule, opts[5].Noise = &Schedule{Kind: ScheduleVertexClock, Period: 3, Seed: 6}, nil
+	opts[6] = parallelOpts(opts[5], 4)
+	opts[7].Schedule = &Schedule{Kind: ScheduleRandomSequential, Seed: 1}
+	ref := NewEngine(topo, rules.SMP{})
+	eng := NewEngine(topo, rules.SMP{})
+	got := make([]*Result, len(opts))
+	var wg sync.WaitGroup
+	for g := range opts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = eng.Run(initial, opts[g])
+		}(g)
+	}
+	wg.Wait()
+	if got[0].Kernel != KernelBitplane {
+		t.Fatalf("auto noisy run took %v, want bitplane", got[0].Kernel)
+	}
+	for g, opt := range opts {
+		resultBytesEqual(t, fmt.Sprintf("run %d", g), got[g], ref.Run(initial, opt))
 	}
 }
 

@@ -226,14 +226,16 @@ type sweepDriver struct {
 	// The round's inputs, read by every stripe: the round number, the rule
 	// table (nil on the oracle, and from the round after a stripe met a
 	// color outside it), the availability model of time-varying runs, the
-	// schedule and noise of stochastic runs, the tracked target color with
-	// the result's FirstReached trace (nil when no target is tracked), and
-	// the cells two rounds back (nil when cycle detection is off).
+	// schedule and noise of stochastic runs with the engine's vertex keys
+	// (nil unless a draw reads them), the tracked target color with the
+	// result's FirstReached trace (nil when no target is tracked), and the
+	// cells two rounds back (nil when cycle detection is off).
 	round        int
 	tab          *rules.Table
 	tv           Availability
 	sched        *Schedule
 	noise        *Noise
+	keys         []uint64
 	target       color.Color
 	firstReached []int
 	prevPrev     []color.Color
@@ -254,8 +256,11 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 	switch {
 	case sched != nil && sched.inPlace():
 		d.run = runInPlaceTask
+		if noise != nil {
+			d.keys = e.vertexKeys()
+		}
 	case sched != nil:
-		d.run = runStochasticTask
+		d.run, d.keys = runStochasticTask, e.vertexKeys()
 	case opt.TimeVarying != nil:
 		d.run = runSweepTVTask
 	}
@@ -460,6 +465,9 @@ func (e *Engine) newBitplaneDriver(st *runState, initial *color.Coloring, opt Op
 		return nil, err
 	}
 	bp.noise = noise
+	if noise != nil {
+		bp.keys = e.vertexKeys()
+	}
 	// A noisy run never stops on a cycle (see streamRun), so it skips the
 	// tracking.
 	bp.DetectCycles(opt.DetectCycles && noise == nil)
