@@ -426,8 +426,9 @@ func RecordHistory() RunOption {
 
 // Parallel enables the striped parallel stepper with the given worker
 // count (0 selects GOMAXPROCS).  The effective count — capped at the vertex
-// count and at 256 — is reported on Result.Workers, an in-process diagnostic that the
-// Result's JSON omits.  Parallel and sequential runs are bit-identical.
+// count and at 256 — is reported on Result.Workers, an in-process
+// diagnostic that the Result's JSON omits.  Parallel and sequential runs
+// are bit-identical.
 func Parallel(workers int) RunOption {
 	return func(rs *RunSpec) { rs.Parallel, rs.Workers = true, workers }
 }

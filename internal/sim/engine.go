@@ -278,12 +278,9 @@ type Options struct {
 	Observers []Observer
 }
 
-// maxWorkers caps the stripes of a parallel round, far above any core
-// count the stripes could keep busy.  Uncapped, a spec asking for 2²⁰
-// workers on a 1024×1024 mesh split every round into 2²⁰ one-vertex pool
-// tasks: 8 rounds took 1.96 s and 190 MiB peak RSS against 0.24 s and
-// 84 MiB at two workers (dynamosim, 2-core Intel Xeon, GOMAXPROCS 2).  No
-// Result byte depends on the count.
+// maxWorkers caps the stripes of a parallel round.  Uncapped, 2²⁰ workers
+// split each round of a 1024×1024 mesh into 2²⁰ one-vertex pool tasks, 8×
+// the time and 2.3× the peak RSS of two workers (2-core Intel Xeon).
 const maxWorkers = 256
 
 // EffectiveWorkers returns the number of stepping goroutines a run with
@@ -432,10 +429,8 @@ type Engine struct {
 	// index; nil elsewhere and when the rule answers outside a byte.
 	tabOnce sync.Once
 	tab     *rules.Table
-	// keys holds each vertex's coordinate mix, rng.Key(v), built once under
-	// keysOnce by vertexKeys for the first run that draws per vertex
-	// (ε-faults, the masked schedules): 8 bytes per vertex, so that a
-	// round's draw folds in a vertex at one mix instead of two.
+	// keys holds rng.Key(v) of every vertex, built once under keysOnce by
+	// vertexKeys for the first run that draws per vertex (8 B per vertex).
 	keysOnce sync.Once
 	keys     []uint64
 	// deg4 marks a dense 4-regular index (all tori), which licenses the rule

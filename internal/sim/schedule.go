@@ -140,42 +140,35 @@ func (s Schedule) inPlace() bool {
 	return s.Kind == ScheduleSequential || s.Kind == ScheduleRandomSequential
 }
 
-// activation is a masked schedule's draws for one round, with the round's
-// part of every vertex's hash folded in ahead: a vertex costs one mix of its
-// key, rng.Key(v) (see Engine.vertexKeys).
+// activation is a masked schedule's draws for one round, with all but the
+// vertex folded in ahead, so a vertex costs one mix of its key, rng.Key(v).
+// thresh is ⌈P·2⁵³⌉ under uniform-async.
 type activation struct {
-	kind ScheduleKind
-	pre  rng.Prefix
-	// thresh is ⌈P·2⁵³⌉ under uniform-async; round and period drive the
-	// vertex clock.
-	thresh, round, period uint64
+	*Schedule
+	pre           rng.Prefix
+	thresh, round uint64
 }
 
 // activation returns the schedule's draws for the given round.
 func (s *Schedule) activation(round uint64) activation {
-	a := activation{kind: s.Kind, pre: rng.NewPrefix(s.Seed), round: round}
-	switch s.Kind {
-	case ScheduleUniformAsync:
+	a := activation{Schedule: s, pre: rng.NewPrefix(s.Seed), round: round}
+	if s.Kind == ScheduleUniformAsync {
 		a.pre, a.thresh = a.pre.Then(round), rng.UnitThreshold(s.P)
-	case ScheduleVertexClock:
-		a.period = uint64(s.Period)
 	}
 	return a
 }
 
 // active reports whether the vertex with the given key applies the rule
-// this round.  Under uniform-async it does when rng.Unit(rng.Hash(Seed,
-// round, v)) < P, in the exact integer form rng.UnitBelow; under the vertex
-// clock, when the round matches the phase of the period drawn from
-// rng.Hash(Seed, v).  Both are pure functions of (Seed, round, v); see the
-// Schedule documentation.
+// this round: under uniform-async when rng.Unit(rng.Hash(Seed, round, v))
+// < P, in exact integer form; under the vertex clock when the round matches
+// the phase of the period drawn from rng.Hash(Seed, v).
 func (a *activation) active(key uint64) bool {
-	switch a.kind {
+	switch a.Kind {
 	case ScheduleUniformAsync:
 		return rng.UnitBelow(a.pre.ThenKey(key).Sum(), a.thresh) == 1
 	case ScheduleVertexClock:
 		h := a.pre.ThenKey(key).Sum()
-		period := 1 + h%a.period
+		period := 1 + h%uint64(a.Period)
 		return a.round%period == (h>>32)%period
 	default:
 		return true
