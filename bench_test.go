@@ -224,7 +224,7 @@ func BenchmarkEngineStepFrontierConvergence(b *testing.B) {
 		opt  sim.Options
 	}{
 		{"frontier-64x64", sim.Options{Target: 1, StopWhenMonochromatic: true}},
-		{"sweep-64x64", sim.Options{Target: 1, StopWhenMonochromatic: true, FullSweep: true}},
+		{"sweep-64x64", sim.Options{Target: 1, StopWhenMonochromatic: true, Kernel: sim.KernelSweep}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

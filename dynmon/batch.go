@@ -1,7 +1,6 @@
 package dynmon
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -22,19 +21,7 @@ type BatchSpec struct {
 // ParseBatchSpec decodes a batch spec, strictly: unknown fields, trailing
 // data, an invalid system section or an empty item list are errors.
 func ParseBatchSpec(data []byte) (*BatchSpec, error) {
-	var bs BatchSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&bs); err != nil {
-		return nil, fmt.Errorf("dynmon: parsing batch spec: %w", err)
-	}
-	if err := ensureEOF(dec); err != nil {
-		return nil, err
-	}
-	if err := bs.Validate(); err != nil {
-		return nil, err
-	}
-	return &bs, nil
+	return parseStrict(data, "batch spec", (*BatchSpec).Validate)
 }
 
 // Validate checks the batch's structure without building anything.

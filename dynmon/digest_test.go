@@ -1,6 +1,7 @@
 package dynmon
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,15 +58,23 @@ func TestSpecDigestAliasCollision(t *testing.T) {
 }
 
 // TestSpecDigestMatchesBuiltSystem pins Canonical against the constructor:
-// the digest of an alias-form spec equals the digest of the spec the built
-// System reports, for every substrate family.
+// Spec.New builds exactly the canonical spec, so the built System reports
+// sp.Canonical() as its spec, and digests alike, for every substrate
+// family, aliases and unsorted, duplicated or empty edge lists included.
 func TestSpecDigestMatchesBuiltSystem(t *testing.T) {
 	specs := []*Spec{
 		{Substrate: SubstrateSpec{Topology: &TopologySpec{Name: "cordalis", Rows: 5, Cols: 5}}, Colors: 6},
 		{Substrate: SubstrateSpec{Generator: &GeneratorSpec{Name: "ws", N: 50, Params: map[string]float64{"k": 4, "beta": 0.1}, Seed: 3}}, Colors: 2},
+		{Substrate: SubstrateSpec{Generator: &GeneratorSpec{Name: "ba", N: 40, Params: map[string]float64{"m": 2}, Seed: 5}}, Colors: 2, Rule: "smp"},
 		{Substrate: SubstrateSpec{Edges: &EdgeListSpec{N: 3, Edges: [][2]int{{2, 0}, {0, 1}}}}, Colors: 2},
+		{Substrate: SubstrateSpec{Edges: &EdgeListSpec{N: 5, Edges: [][2]int{{4, 0}, {2, 1}, {0, 4}, {1, 2}, {3, 0}, {0, 1}}}}, Colors: 2},
+		{Substrate: SubstrateSpec{Edges: &EdgeListSpec{N: 3, Edges: [][2]int{}}}, Colors: 2, Rule: "threshold"},
 	}
 	for _, sp := range specs {
+		canonical, err := sp.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical: %v", err)
+		}
 		want, err := sp.Digest()
 		if err != nil {
 			t.Fatalf("Digest: %v", err)
@@ -77,6 +86,9 @@ func TestSpecDigestMatchesBuiltSystem(t *testing.T) {
 		built, err := sys.Spec()
 		if err != nil {
 			t.Fatalf("System.Spec: %v", err)
+		}
+		if !reflect.DeepEqual(built, canonical) {
+			t.Errorf("built system's spec %+v != canonical spec %+v", built, canonical)
 		}
 		got, err := built.Digest()
 		if err != nil {

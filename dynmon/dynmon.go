@@ -103,7 +103,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/color"
 	"repro/internal/dynamo"
-	"repro/internal/graphs"
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/rules"
@@ -178,69 +177,36 @@ func New(opts ...Option) (*System, error) {
 
 // NewFromConfig builds a System from an explicit Config; New is the
 // options-based front end.  Instance fields win over the corresponding name
-// fields, and a Graph substrate wins over the generator and both topology
-// fields.  Graph systems whose rule is the (default) "smp" name resolve it
-// to "generalized-smp", the degree-aware form of the same protocol — on
-// 4-regular substrates the two are bit-identical (pinned by differential
-// tests), and on irregular graphs only the generalized form has the
-// intended ⌈d/2⌉ majority semantics.
+// fields, and a Graph substrate wins over the generator and the topology
+// name.  On graph substrates the rule name "smp" selects "generalized-smp",
+// as it does in specs (see Spec.Rule).
 //
 // Whenever the Config names everything (no pre-built instances), it reduces
-// to a Spec and builds through Spec.New — the one constructor — so the
-// imperative and declarative paths cannot drift, and the resulting system
-// is spec-serializable (System.Spec).
+// to a Spec and builds through Spec.New, so the imperative and declarative
+// paths cannot drift, and the resulting system is spec-serializable
+// (System.Spec).  A rule instance runs over the substrate that spec names;
+// a graph instance runs as given.
 func NewFromConfig(cfg Config) (*System, error) {
-	if sp, ok := cfg.spec(); ok {
-		return sp.New()
-	}
-	var (
-		topo  Topology
-		graph = cfg.Graph
-		err   error
-	)
-	if graph == nil && cfg.Generator != nil && cfg.Topology == nil {
-		gen := cfg.Generator
-		graph, err = graphs.GenerateByName(gen.Name, gen.N, gen.Params, gen.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if graph == nil {
-		topo = cfg.Topology
-		if topo == nil {
-			topo, err = grid.ByName(cfg.TopologyName, cfg.Rows, cfg.Cols)
-			if err != nil {
+	if cfg.Graph != nil {
+		rule := cfg.Rule
+		if rule == nil {
+			var err error
+			if rule, err = rules.ByName(ruleName(cfg.RuleName, true)); err != nil {
 				return nil, err
 			}
 		}
+		return newSystem(nil, cfg.Graph, cfg.Colors, rule, nil)
 	}
-	p, err := color.NewPalette(cfg.Colors)
+	sp := cfg.spec()
+	if cfg.Rule == nil {
+		return sp.New()
+	}
+	sp.Rule = ""
+	c, err := sp.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	rule := cfg.Rule
-	if rule == nil {
-		name := cfg.RuleName
-		if graph != nil && name == "smp" {
-			name = "generalized-smp"
-		}
-		rule, err = rules.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s := &System{
-		topo:    topo,
-		graph:   graph,
-		palette: p,
-		rule:    rule,
-	}
-	if graph != nil {
-		s.engine = graph.EngineFor(rule)
-	} else {
-		s.engine = sim.NewEngine(topo, rule)
-	}
-	return s, nil
+	return c.build(cfg.Rule, nil)
 }
 
 // Topology returns the system's torus topology, or nil for a graph system.

@@ -40,7 +40,7 @@ func TestSessionBufferReuseParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range initials {
-		oracle, err := sys.Run(ctx, initials[i], append(opts, dynmon.FullSweep())...)
+		oracle, err := sys.Run(ctx, initials[i], append(opts, dynmon.Kernel(dynmon.KernelSweep))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +52,9 @@ func TestSessionBufferReuseParity(t *testing.T) {
 	}
 }
 
-// TestFullSweepOptionParity pins the public oracle knob: frontier (default)
-// and full-sweep runs of the same system agree.
+// TestFullSweepOptionParity pins the public oracle knob,
+// Kernel(KernelSweep): frontier (default) and full-sweep runs of the same
+// system agree.
 func TestFullSweepOptionParity(t *testing.T) {
 	sys, err := dynmon.New(dynmon.Serpentinus(8, 10), dynmon.Colors(4), dynmon.WithRule("simple-majority-pb"))
 	if err != nil {
@@ -65,11 +66,11 @@ func TestFullSweepOptionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := sys.Run(ctx, initial, dynmon.MaxRounds(50), dynmon.Target(2), dynmon.FullSweep())
+	sweep, err := sys.Run(ctx, initial, dynmon.MaxRounds(50), dynmon.Target(2), dynmon.Kernel(dynmon.KernelSweep))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if front.Rounds != sweep.Rounds || !front.Final.Equal(sweep.Final) || front.MonotoneTarget != sweep.MonotoneTarget {
-		t.Fatal("FullSweep and frontier runs diverged")
+		t.Fatal("full-sweep and frontier runs diverged")
 	}
 }

@@ -1,7 +1,6 @@
 package dynmon
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -87,19 +86,7 @@ const (
 // ParseEnsembleSpec decodes an ensemble spec, strictly: unknown fields,
 // trailing data or an invalid spec are errors.
 func ParseEnsembleSpec(data []byte) (*EnsembleSpec, error) {
-	var es EnsembleSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&es); err != nil {
-		return nil, fmt.Errorf("dynmon: parsing ensemble spec: %w", err)
-	}
-	if err := ensureEOF(dec); err != nil {
-		return nil, err
-	}
-	if err := es.Validate(); err != nil {
-		return nil, err
-	}
-	return &es, nil
+	return parseStrict(data, "ensemble spec", (*EnsembleSpec).Validate)
 }
 
 // Validate checks the ensemble's structure without building anything.

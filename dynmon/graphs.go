@@ -50,8 +50,7 @@ func Graph(g *GeneralGraph) Option {
 		if g == nil {
 			return fmt.Errorf("dynmon: nil graph")
 		}
-		c.Graph = g
-		c.Generator, c.Topology = nil, nil
+		c.Graph, c.Generator = g, nil
 		return nil
 	}
 }
@@ -65,7 +64,7 @@ func WithGenerator(name string, n int, params map[string]float64, seed uint64) O
 			return fmt.Errorf("dynmon: empty generator name")
 		}
 		c.Generator = &GeneratorSpec{Name: name, N: n, Params: params, Seed: seed}
-		c.Graph, c.Topology = nil, nil
+		c.Graph = nil
 		return nil
 	}
 }

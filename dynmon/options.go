@@ -15,38 +15,32 @@ import (
 type Config struct {
 	// TopologyName is resolved through the topology registry ("mesh",
 	// "toroidal-mesh", "cordalis", ... or any registered name) with the
-	// Rows×Cols dimensions.  Ignored when Topology is non-nil.
+	// Rows×Cols dimensions.
 	TopologyName string
 	Rows, Cols   int
-	// Topology, when non-nil, is used directly.
-	Topology Topology
 	// Colors is the palette size K.
 	Colors int
 	// RuleName is resolved through the rule registry ("smp",
 	// "simple-majority-pb", ... or any registered name).  Ignored when Rule
-	// is non-nil.  On a Graph substrate the default "smp" resolves to
-	// "generalized-smp" (see NewFromConfig).
+	// is non-nil.  On a graph substrate "smp" selects "generalized-smp"
+	// (see NewFromConfig).
 	RuleName string
 	// Rule, when non-nil, is used directly.
 	Rule Rule
 	// Generator, when non-nil, makes the system run over a graph built by a
 	// registered generator (by name, parameters and seed — the
 	// spec-serializable form the BarabasiAlbert/WattsStrogatz/ErdosRenyi
-	// options produce).  Ignored when Graph is non-nil.
+	// options produce) instead of the named topology.  Ignored when Graph
+	// is non-nil.
 	Generator *GeneratorSpec
 	// Graph, when non-nil, makes the system run over this general graph and
-	// wins over the generator and both topology fields.
+	// wins over the generator and the topology name.
 	Graph *GeneralGraph
 }
 
-// spec reduces the Config to its declarative form.  ok is false when the
-// Config carries pre-built instances (Topology, Rule, Graph), which have no
-// a-priori wire form — NewFromConfig then builds directly and System.Spec
-// derives a spec after the fact where possible.
-func (cfg Config) spec() (*Spec, bool) {
-	if cfg.Topology != nil || cfg.Rule != nil || cfg.Graph != nil {
-		return nil, false
-	}
+// spec reduces the Config's names to a Spec: the generator or the named
+// topology, the palette and the rule name.
+func (cfg Config) spec() *Spec {
 	sp := &Spec{Colors: cfg.Colors, Rule: cfg.RuleName}
 	if cfg.Generator != nil {
 		gen := *cfg.Generator
@@ -54,7 +48,7 @@ func (cfg Config) spec() (*Spec, bool) {
 	} else {
 		sp.Substrate.Topology = &TopologySpec{Name: cfg.TopologyName, Rows: cfg.Rows, Cols: cfg.Cols}
 	}
-	return sp, true
+	return sp
 }
 
 // Option configures New.
@@ -74,19 +68,7 @@ func Serpentinus(m, n int) Option { return WithTopology("torus-serpentinus", m, 
 // RegisterTopology) with the given dimensions.
 func WithTopology(name string, m, n int) Option {
 	return func(c *Config) error {
-		c.TopologyName, c.Rows, c.Cols, c.Topology = name, m, n, nil
-		c.Generator, c.Graph = nil, nil
-		return nil
-	}
-}
-
-// WithTopologyInstance uses an already-constructed topology.
-func WithTopologyInstance(t Topology) Option {
-	return func(c *Config) error {
-		if t == nil {
-			return fmt.Errorf("dynmon: nil topology")
-		}
-		c.Topology = t
+		c.TopologyName, c.Rows, c.Cols = name, m, n
 		c.Generator, c.Graph = nil, nil
 		return nil
 	}
@@ -150,8 +132,6 @@ type RunSpec struct {
 	// round; no Result byte depends on the count.
 	Parallel bool `json:"parallel,omitempty"`
 	Workers  int  `json:"workers,omitempty"`
-	// FullSweep forces the sequential full-sweep oracle stepper.
-	FullSweep bool `json:"full_sweep,omitempty"`
 	// TimeVarying selects a link-availability model by spec; see
 	// AvailabilitySpec.  The TimeVarying run option (an arbitrary
 	// Availability implementation) wins over this field when both are set.
@@ -227,7 +207,6 @@ func (rs RunSpec) engineOptions(colors int) (sim.Options, error) {
 		Kernel:                kernel,
 		Parallel:              rs.Parallel,
 		Workers:               rs.Workers,
-		FullSweep:             rs.FullSweep,
 		Observers:             rs.observers,
 	}
 	switch {
@@ -431,14 +410,6 @@ func RecordHistory() RunOption {
 // are bit-identical.
 func Parallel(workers int) RunOption {
 	return func(rs *RunSpec) { rs.Parallel, rs.Workers = true, workers }
-}
-
-// FullSweep forces the sequential full-sweep oracle stepper instead of the
-// default dirty-frontier stepper.  Results are bit-identical either way; the
-// option exists for differential checks and for measuring the frontier's
-// speedup.
-func FullSweep() RunOption {
-	return func(rs *RunSpec) { rs.FullSweep = true }
 }
 
 // KernelTier identifies one of the engine's stepping tiers.  All tiers are

@@ -25,8 +25,10 @@ func RuleNames() []string { return rules.RegisteredNames() }
 // the given name.  The factory receives the requested dimensions and may
 // reject them.  The topologies it returns must have a symmetric neighbor
 // relation (u neighbors v exactly when v neighbors u); building a system
-// over one that does not panics, naming the topology.  Registering a
-// duplicate name panics.
+// over one that does not panics, naming the topology.  Their Name must
+// resolve through the registry too (the registered name, or the name of a
+// topology the factory wraps): a spec records a topology by that name, and
+// Spec.New builds from it.  Registering a duplicate name panics.
 func RegisterTopology(name string, factory func(rows, cols int) (Topology, error)) {
 	grid.Register(name, grid.Factory(factory))
 }

@@ -2,12 +2,14 @@ package dynmon
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 
 	"repro/internal/color"
 	"repro/internal/dynamo"
@@ -84,27 +86,26 @@ type EdgeListSpec struct {
 // impossible sizes) are errors, never panics.  The result is validated but
 // not yet instantiated; call Spec.New to build the System.
 func ParseSpec(data []byte) (*Spec, error) {
-	var sp Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("dynmon: parsing spec: %w", err)
-	}
-	if err := ensureEOF(dec); err != nil {
-		return nil, err
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return &sp, nil
+	return parseStrict(data, "spec", (*Spec).Validate)
 }
 
-// ensureEOF rejects trailing garbage after a decoded JSON document.
-func ensureEOF(dec *json.Decoder) error {
-	if dec.More() {
-		return fmt.Errorf("dynmon: trailing data after JSON document")
+// parseStrict is every strict parser of the package: it decodes one JSON
+// document of type T, rejecting unknown fields and trailing data, and then
+// validates it.  Decode errors read "dynmon: parsing <what>: ...".
+func parseStrict[T any](data []byte, what string, validate func(*T) error) (*T, error) {
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("dynmon: parsing %s: %w", what, err)
 	}
-	return nil
+	if dec.More() {
+		return nil, fmt.Errorf("dynmon: trailing data after JSON document")
+	}
+	if err := validate(&v); err != nil {
+		return nil, err
+	}
+	return &v, nil
 }
 
 // Validate checks the spec's structure without building anything: exactly
@@ -175,17 +176,12 @@ func (sp *Spec) Clone() *Spec {
 	}
 	if g := sp.Substrate.Generator; g != nil {
 		gc := *g
-		if g.Params != nil {
-			gc.Params = make(map[string]float64, len(g.Params))
-			for k, v := range g.Params {
-				gc.Params[k] = v
-			}
-		}
+		gc.Params = maps.Clone(g.Params)
 		out.Substrate.Generator = &gc
 	}
 	if e := sp.Substrate.Edges; e != nil {
 		ec := *e
-		ec.Edges = append([][2]int(nil), e.Edges...)
+		ec.Edges = slices.Clone(e.Edges)
 		out.Substrate.Edges = &ec
 	}
 	return &out
@@ -194,12 +190,10 @@ func (sp *Spec) Clone() *Spec {
 // Canonical returns the canonicalized form of the spec without building a
 // System: registry aliases are resolved to canonical names ("mesh" →
 // "toroidal-mesh", "ba" → "barabasi-albert"), the default rule is made
-// explicit ("smp" on tori, "generalized-smp" on graph substrates — with a
-// literal "smp" on a graph substrate resolving to "generalized-smp", exactly
-// as Spec.New does), and explicit edge lists are deduplicated, oriented
-// (u < v) and sorted.  The result is exactly the spec Spec.New would record —
-// sp.Canonical() equals sp.New()'s System.Spec() — so two specs denote the
-// same system if and only if their canonical JSON forms are equal.
+// explicit (see ruleName), and explicit edge lists are oriented (u < v),
+// deduplicated and sorted.  Spec.New builds exactly this spec, and
+// System.Spec returns it, so two specs denote the same system if and only
+// if their canonical JSON forms are equal.
 func (sp *Spec) Canonical() (*Spec, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -213,48 +207,53 @@ func (sp *Spec) Canonical() (*Spec, error) {
 			return nil, err
 		}
 		out.Substrate.Topology.Name = topo.Name()
-		if out.Rule == "" {
-			out.Rule = "smp"
-		}
 	case sp.Substrate.Generator != nil:
 		name, err := graphs.CanonicalGeneratorName(sp.Substrate.Generator.Name)
 		if err != nil {
 			return nil, err
 		}
 		out.Substrate.Generator.Name = name
-		if out.Rule == "" || out.Rule == "smp" {
-			out.Rule = "generalized-smp"
-		}
 	default:
-		e := out.Substrate.Edges
-		seen := make(map[[2]int]bool, len(e.Edges))
-		edges := make([][2]int, 0, len(e.Edges))
-		for _, edge := range e.Edges {
-			u, v := edge[0], edge[1]
-			if u > v {
-				u, v = v, u
-			}
-			if seen[[2]int{u, v}] {
-				continue
-			}
-			seen[[2]int{u, v}] = true
-			edges = append(edges, [2]int{u, v})
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i][0] != edges[j][0] {
-				return edges[i][0] < edges[j][0]
-			}
-			return edges[i][1] < edges[j][1]
-		})
-		e.Edges = edges
-		if out.Rule == "" || out.Rule == "smp" {
-			out.Rule = "generalized-smp"
-		}
+		out.Substrate.Edges.Edges = canonicalEdges(sp.Substrate.Edges.Edges)
 	}
+	out.Rule = ruleName(sp.Rule, sp.Substrate.Topology == nil)
 	if _, err := rules.ByName(out.Rule); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ruleName is the rule a substrate runs when a spec or Config names rule:
+// the empty name selects "smp" on tori, and on graph substrates both the
+// empty name and "smp" select "generalized-smp", the degree-aware form of
+// the same protocol.  On 4-regular substrates the two are bit-identical
+// (pinned by differential tests); on irregular graphs only the generalized
+// form has the intended ⌈d/2⌉ majority.
+func ruleName(rule string, graph bool) string {
+	switch {
+	case graph && (rule == "" || rule == "smp"):
+		return "generalized-smp"
+	case rule == "":
+		return "smp"
+	}
+	return rule
+}
+
+// canonicalEdges returns an edge list oriented (u < v), sorted and free of
+// duplicates.  A graph built from it in order lists every vertex's
+// neighbors in ascending order.
+func canonicalEdges(edges [][2]int) [][2]int {
+	out := make([][2]int, 0, len(edges))
+	for _, e := range edges {
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
+		}
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return slices.Compact(out)
 }
 
 // Digest returns a stable content address of the spec: "sha256:" plus the
@@ -283,73 +282,59 @@ func digestOf(v any) (string, error) {
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
-// New instantiates the System the spec describes.  It is the single
-// constructor of the package: New (functional options) and NewFromConfig
-// reduce to it whenever no pre-built instances are involved, and the
-// resulting System remembers its (canonicalized) spec, so System.Spec is the
-// exact inverse.
+// New instantiates the System the spec describes: it builds the canonical
+// spec (Spec.Canonical) and nothing else, so System.Spec is the exact
+// inverse and equal digests build equal systems.  New (functional options)
+// and NewFromConfig reduce to it whenever no pre-built instances are
+// involved.
 func (sp *Spec) New() (*System, error) {
-	if err := sp.Validate(); err != nil {
+	c, err := sp.Canonical()
+	if err != nil {
 		return nil, err
 	}
-	canonical := sp.Clone()
-	ruleName := sp.Rule
-	var (
-		topo  Topology
-		graph *GeneralGraph
-		err   error
-	)
+	rule, err := rules.ByName(c.Rule)
+	if err != nil {
+		return nil, err
+	}
+	return c.build(rule, c)
+}
+
+// build instantiates the substrate of sp, a canonical spec, and runs rule
+// over it; spec is what System.Spec reports, nil for a rule instance.
+func (sp *Spec) build(rule Rule, spec *Spec) (*System, error) {
 	switch {
 	case sp.Substrate.Topology != nil:
 		t := sp.Substrate.Topology
-		topo, err = grid.ByName(t.Name, t.Rows, t.Cols)
+		topo, err := grid.ByName(t.Name, t.Rows, t.Cols)
 		if err != nil {
 			return nil, err
 		}
-		canonical.Substrate.Topology.Name = topo.Name()
-		if ruleName == "" {
-			ruleName = "smp"
-		}
+		return newSystem(topo, nil, sp.Colors, rule, spec)
 	case sp.Substrate.Generator != nil:
 		g := sp.Substrate.Generator
-		graph, err = graphs.GenerateByName(g.Name, g.N, g.Params, g.Seed)
+		graph, err := graphs.GenerateByName(g.Name, g.N, g.Params, g.Seed)
 		if err != nil {
 			return nil, err
 		}
-		canonical.Substrate.Generator.Name, err = graphs.CanonicalGeneratorName(g.Name)
-		if err != nil {
-			return nil, err
-		}
+		return newSystem(nil, graph, sp.Colors, rule, spec)
 	default:
 		e := sp.Substrate.Edges
-		graph = graphs.NewGraph(e.N)
+		graph := graphs.NewGraph(e.N)
 		for _, edge := range e.Edges {
 			graph.AddEdge(edge[0], edge[1])
 		}
-		canonical.Substrate.Edges = edgeListOf(graph)
+		return newSystem(nil, graph, sp.Colors, rule, spec)
 	}
-	if graph != nil && (ruleName == "" || ruleName == "smp") {
-		// The degree-aware form of the same protocol; bit-identical to
-		// "smp" on 4-regular substrates (see NewFromConfig).
-		ruleName = "generalized-smp"
-	}
-	rule, err := rules.ByName(ruleName)
-	if err != nil {
-		return nil, err
-	}
-	canonical.Rule = ruleName
+}
 
-	p, err := color.NewPalette(sp.Colors)
+// newSystem is the tail of every constructor: the palette and the engine
+// over the torus topo or, when it is non-nil, the graph.
+func newSystem(topo Topology, graph *GeneralGraph, colors int, rule Rule, spec *Spec) (*System, error) {
+	p, err := color.NewPalette(colors)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		topo:    topo,
-		graph:   graph,
-		palette: p,
-		rule:    rule,
-		spec:    canonical,
-	}
+	s := &System{topo: topo, graph: graph, palette: p, rule: rule, spec: spec}
 	if graph != nil {
 		s.engine = graph.EngineFor(rule)
 	} else {
@@ -358,35 +343,28 @@ func (sp *Spec) New() (*System, error) {
 	return s, nil
 }
 
-// edgeListOf serializes a graph's structure as a sorted undirected edge
-// list.
+// edgeListOf serializes a graph's structure as a canonical edge list.
 func edgeListOf(g *GeneralGraph) *EdgeListSpec {
-	out := &EdgeListSpec{N: g.N(), Edges: make([][2]int, 0, g.EdgeCount())}
+	var edges [][2]int
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
 			if u < v {
-				out.Edges = append(out.Edges, [2]int{u, v})
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	sort.Slice(out.Edges, func(i, j int) bool {
-		if out.Edges[i][0] != out.Edges[j][0] {
-			return out.Edges[i][0] < out.Edges[j][0]
-		}
-		return out.Edges[i][1] < out.Edges[j][1]
-	})
-	return out
+	return &EdgeListSpec{N: g.N(), Edges: canonicalEdges(edges)}
 }
 
 // Spec returns the declarative description of the system — the exact
 // inverse of Spec.New.  Systems built from specs, names or registered
-// generators return the canonicalized spec they were built from; systems
-// built around pre-supplied instances (WithTopologyInstance,
-// WithRuleInstance) are described by name when the instance is
-// indistinguishable from its registry entry, and hand-built graphs
-// serialize as explicit edge lists.  An error means the system genuinely
-// has no faithful wire form — e.g. an unregistered rule implementation or a
-// rule instance with non-default parameters.
+// generators return the canonical spec they were built from.  A system
+// built with a rule instance (WithRuleInstance) is described by the rule's
+// name when the instance is indistinguishable from its registry entry, and
+// a hand-built graph (Graph) serializes as an explicit edge list.  An error
+// means the system genuinely has no faithful wire form — e.g. an
+// unregistered rule implementation or a rule instance with non-default
+// parameters.
 func (s *System) Spec() (*Spec, error) {
 	if s.spec != nil {
 		return s.spec.Clone(), nil
@@ -408,15 +386,7 @@ func (s *System) Spec() (*Spec, error) {
 		return sp, nil
 	}
 	d := s.topo.Dims()
-	tname := s.topo.Name()
-	topoRegistered, err := grid.ByName(tname, d.Rows, d.Cols)
-	if err != nil {
-		return nil, fmt.Errorf("dynmon: system topology %q is not registered; register it to make the system spec-serializable", tname)
-	}
-	if !reflect.DeepEqual(topoRegistered, s.topo) {
-		return nil, fmt.Errorf("dynmon: system topology %q differs from its registry entry; a spec cannot describe it faithfully", tname)
-	}
-	sp.Substrate.Topology = &TopologySpec{Name: tname, Rows: d.Rows, Cols: d.Cols}
+	sp.Substrate.Topology = &TopologySpec{Name: s.topo.Name(), Rows: d.Rows, Cols: d.Cols}
 	return sp, nil
 }
 
@@ -703,19 +673,7 @@ func ParseFileSpec(data []byte) (*FileSpec, error) {
 		}
 		return &FileSpec{System: *sp}, nil
 	}
-	var fs FileSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fs); err != nil {
-		return nil, fmt.Errorf("dynmon: parsing spec file: %w", err)
-	}
-	if err := ensureEOF(dec); err != nil {
-		return nil, err
-	}
-	if err := fs.System.Validate(); err != nil {
-		return nil, err
-	}
-	return &fs, nil
+	return parseStrict(data, "spec file", func(fs *FileSpec) error { return fs.System.Validate() })
 }
 
 // JSON renders the spec file as indented JSON with a trailing newline.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -400,11 +401,19 @@ func TestReportResultJSONStable(t *testing.T) {
 // TestFileSpecRejectsOverflowingLattice: a spec whose lattice overflows the
 // vertex count must fail to build with grid.ErrTooLarge, never panic (the
 // 2^32 x 2^32 mesh once wrapped N around to 0 and crashed the first step).
+// A side that does not fit the platform's int (2^32 at 32 bits) is
+// rejected earlier, by the parser.
 func TestFileSpecRejectsOverflowingLattice(t *testing.T) {
-	for _, size := range []string{"4294967296", "3037000500", "65536"} {
+	for _, size := range []string{"4294967296", "3037000500", "65536", "46341"} {
 		body := `{"system": {"substrate": {"topology": {"name": "toroidal-mesh", "rows": ` + size + `, "cols": ` + size + `}},
 			"colors": 2, "rule": "smp"}, "initial": {"config": "random", "seed": 1}, "run": {"max_rounds": 4}}`
 		fs, err := ParseFileSpec([]byte(body))
+		if _, rangeErr := strconv.ParseInt(size, 10, strconv.IntSize); rangeErr != nil {
+			if err == nil {
+				t.Fatalf("%s: a side beyond %d-bit int parsed", size, strconv.IntSize)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: parse: %v", size, err)
 		}

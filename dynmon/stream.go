@@ -201,19 +201,7 @@ func (cp *Checkpoint) JSON() ([]byte, error) {
 // ParseCheckpoint decodes a checkpoint, strictly: unknown fields, malformed
 // values and structural inconsistencies are errors, never panics.
 func ParseCheckpoint(data []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cp); err != nil {
-		return nil, fmt.Errorf("dynmon: parsing checkpoint: %w", err)
-	}
-	if err := ensureEOF(dec); err != nil {
-		return nil, err
-	}
-	if err := cp.validate(); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return parseStrict(data, "checkpoint", (*Checkpoint).validate)
 }
 
 // validate checks the checkpoint's internal consistency (system fit is

@@ -197,7 +197,7 @@ func TestSteppersAgreeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := sys.Run(ctx, cons.Coloring, dynmon.Target(1), dynmon.StopWhenMonochromatic(), dynmon.FullSweep())
+	sweep, err := sys.Run(ctx, cons.Coloring, dynmon.Target(1), dynmon.StopWhenMonochromatic(), dynmon.Kernel(dynmon.KernelSweep))
 	if err != nil {
 		t.Fatal(err)
 	}

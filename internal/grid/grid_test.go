@@ -3,6 +3,7 @@ package grid
 import (
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -27,14 +28,19 @@ func TestNewDimsValidation(t *testing.T) {
 // or whose adjacency overflows the int32 CSR offsets, get ErrTooLarge
 // instead of a wrapped-around N.
 func TestNewDimsRejectsOverflow(t *testing.T) {
+	// The overflow cases are chosen by word size: a side of 2^(IntSize/2)
+	// (2^32 at 64 bits, 2^16 at 32) and the smallest square side whose
+	// vertex count overflows int (3037000500 at 64 bits, 46341 at 32).
+	half := 1 << (strconv.IntSize / 2)
+	side := int(math.Sqrt(float64(math.MaxInt))) + 1
 	cases := []struct {
 		rows, cols int
 		ok         bool
 	}{
-		{1 << 32, 1 << 32, false},
+		{half, half, false},
 		{math.MaxInt, 2, false},
 		{2, math.MaxInt/2 + 1, false},
-		{3037000500, 3037000500, false},
+		{side, side, false},
 		{1 << 16, 1 << 15, false},
 		{23171, 23171, false},
 		{23170, 23170, true},
@@ -53,8 +59,8 @@ func TestNewDimsRejectsOverflow(t *testing.T) {
 			t.Errorf("NewDims(%d, %d) err = %v, want ErrTooLarge", c.rows, c.cols, err)
 		}
 	}
-	if _, err := New(KindToroidalMesh, 1<<32, 1<<32); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("New on a 2^32 x 2^32 mesh: err = %v, want ErrTooLarge", err)
+	if _, err := New(KindToroidalMesh, half, half); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("New on a %d x %d mesh: err = %v, want ErrTooLarge", half, half, err)
 	}
 }
 

@@ -14,55 +14,15 @@ type GeneralizedSMP struct{}
 // Name returns "generalized-smp".
 func (GeneralizedSMP) Name() string { return "generalized-smp" }
 
-// Next applies the rule to a neighborhood of arbitrary size.  It tallies
-// into a fixed-size Counts vector — no per-vertex map, so the engine's
-// steady-state loops stay allocation-free — and falls back to an exact
-// quadratic scan for the rare neighborhood that does not fit (more than
-// four distinct colors).
-func (g GeneralizedSMP) Next(current color.Color, neighbors []color.Color) color.Color {
+// Next applies the rule to a neighborhood of arbitrary size, tallied
+// exactly at any degree and palette without a per-vertex map, so the
+// engine's steady-state loops stay allocation-free.
+func (GeneralizedSMP) Next(current color.Color, neighbors []color.Color) color.Color {
 	if len(neighbors) == 0 {
 		return current
 	}
-	var cs Counts
-	for _, c := range neighbors {
-		if !cs.AddOK(c) {
-			return g.nextWide(current, neighbors)
-		}
-	}
-	return g.NextFromCounts(current, cs)
-}
-
-// nextWide is the exact fallback for neighborhoods with more than four
-// distinct colors (or 256+ copies of one color): an O(d²) scan that finds
-// the unique maximum-multiplicity color without allocating.
-func (GeneralizedSMP) nextWide(current color.Color, neighbors []color.Color) color.Color {
-	best, bestCount, unique := color.None, 0, false
-	for i, c := range neighbors {
-		seen := false
-		for j := 0; j < i; j++ {
-			if neighbors[j] == c {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
-		n := 1
-		for j := i + 1; j < len(neighbors); j++ {
-			if neighbors[j] == c {
-				n++
-			}
-		}
-		switch {
-		case n > bestCount:
-			best, bestCount, unique = c, n, true
-		case n == bestCount:
-			unique = false
-		}
-	}
-	need := (len(neighbors) + 1) / 2
-	if unique && bestCount >= need {
+	best, count, unique := maxColor(neighbors)
+	if unique && count >= (len(neighbors)+1)/2 {
 		return best
 	}
 	return current

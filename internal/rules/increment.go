@@ -50,8 +50,7 @@ func (Increment) Name() string { return "increment" }
 
 // Next applies the rule.
 func (r Increment) Next(current color.Color, neighbors []color.Color) color.Color {
-	cs := tally(neighbors)
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(neighbors)
 	persuaded := (count >= 3 || (count == 2 && unique)) && unique && best > current
 	if !persuaded {
 		return current

@@ -23,14 +23,12 @@ func (SimpleMajorityPB) Name() string { return "simple-majority-pb" }
 
 // Next applies the rule.
 func (r SimpleMajorityPB) Next(current color.Color, neighbors []color.Color) color.Color {
-	cs := tally(neighbors)
-	black := cs.of(r.Black)
-	if black >= 2 {
+	if countOf(neighbors, r.Black) >= 2 {
 		return r.Black
 	}
 	// Fewer than two black neighbors: adopt the majority among the others,
 	// falling back to the current color when there is no unique majority.
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(neighbors)
 	if unique && count >= 2 {
 		return best
 	}
@@ -49,8 +47,7 @@ func (SimpleMajorityPC) Name() string { return "simple-majority-pc" }
 
 // Next applies the rule.
 func (SimpleMajorityPC) Next(current color.Color, neighbors []color.Color) color.Color {
-	cs := tally(neighbors)
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(neighbors)
 	if unique && count >= 3 {
 		return best
 	}
@@ -68,8 +65,7 @@ func (StrongMajority) Name() string { return "strong-majority" }
 
 // Next applies the rule.
 func (StrongMajority) Next(current color.Color, neighbors []color.Color) color.Color {
-	cs := tally(neighbors)
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(neighbors)
 	if unique && count >= 3 {
 		return best
 	}
@@ -97,8 +93,7 @@ func (r Threshold) Next(current color.Color, neighbors []color.Color) color.Colo
 	if current == r.Target {
 		return current
 	}
-	cs := tally(neighbors)
-	if cs.of(r.Target) >= r.Theta {
+	if countOf(neighbors, r.Target) >= r.Theta {
 		return r.Target
 	}
 	return current

@@ -16,6 +16,8 @@
 package rules
 
 import (
+	"slices"
+
 	"repro/internal/color"
 )
 
@@ -33,60 +35,71 @@ type Rule interface {
 	Next(current color.Color, neighbors []color.Color) color.Color
 }
 
-// counts is a small fixed-size multiset of neighbor colors.  Torus vertices
-// have exactly four neighbors, so a tiny linear-scan structure beats a map
-// by a wide margin in the engine's inner loop.
-type counts struct {
-	colors [8]color.Color
-	count  [8]int
-	n      int
-}
-
-func (cs *counts) add(c color.Color) {
-	for i := 0; i < cs.n; i++ {
-		if cs.colors[i] == c {
-			cs.count[i]++
-			return
-		}
-	}
-	if cs.n < len(cs.colors) {
-		cs.colors[cs.n] = c
-		cs.count[cs.n] = 1
-		cs.n++
-	}
-}
-
-func tally(neighbors []color.Color) counts {
-	var cs counts
+// maxColor returns the color with the highest multiplicity among the
+// neighbors, that multiplicity, and whether exactly one color attains it;
+// among tied colors the first one seen wins.  It counts the first eight
+// distinct colors in slots: torus vertices have exactly four neighbors, so
+// a tiny linear scan beats a map by a wide margin in the engine's inner
+// loop.  A neighborhood that brings a ninth distinct color is counted by
+// maxOf instead, so the answer is exact at any degree.
+func maxColor(neighbors []color.Color) (color.Color, int, bool) {
+	var (
+		colors [8]color.Color
+		count  [8]int
+		n      int
+	)
+next:
 	for _, c := range neighbors {
-		cs.add(c)
+		for i := 0; i < n; i++ {
+			if colors[i] == c {
+				count[i]++
+				continue next
+			}
+		}
+		if n == len(colors) {
+			return maxOf(neighbors)
+		}
+		colors[n], count[n] = c, 1
+		n++
 	}
-	return cs
-}
-
-// max returns the color with the highest multiplicity, that multiplicity,
-// and whether the maximum is attained by exactly one color.
-func (cs *counts) max() (color.Color, int, bool) {
-	best := color.None
-	bestCount := 0
-	unique := true
-	for i := 0; i < cs.n; i++ {
+	best, bestCount, unique := color.None, 0, true
+	for i := 0; i < n; i++ {
 		switch {
-		case cs.count[i] > bestCount:
-			best, bestCount, unique = cs.colors[i], cs.count[i], true
-		case cs.count[i] == bestCount:
+		case count[i] > bestCount:
+			best, bestCount, unique = colors[i], count[i], true
+		case count[i] == bestCount:
 			unique = false
 		}
 	}
 	return best, bestCount, unique
 }
 
-// of returns the multiplicity of c.
-func (cs *counts) of(c color.Color) int {
-	for i := 0; i < cs.n; i++ {
-		if cs.colors[i] == c {
-			return cs.count[i]
+// maxOf is maxColor by scanning: it visits the distinct colors in the
+// order they are first seen and counts each over the rest of the slice.
+func maxOf(neighbors []color.Color) (color.Color, int, bool) {
+	best, bestCount, unique := color.None, 0, true
+	for i, c := range neighbors {
+		if slices.Contains(neighbors[:i], c) {
+			continue
+		}
+		n := 1 + countOf(neighbors[i+1:], c)
+		switch {
+		case n > bestCount:
+			best, bestCount, unique = c, n, true
+		case n == bestCount:
+			unique = false
 		}
 	}
-	return 0
+	return best, bestCount, unique
+}
+
+// countOf returns how many times c occurs in neighbors.
+func countOf(neighbors []color.Color, c color.Color) int {
+	n := 0
+	for _, x := range neighbors {
+		if x == c {
+			n++
+		}
+	}
+	return n
 }

@@ -351,15 +351,14 @@ func TestRuleNames(t *testing.T) {
 }
 
 func TestTallyHandlesManyColors(t *testing.T) {
-	// Degenerate call with more than 8 distinct colors must not panic even
-	// though torus neighborhoods never produce it.
+	// More than 8 distinct colors, which torus neighborhoods never produce,
+	// are counted exactly: twelve singletons tie, so SMP keeps current.
 	ns := make([]color.Color, 12)
 	for i := range ns {
 		ns[i] = color.Color(i + 1)
 	}
-	cs := tally(ns)
-	if cs.n != 8 {
-		t.Errorf("tally capped at %d distinct colors", cs.n)
+	if best, count, unique := maxColor(ns); best != 1 || count != 1 || unique {
+		t.Errorf("maxColor on 12 distinct colors = %v %v %v, want 1 1 false", best, count, unique)
 	}
 	if got := (SMP{}).Next(1, ns); got != 1 {
 		t.Errorf("SMP on 12 distinct colors should keep current, got %v", got)
@@ -367,16 +366,14 @@ func TestTallyHandlesManyColors(t *testing.T) {
 }
 
 func TestCountsMaxUniqueness(t *testing.T) {
-	cs := tally(nb(1, 1, 2, 2))
-	if _, _, unique := cs.max(); unique {
+	if _, _, unique := maxColor(nb(1, 1, 2, 2)); unique {
 		t.Error("2-2 tally should not report a unique maximum")
 	}
-	cs = tally(nb(1, 1, 2, 3))
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(nb(1, 1, 2, 3))
 	if best != 1 || count != 2 || !unique {
 		t.Errorf("2-1-1 tally wrong: %v %v %v", best, count, unique)
 	}
-	if cs.of(2) != 1 || cs.of(9) != 0 {
-		t.Error("counts.of wrong")
+	if countOf(nb(1, 1, 2, 3), 2) != 1 || countOf(nb(1, 1, 2, 3), 9) != 0 {
+		t.Error("countOf wrong")
 	}
 }

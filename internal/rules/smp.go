@@ -26,8 +26,7 @@ func (SMP) Name() string { return "smp" }
 
 // Next applies the SMP-Protocol to one vertex.
 func (SMP) Next(current color.Color, neighbors []color.Color) color.Color {
-	cs := tally(neighbors)
-	best, count, unique := cs.max()
+	best, count, unique := maxColor(neighbors)
 	switch {
 	case count >= 3:
 		// Either 4+0 or 3+1: a strict majority color exists; adopt it.

@@ -292,7 +292,7 @@ func TestResultKernelRecorded(t *testing.T) {
 		{"auto-bitplane", twoColor, Options{MaxRounds: 3}, KernelBitplane},
 		{"auto-frontier", fiveColor, Options{MaxRounds: 3}, KernelFrontier},
 		{"auto-history-frontier", twoColor, Options{MaxRounds: 3, RecordHistory: true}, KernelFrontier},
-		{"auto-sweep", fiveColor, Options{MaxRounds: 3, FullSweep: true}, KernelSweep},
+		{"auto-sweep", fiveColor, Options{MaxRounds: 3, TimeVarying: alwaysAvailable{}}, KernelSweep},
 		{"auto-parallel", fiveColor, Options{MaxRounds: 3, Parallel: true, Workers: 2}, KernelParallel},
 		{"forced-frontier", twoColor, Options{MaxRounds: 3, Kernel: KernelFrontier}, KernelFrontier},
 		{"forced-sweep", twoColor, Options{MaxRounds: 3, Kernel: KernelSweep}, KernelSweep},

@@ -97,7 +97,7 @@ func (e *Engine) batchSliceable(lanes int, opt Options) error {
 	if opt.Kernel != KernelAuto {
 		return fmt.Errorf("%w: kernel forced to %s", ErrBitsliceIneligible, opt.Kernel)
 	}
-	if opt.Parallel || opt.FullSweep || opt.RecordHistory || len(opt.Observers) > 0 {
+	if opt.Parallel || opt.RecordHistory || len(opt.Observers) > 0 {
 		return fmt.Errorf("%w: per-run stepping options requested", ErrBitsliceIneligible)
 	}
 	if opt.TimeVarying != nil {

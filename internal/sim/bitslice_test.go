@@ -272,7 +272,6 @@ func TestBitsliceIneligible(t *testing.T) {
 	check("too many lanes", make([]*color.Coloring, 65), Options{})
 	check("forced kernel", ok, Options{Kernel: KernelSweep})
 	check("parallel", ok, Options{Parallel: true})
-	check("full sweep", ok, Options{FullSweep: true})
 	check("record history", ok, Options{RecordHistory: true})
 	threeColors := []*color.Coloring{randomTestColoring(1, topo.Dims(), 3)}
 	check("colors outside {1,2}", threeColors, Options{})

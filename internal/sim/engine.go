@@ -78,7 +78,7 @@ const (
 	// KernelAuto lets the engine pick: the bitplane kernel when the rule,
 	// topology and coloring qualify (and the run needs no per-round scalar
 	// views), the striped parallel sweep for parallel runs, the sequential
-	// sweep when FullSweep is set, and the dirty frontier otherwise.
+	// sweep for time-varying runs, and the dirty frontier otherwise.
 	// Auto-selected sequential bitplane runs may additionally downshift to
 	// the frontier mid-run once the change rate gets low (recorded on
 	// Result.Downshift, which like Result.Kernel stays off the JSON wire);
@@ -215,17 +215,11 @@ type Options struct {
 	// Workers is the number of goroutines used when Parallel is set; zero
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
-	// FullSweep forces the sequential full-sweep oracle stepper instead of
-	// the dirty-frontier stepper.  Results are bit-identical either way; the
-	// knob exists for differential tests and for measuring the frontier's
-	// speedup.  Like KernelSweep it keeps the run off the engine's rule
-	// table, on a parallel run too, which sweeps either way.
-	FullSweep bool
 	// Kernel selects the stepping tier explicitly; the KernelAuto zero value
 	// keeps the automatic selection described on the constants.  A forced
-	// tier overrides Parallel and FullSweep (KernelParallel still honors
-	// Workers).  All tiers are bit-identical; the knob exists for
-	// differential tests, benchmarks and callers that know their workload.
+	// tier overrides Parallel (KernelParallel still honors Workers).  All
+	// tiers are bit-identical; the knob exists for differential tests,
+	// benchmarks and callers that know their workload.
 	Kernel Kernel
 	// TimeVarying, when non-nil, masks link availability per round: every
 	// round r each vertex reads only the neighbors u whose link is
@@ -570,7 +564,7 @@ func (e *Engine) putState(st *runState) { e.states.put(st) }
 
 // table returns the engine's rule table, built on first use, or nil when
 // the index is not dense degree-4 or the rule has no byte table.  The
-// oracle paths (a forced sequential sweep, FullSweep, Step) never ask.
+// oracle paths (a forced sequential sweep, Step) never ask.
 func (e *Engine) table() *rules.Table {
 	if !e.deg4 {
 		return nil

@@ -83,7 +83,7 @@ func TestSteppersBitIdenticalAllRulesAllTopologies(t *testing.T) {
 						front := base
 						front.Kernel = KernelFrontier
 						sweep := base
-						sweep.FullSweep = true
+						sweep.Kernel = KernelSweep
 						par := base
 						par.Parallel, par.Workers = true, 3
 
@@ -112,7 +112,7 @@ func TestFrontierMatchesSweepWithStops(t *testing.T) {
 		{},
 	} {
 		sweep := opt
-		sweep.FullSweep = true
+		sweep.Kernel = KernelSweep
 		front := eng.Run(initial, opt)
 		oracle := eng.Run(initial, sweep)
 		resultsEqual(t, "cross", front, oracle)
@@ -165,7 +165,7 @@ func TestFrontierSurvivesOscillation(t *testing.T) {
 	}
 
 	detect := eng.Run(initial, Options{MaxRounds: budget, DetectCycles: true})
-	sweep := eng.Run(initial, Options{MaxRounds: budget, DetectCycles: true, FullSweep: true})
+	sweep := eng.Run(initial, Options{MaxRounds: budget, DetectCycles: true, Kernel: KernelSweep})
 	resultsEqual(t, "oscillator", detect, sweep)
 	if !detect.Cycle || detect.Rounds != 2 {
 		t.Fatalf("period-2 cycle not detected at round 2: cycle=%v rounds=%d", detect.Cycle, detect.Rounds)
@@ -226,16 +226,16 @@ func TestFrontierCancellationMidRun(t *testing.T) {
 	eng := NewEngine(topo, rules.SimpleMajorityPB{Black: 2})
 	initial := randomTestColoring(11, topo.Dims(), 3)
 
-	runCanceled := func(fullSweep bool) (*Result, error) {
+	runCanceled := func(kernel Kernel) (*Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		obs := &cancelAtRound{round: 3, cancel: cancel}
 		return eng.RunContext(ctx, initial, Options{
-			MaxRounds: 100, FullSweep: fullSweep, Observers: []Observer{obs},
+			MaxRounds: 100, Kernel: kernel, Observers: []Observer{obs},
 		})
 	}
-	front, errF := runCanceled(false)
-	sweep, errS := runCanceled(true)
+	front, errF := runCanceled(KernelAuto)
+	sweep, errS := runCanceled(KernelSweep)
 	if errF != context.Canceled || errS != context.Canceled {
 		t.Fatalf("errors %v / %v, want context.Canceled", errF, errS)
 	}

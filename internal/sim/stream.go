@@ -264,10 +264,10 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 	case opt.TimeVarying != nil:
 		d.run = runSweepTVTask
 	}
-	// A forced sequential sweep or FullSweep is the oracle, which steps
-	// without the table; a time-varying round reduces neighborhoods the
-	// table does not cover.
-	if opt.Kernel != KernelSweep && !opt.FullSweep && opt.TimeVarying == nil {
+	// A forced sequential sweep is the oracle, which steps without the
+	// table; a time-varying round reduces neighborhoods the table does not
+	// cover.
+	if opt.Kernel != KernelSweep && opt.TimeVarying == nil {
 		d.tab = e.table()
 	}
 	d.cur.CopyFrom(initial)
@@ -678,9 +678,8 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		defer e.putState(st)
 		// needScalar marks runs the bitplane tier is never auto-selected for:
 		// observers and history would force an unpack per round, erasing its
-		// advantage; FullSweep keeps its contract as the oracle stepper; and
-		// a checkpoint carries scalar state only.
-		needScalar := rs != nil || opt.FullSweep || opt.RecordHistory || len(opt.Observers) > 0
+		// advantage, and a checkpoint carries scalar state only.
+		needScalar := rs != nil || opt.RecordHistory || len(opt.Observers) > 0
 		// A forced parallel run takes its worker count as if Parallel were
 		// set.
 		par := opt
@@ -709,7 +708,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		}
 		switch {
 		case drv != nil:
-		case opt.Kernel == KernelFrontier || (opt.Kernel == KernelAuto && sched == nil && tv == nil && workers == 1 && !opt.FullSweep):
+		case opt.Kernel == KernelFrontier || (opt.Kernel == KernelAuto && sched == nil && tv == nil && workers == 1):
 			drv, kernel, workers = e.newFrontierDriver(st, initial, rs), KernelFrontier, 1
 		default:
 			// The sequential schedules commit within a round, so they step

@@ -82,7 +82,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 		t.Fatalf("saw %d steps before the break, want 3", seen)
 	}
 	// The engine must still produce a pristine full run afterwards.
-	resultsEqual(t, "after-break", eng.Run(initial, opt), eng.Run(initial, Options{Target: 1, StopWhenMonochromatic: true, FullSweep: true}))
+	resultsEqual(t, "after-break", eng.Run(initial, opt), eng.Run(initial, Options{Target: 1, StopWhenMonochromatic: true, Kernel: KernelSweep}))
 }
 
 // TestStreamCancellation checks that a canceled context surfaces as a final
