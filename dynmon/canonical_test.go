@@ -132,3 +132,57 @@ func TestWideStarActivatesHub(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphInstanceRunsItsSpec: a hand-built graph whose AddEdge calls list
+// the hub's neighbors in descending order steps exactly what its System.Spec
+// describes, so the system and the system rebuilt from its spec print the
+// same Result bytes, though irreversible-smp resolves the hub's 3-3 tie by
+// the first neighbor it reads.  The system keeps its own copy of the graph:
+// mutating the caller's graph afterwards changes neither its Spec nor its
+// Graph.
+func TestGraphInstanceRunsItsSpec(t *testing.T) {
+	s := stars[0]
+	g := NewGraph(len(s.cells))
+	for v := len(s.cells) - 1; v >= 1; v-- {
+		g.AddEdge(0, v)
+	}
+	sys, err := New(Graph(g), Colors(s.colors), WithRule("irreversible-smp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sys.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := sp.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := s.fileSpec(nil, "").Initial.Cells
+	run := func(sys *System) []byte {
+		res, err := sys.Run(context.Background(), initial, Target(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got, want := run(sys), run(rebuilt); !bytes.Equal(got, want) {
+		t.Errorf("the hand-built system and its spec's system differ:\n%s\n%s", got, want)
+	}
+
+	g.AddEdge(1, 2)
+	after, err := sys.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after.Substrate.Edges.Edges, sp.Substrate.Edges.Edges) {
+		t.Errorf("mutating the caller's graph changed the system's spec: %v, was %v", after.Substrate.Edges.Edges, sp.Substrate.Edges.Edges)
+	}
+	if sys.Graph() == g || sys.Graph().HasEdge(1, 2) {
+		t.Error("System.Graph returns the caller's graph, not the system's own copy")
+	}
+}

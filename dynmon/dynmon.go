@@ -176,27 +176,16 @@ func New(opts ...Option) (*System, error) {
 }
 
 // NewFromConfig builds a System from an explicit Config; New is the
-// options-based front end.  Instance fields win over the corresponding name
-// fields, and a Graph substrate wins over the generator and the topology
-// name.  On graph substrates the rule name "smp" selects "generalized-smp",
-// as it does in specs (see Spec.Rule).
+// options-based front end.  A rule instance wins over the rule name, and a
+// Graph substrate wins over the generator and the topology name.  On graph
+// substrates the rule name "smp" selects "generalized-smp", as it does in
+// specs (see Spec.Rule).
 //
-// Whenever the Config names everything (no pre-built instances), it reduces
-// to a Spec and builds through Spec.New, so the imperative and declarative
-// paths cannot drift, and the resulting system is spec-serializable
-// (System.Spec).  A rule instance runs over the substrate that spec names;
-// a graph instance runs as given.
+// Every Config reduces to a Spec, a Graph instance to its canonical edge
+// list, and builds through Spec.New, so the imperative and declarative
+// paths cannot drift and the system steps exactly what System.Spec
+// describes.  A rule instance runs over the substrate that spec names.
 func NewFromConfig(cfg Config) (*System, error) {
-	if cfg.Graph != nil {
-		rule := cfg.Rule
-		if rule == nil {
-			var err error
-			if rule, err = rules.ByName(ruleName(cfg.RuleName, true)); err != nil {
-				return nil, err
-			}
-		}
-		return newSystem(nil, cfg.Graph, cfg.Colors, rule, nil)
-	}
 	sp := cfg.spec()
 	if cfg.Rule == nil {
 		return sp.New()
@@ -212,7 +201,8 @@ func NewFromConfig(cfg Config) (*System, error) {
 // Topology returns the system's torus topology, or nil for a graph system.
 func (s *System) Topology() Topology { return s.topo }
 
-// Graph returns the system's general graph, or nil for a torus system.
+// Graph returns the system's own general graph, built from its canonical
+// edge list, or nil for a torus system.
 func (s *System) Graph() *GeneralGraph { return s.graph }
 
 // Palette returns the system's color set.

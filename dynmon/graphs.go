@@ -39,12 +39,14 @@ func NewErdosRenyi(n int, p float64, seed uint64) (*GeneralGraph, error) {
 }
 
 // Graph makes the system run over the given general graph instead of a
-// torus.  The graph's structure is snapshotted when the System is built;
-// later mutations do not affect it.  When no rule is chosen explicitly the
-// system uses "generalized-smp", the degree-aware form of the paper's
-// protocol (bit-identical to "smp" on 4-regular substrates).  Such a system
-// serializes as an explicit edge list (see System.Spec); the generator
-// options below keep the compact generator-by-name form instead.
+// torus.  The system builds its own copy from the graph's canonical edge
+// list, so every vertex reads its neighbors in ascending order whatever
+// order the edges were added in, System.Graph returns that copy, and later
+// mutations of g do not affect the system.  When no rule is chosen
+// explicitly the system uses "generalized-smp", the degree-aware form of
+// the paper's protocol (bit-identical to "smp" on 4-regular substrates).
+// Such a system serializes as an explicit edge list (see System.Spec); the
+// generator options below keep the compact generator-by-name form instead.
 func Graph(g *GeneralGraph) Option {
 	return func(c *Config) error {
 		if g == nil {

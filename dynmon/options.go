@@ -33,19 +33,23 @@ type Config struct {
 	// options produce) instead of the named topology.  Ignored when Graph
 	// is non-nil.
 	Generator *GeneratorSpec
-	// Graph, when non-nil, makes the system run over this general graph and
-	// wins over the generator and the topology name.
+	// Graph, when non-nil, makes the system run over this general graph's
+	// canonical edge list and wins over the generator and the topology
+	// name.
 	Graph *GeneralGraph
 }
 
-// spec reduces the Config's names to a Spec: the generator or the named
-// topology, the palette and the rule name.
+// spec reduces the Config to a Spec: the graph's edge list, the generator
+// or the named topology, the palette and the rule name.
 func (cfg Config) spec() *Spec {
 	sp := &Spec{Colors: cfg.Colors, Rule: cfg.RuleName}
-	if cfg.Generator != nil {
+	switch {
+	case cfg.Graph != nil:
+		sp.Substrate.Edges = edgeListOf(cfg.Graph)
+	case cfg.Generator != nil:
 		gen := *cfg.Generator
 		sp.Substrate.Generator = &gen
-	} else {
+	default:
 		sp.Substrate.Topology = &TopologySpec{Name: cfg.TopologyName, Rows: cfg.Rows, Cols: cfg.Cols}
 	}
 	return sp

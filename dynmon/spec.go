@@ -319,11 +319,7 @@ func (sp *Spec) build(rule Rule, spec *Spec) (*System, error) {
 		return newSystem(nil, graph, sp.Colors, rule, spec)
 	default:
 		e := sp.Substrate.Edges
-		graph := graphs.NewGraph(e.N)
-		for _, edge := range e.Edges {
-			graph.AddEdge(edge[0], edge[1])
-		}
-		return newSystem(nil, graph, sp.Colors, rule, spec)
+		return newSystem(nil, graphs.FromEdges(e.N, e.Edges), sp.Colors, rule, spec)
 	}
 }
 

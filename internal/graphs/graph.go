@@ -39,6 +39,34 @@ func NewGraph(n int) *Graph {
 	return &Graph{adj: make([][]int, n)}
 }
 
+// FromEdges returns the graph on n vertices with the given edges, filling
+// the adjacency lists straight from the list in one pass over it: each
+// vertex lists its neighbors in the order the edges name them, exactly as
+// AddEdge calls in list order would, at O(n + m) rather than AddEdge's
+// duplicate scans.  Every edge must join two distinct vertices in [0, n)
+// and appear once in either orientation, as in a canonical edge list
+// (oriented, sorted and deduplicated), which gives every vertex its
+// neighbors in ascending order.
+func FromEdges(n int, edges [][2]int) *Graph {
+	g := NewGraph(n)
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	flat := make([]int, 2*len(edges))
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v], flat = flat[:0:d], flat[d:]
+		}
+	}
+	for _, e := range edges {
+		g.adj[e[0]] = append(g.adj[e[0]], e[1])
+		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.adj) }
 

@@ -1,6 +1,8 @@
 package graphs
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +63,47 @@ func TestAddEdgeBasics(t *testing.T) {
 	}
 	if g.Degree(0) != 1 || g.Degree(3) != 0 {
 		t.Error("degrees wrong")
+	}
+}
+
+// TestFromEdgesMatchesAddEdge: on random edge lists free of self-loops and
+// duplicates, first in random order and orientation and then canonical
+// (oriented, sorted), FromEdges builds the graph that AddEdge calls in list
+// order build, neighbor order included, and the graph takes further edges
+// as that one does.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	src := rng.New(27)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + src.Intn(40)
+		seen := map[[2]int]bool{}
+		var edges, canonical [][2]int
+		for i := src.Intn(4 * n); i > 0; i-- {
+			u, v := src.Intn(n), src.Intn(n)
+			key := [2]int{min(u, v), max(u, v)}
+			if u == v || seen[key] {
+				continue
+			}
+			seen[key] = true
+			edges = append(edges, [2]int{u, v})
+			canonical = append(canonical, key)
+		}
+		slices.SortFunc(canonical, func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		for _, list := range [][][2]int{edges, canonical} {
+			got, want := FromEdges(n, list), NewGraph(n)
+			for _, e := range list {
+				want.AddEdge(e[0], e[1])
+			}
+			u, v := src.Intn(n), src.Intn(n)
+			got.AddEdge(u, v)
+			want.AddEdge(u, v)
+			for w := 0; w < n; w++ {
+				if !slices.Equal(got.Neighbors(w), want.Neighbors(w)) {
+					t.Fatalf("n=%d edges %v: vertex %d reads %v, AddEdge built %v", n, list, w, got.Neighbors(w), want.Neighbors(w))
+				}
+			}
+		}
 	}
 }
 

@@ -8,10 +8,11 @@ import "repro/internal/color"
 // of plane b is bit b of (color-1) of vertex v — and gathers each of the
 // four neighbor ports as a shifted copy of those planes.  A rule whose
 // decision has a closed bitwise form can then recolor 64 vertices per word
-// operation.  The kernels below are exact: each one is the rule's
-// NextFromCounts decision compiled to a carry-save adder network over the
-// per-port indicator bits, and the bitrule tests pin them bit-identical to
-// the scalar path on every neighborhood multiset.
+// operation.  The kernels below are exact: each one is the rule's Next
+// decision, read as a function of the neighbor colors' multiplicities,
+// compiled to a carry-save adder network over the per-port indicator bits,
+// and the bitrule tests pin them bit-identical to Next on every
+// neighborhood.
 //
 // The SMP-Protocol's three cases map to adder outputs directly.  Writing
 // count_e for the number of ports carrying encoding e (counts sum to 4):

@@ -14,32 +14,16 @@ type GeneralizedSMP struct{}
 // Name returns "generalized-smp".
 func (GeneralizedSMP) Name() string { return "generalized-smp" }
 
-// Next applies the rule to a neighborhood of arbitrary size, tallied
-// exactly at any degree and palette without a per-vertex map, so the
-// engine's steady-state loops stay allocation-free.
+// Next applies the rule to a neighborhood of arbitrary size d =
+// len(neighbors), tallied exactly at any degree and palette without a
+// per-vertex map (maxColor).  It is the rule's one form: the engine calls
+// it for every vertex of an irregular graph, so it must not allocate.
 func (GeneralizedSMP) Next(current color.Color, neighbors []color.Color) color.Color {
 	if len(neighbors) == 0 {
 		return current
 	}
 	best, count, unique := maxColor(neighbors)
 	if unique && count >= (len(neighbors)+1)/2 {
-		return best
-	}
-	return current
-}
-
-// NextFromCounts applies the generalized SMP rule to one tallied
-// neighborhood: adopt the unique maximum-multiplicity color when it covers
-// at least ⌈d/2⌉ of the d neighbors.  Unlike the torus rules it reads the
-// degree from the tally itself (Counts.Total), so the same decision function
-// serves every vertex of an irregular graph.
-func (GeneralizedSMP) NextFromCounts(current color.Color, cs Counts) color.Color {
-	d := cs.Total()
-	if d == 0 {
-		return current
-	}
-	best, count, unique := cs.Max()
-	if unique && count >= (d+1)/2 {
 		return best
 	}
 	return current

@@ -58,8 +58,8 @@ func TestGeneralizedSMPMatchesMapReferenceExhaustively(t *testing.T) {
 
 func TestGeneralizedSMPMatchesMapReferenceArbitraryDegree(t *testing.T) {
 	// Random neighborhoods of degree 0..12 over up to 8 colors: exercises
-	// both the Counts fast path and the wide fallback (more than four
-	// distinct colors cannot fit a Counts vector).
+	// maxColor's four-neighbor case and its slot tally, wide neighborhoods
+	// (more than four distinct colors) included.
 	gen := GeneralizedSMP{}
 	src := rng.New(7)
 	sawWide := false
@@ -80,61 +80,6 @@ func TestGeneralizedSMPMatchesMapReferenceArbitraryDegree(t *testing.T) {
 		}
 	}
 	if !sawWide {
-		t.Fatal("test never exercised the wide fallback; widen the sampling")
-	}
-}
-
-func TestGeneralizedSMPNextFromCountsAgreesWithNext(t *testing.T) {
-	// The CountRule contract on multisets that fit a Counts vector: the
-	// engine's counts path and the slice path must agree.
-	gen := GeneralizedSMP{}
-	src := rng.New(11)
-	for trial := 0; trial < 20000; trial++ {
-		d := src.Intn(10)
-		ns := make([]color.Color, d)
-		for i := range ns {
-			ns[i] = color.Color(1 + src.Intn(4)) // at most 4 distinct: always fits
-		}
-		cur := color.Color(1 + src.Intn(5))
-		if got, want := gen.NextFromCounts(cur, countsOf(ns)), gen.Next(cur, ns); got != want {
-			t.Fatalf("NextFromCounts(%d, %v) = %v, Next = %v", cur, ns, got, want)
-		}
-	}
-}
-
-func TestCountsAddOK(t *testing.T) {
-	var cs Counts
-	for _, c := range []color.Color{1, 2, 3, 4} {
-		if !cs.AddOK(c) {
-			t.Fatalf("color %v should fit", c)
-		}
-	}
-	if cs.AddOK(5) {
-		t.Fatal("a fifth distinct color must overflow")
-	}
-	// Repeats of recorded colors keep fitting...
-	var rep Counts
-	for i := 0; i < 255; i++ {
-		if !rep.AddOK(1) {
-			t.Fatalf("repeat %d should fit", i)
-		}
-	}
-	// ...until the uint8 multiplicity saturates.
-	if rep.AddOK(1) {
-		t.Fatal("the 256th repeat must overflow the counter")
-	}
-	if rep.Total() != 255 {
-		t.Fatalf("Total = %d, want 255", rep.Total())
-	}
-}
-
-func TestCountsTotal(t *testing.T) {
-	cs := countsOf([]color.Color{1, 1, 2, 3})
-	if cs.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", cs.Total())
-	}
-	var empty Counts
-	if empty.Total() != 0 {
-		t.Fatal("empty Total should be 0")
+		t.Fatal("test never drew more than four distinct colors; widen the sampling")
 	}
 }

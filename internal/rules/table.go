@@ -8,8 +8,8 @@ const TableColors = 8
 // Table is a rule tabulated over every ordered degree-4 neighborhood with
 // all five colors in {1..TableColors}: the slot TableIndex(c, n0, n1, n2,
 // n3) holds Next(c, [n0 n1 n2 n3]) as a byte.  Three bits per color make
-// 2¹⁵ slots, 32 KiB, so one lookup replaces the tally, the maximum and the
-// data-dependent branches of a counts evaluation.
+// 2¹⁵ slots, 32 KiB, so one lookup replaces the gather, the tally and the
+// data-dependent branches of a Next call.
 type Table [1 << 15]uint8
 
 // Tabulate fills a table from r.Next on every ordered tuple (c; n0, n1, n2,

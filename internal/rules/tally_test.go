@@ -75,3 +75,23 @@ func TestRulesPermutationInvariantWideNeighborhoods(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxColorFourNeighborsMatchesMaxOf pins maxColor's four-neighbor case
+// to maxOf, the scanning tally, on every ordered 4-tuple over {1..9}: the
+// same winner, multiplicity and uniqueness, first-seen tie break included.
+func TestMaxColorFourNeighborsMatchesMaxOf(t *testing.T) {
+	for a := color.Color(1); a <= 9; a++ {
+		for b := color.Color(1); b <= 9; b++ {
+			for c := color.Color(1); c <= 9; c++ {
+				for d := color.Color(1); d <= 9; d++ {
+					ns := nb(int(a), int(b), int(c), int(d))
+					gb, gc, gu := maxColor(ns)
+					wb, wc, wu := maxOf(ns)
+					if gb != wb || gc != wc || gu != wu {
+						t.Fatalf("maxColor(%v) = (%d, %d, %v), maxOf = (%d, %d, %v)", ns, gb, gc, gu, wb, wc, wu)
+					}
+				}
+			}
+		}
+	}
+}

@@ -184,8 +184,8 @@ func TestRunAsyncMaxSweeps(t *testing.T) {
 // naiveAsyncSweep is the pre-CSR reference implementation of one raster
 // sweep: per-vertex neighbor gathering through the Topology interface and
 // rule evaluation through Rule.Next, committing updates in place.  It is
-// the parity oracle for RunAsync's rewiring onto the cached CSR index and
-// the rules.CountRule fast path.
+// the parity oracle for RunAsync's rewiring onto the engine's CSR index and
+// its one rule application, Engine.next.
 func naiveAsyncSweep(topo grid.Topology, rule rules.Rule, cfg *color.Coloring) int {
 	changed := 0
 	n := cfg.N()
@@ -204,8 +204,8 @@ func naiveAsyncSweep(topo grid.Topology, rule rules.Rule, cfg *color.Coloring) i
 	return changed
 }
 
-// TestRunAsyncParityWithNaivePath pins RunAsync's CSR + CountRule fast path
-// bit-identical to the old interface-driven sweep, on every registered rule
+// TestRunAsyncParityWithNaivePath pins RunAsync's CSR-driven rule
+// application bit-identical to the old interface-driven sweep, on every registered rule
 // and topology kind (table-driven, seeded), including degenerate 2×n tori.
 func TestRunAsyncParityWithNaivePath(t *testing.T) {
 	sizes := [][2]int{{2, 5}, {5, 2}, {6, 7}}

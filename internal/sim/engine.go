@@ -92,8 +92,8 @@ const (
 	// KernelFrontier forces the sequential dirty-frontier stepper.
 	KernelFrontier
 	// KernelSweep forces the sequential full-sweep oracle stepper, which
-	// applies the rule through its counts or slice form: the oracle never
-	// reads the rule table the other scalar tiers look colors up in.
+	// applies the rule through its own Next: the oracle never reads the
+	// rule table the other scalar tiers look colors up in.
 	KernelSweep
 	// KernelParallel forces the striped parallel sweep (Workers goroutines,
 	// GOMAXPROCS when unset).
@@ -400,10 +400,6 @@ type Engine struct {
 	// it gates the bitplane tier, which needs a torus's shift plan.
 	topo grid.Topology
 	rule rules.Rule
-	// countRule is the rule's counts-based fast path, nil when the rule does
-	// not implement rules.CountRule.  Detected once here so the inner loops
-	// pay no per-vertex type assertions.
-	countRule rules.CountRule
 	// bitRule is the rule's word-parallel form, nil when the rule does not
 	// implement rules.BitRule; with a shift-regular topology and a ≤4-color
 	// palette it enables the bitplane tier.
@@ -428,9 +424,8 @@ type Engine struct {
 	keysOnce sync.Once
 	keys     []uint64
 	// deg4 marks a dense 4-regular index (all tori), which licenses the rule
-	// table, next's unrolled degree-4 counts tally and its inlined copy in
-	// stepRange; irregular substrates tally their offset-framed CSR rows
-	// instead.
+	// table and next's four-slot gather; irregular rows are gathered through
+	// their offsets.
 	deg4 bool
 	// maxDeg sizes the per-run neighbor scratch buffers.
 	maxDeg int
@@ -488,7 +483,6 @@ func NewEngineOn(sub Substrate, rule rules.Rule) *Engine {
 	if ts, ok := sub.(torusSubstrate); ok {
 		e.topo = ts.topo
 	}
-	e.countRule, _ = rule.(rules.CountRule)
 	e.bitRule, _ = rule.(rules.BitRule)
 	return e
 }
@@ -513,7 +507,7 @@ type runState struct {
 	sweep     sweepDriver
 	wg        sync.WaitGroup
 	stripeBuf []stripeTask
-	// scratch backs next's slice path in the public Step, sized to the
+	// scratch backs next's gathered row in the public Step, sized to the
 	// substrate's maximum degree so steady-state stepping allocates nothing;
 	// the sweep tier's stripes carry their own (stripeTask.scratch).
 	scratch []color.Color
@@ -591,16 +585,11 @@ func (e *Engine) vertexKeys() []uint64 {
 // rule table (the engine's, or nil on the oracle paths) each vertex costs a
 // range check, an index and one byte load.  The first vertex whose
 // neighborhood leaves {1..8} sends itself and the rest of the range to the
-// counts loop, and left reports it, so the caller stops passing the table;
-// keeping that fallback out of the table loop keeps a call out of the hot
-// loop.  Without a table the rule applies through next; scratch backs
-// next's slice path (capacity >= the substrate's maximum degree).
-//
-// The dense degree-4 counts loop is next's counts case copied inline, the
-// one such copy: it is the oracle's hot loop on every torus, and routing it
-// through next made BenchmarkEngineStepSequential/256x256 8-10% slower in
-// the median (2-core Intel Xeon, GOMAXPROCS 2, Go 1.24; two measurements
-// of 4 and 5 alternated runs).
+// rule's Next through next, and left reports it, so the caller stops
+// passing the table; keeping that fallback out of the table loop keeps a
+// call out of the hot loop.  Without a table every vertex goes through
+// next; scratch backs its gathered row (capacity >= the substrate's
+// maximum degree).
 func (e *Engine) stepRange(tab *rules.Table, cur, next []color.Color, lo, hi int, scratch []color.Color) (changed int, left bool) {
 	fwd := e.csr.Neighbors
 	v := lo
@@ -622,22 +611,6 @@ func (e *Engine) stepRange(tab *rules.Table, cur, next []color.Color, lo, hi int
 		}
 		left = true
 	}
-	if cr := e.countRule; cr != nil && e.deg4 {
-		for ; v < hi; v++ {
-			base := v * grid.Degree
-			var cs rules.Counts
-			cs.Add(cur[fwd[base]])
-			cs.Add(cur[fwd[base+1]])
-			cs.Add(cur[fwd[base+2]])
-			cs.Add(cur[fwd[base+3]])
-			nc := cr.NextFromCounts(cur[v], cs)
-			next[v] = nc
-			if nc != cur[v] {
-				changed++
-			}
-		}
-		return changed, left
-	}
 	for ; v < hi; v++ {
 		nc := e.next(nil, cur, v, &scratch)
 		next[v] = nc
@@ -651,46 +624,29 @@ func (e *Engine) stepRange(tab *rules.Table, cur, next []color.Color, lo, hi int
 // next is the engine's one rule application: the color v takes when the
 // rule reads its neighbors' colors in cells.  With a rule table (tab, the
 // engine's or nil) and all five colors in {1..8}, it is one byte load.
-// Otherwise a rule with a counts form (rules.CountRule) gets v's
-// neighborhood tallied, unrolled on a dense degree-4 index and through
-// Counts.AddOK over v's CSR row otherwise; this counts path is the
-// oracle's, and the table's fallback.  A rule without a counts form, or a
-// row whose multiset does not fit a Counts vector, takes the rule's slice
-// path over the neighbors gathered into *scratch, which grows in place so
-// the caller's next vertex reuses it.
+// Otherwise v's CSR row is gathered into *scratch, which grows in place so
+// the caller's next vertex reuses it, and the rule's own Next decides: the
+// oracle, colors above 8 and irregular graphs all take this path, and on
+// a torus the rules tally the four colors without a loop (rules.maxColor).
+// A dense degree-4 row is read as four fixed slots: against the
+// offset-framed loop irregular rows take, that made the oracle's rounds
+// 5-23% faster in the median (BenchmarkEngineStepSequential 32² to 256² and
+// the sweep rows of BenchmarkEngineStepNearConvergence and
+// BenchmarkEnsemble; 10 alternated -cpu 1 runs, 2-core Intel Xeon, Go 1.24).
 func (e *Engine) next(tab *rules.Table, cells []color.Color, v int, scratch *[]color.Color) color.Color {
-	fwd, cr := e.csr.Neighbors, e.countRule
-	if tab != nil {
-		base := v * grid.Degree
-		if i, ok := rules.TableIndex(cells[v], cells[fwd[base]], cells[fwd[base+1]], cells[fwd[base+2]], cells[fwd[base+3]]); ok {
-			return color.Color(tab[i])
-		}
-	}
-	if cr != nil && e.deg4 {
-		base := v * grid.Degree
-		var cs rules.Counts
-		cs.Add(cells[fwd[base]])
-		cs.Add(cells[fwd[base+1]])
-		cs.Add(cells[fwd[base+2]])
-		cs.Add(cells[fwd[base+3]])
-		return cr.NextFromCounts(cells[v], cs)
-	}
-	row := fwd[e.csr.Off[v]:e.csr.Off[v+1]]
-	if cr != nil {
-		var cs rules.Counts
-		fits := true
-		for _, u := range row {
-			if fits = cs.AddOK(cells[u]); !fits {
-				break
+	fwd, s := e.csr.Neighbors, (*scratch)[:0]
+	if e.deg4 {
+		nb := fwd[v*grid.Degree : v*grid.Degree+grid.Degree]
+		if tab != nil {
+			if i, ok := rules.TableIndex(cells[v], cells[nb[0]], cells[nb[1]], cells[nb[2]], cells[nb[3]]); ok {
+				return color.Color(tab[i])
 			}
 		}
-		if fits {
-			return cr.NextFromCounts(cells[v], cs)
+		s = append(s, cells[nb[0]], cells[nb[1]], cells[nb[2]], cells[nb[3]])
+	} else {
+		for _, u := range fwd[e.csr.Off[v]:e.csr.Off[v+1]] {
+			s = append(s, cells[u])
 		}
-	}
-	s := (*scratch)[:0]
-	for _, u := range row {
-		s = append(s, cells[u])
 	}
 	*scratch = s
 	return e.rule.Next(cells[v], s)
@@ -699,10 +655,9 @@ func (e *Engine) next(tab *rules.Table, cells []color.Color, v int, scratch *[]c
 // stepRangeTV is the time-varying inner loop: vertex v reads only the
 // neighbors whose link is available this round, and applies the rule to the
 // reduced multiset when at least two neighbors are reachable (with fewer it
-// keeps its color).  It always uses the rule's slice path, the reference
-// semantics every other path is tested against, because the reduced
-// neighborhood is not the multiset CountRule implementations were verified
-// on.
+// keeps its color).  It calls the rule's Next itself rather than through
+// next, because the reduced neighborhood is a filtered row, not v's CSR row,
+// and never a table tuple.
 func (e *Engine) stepRangeTV(round int, avail Availability, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
 	changed := 0
 	fwd, off := e.csr.Neighbors, e.csr.Off
@@ -733,8 +688,8 @@ func (e *Engine) stepRangeTV(round int, avail Availability, cur, next []color.Co
 // Step applies one synchronous round, reading from cur and writing into
 // next.  It returns the number of vertices that changed color.  cur and next
 // must have the engine's dimensions and must not alias.  Step is the
-// sequential oracle: it applies the rule through its counts or slice form,
-// never the rule table, so differential tests pin the table to it.
+// sequential oracle: it applies the rule through its own Next, never the
+// rule table, so differential tests pin the table to it.
 // StepParallel is the tabulated round.
 func (e *Engine) Step(cur, next *color.Coloring) int {
 	if cur.Dims() != e.sub.Dims() || next.Dims() != e.sub.Dims() {

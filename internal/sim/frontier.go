@@ -61,7 +61,7 @@ type Frontier struct {
 	prevChanged int
 	cycle       bool
 	round       int
-	// scratch backs the slice path of the engine's rule application (see
+	// scratch backs the gathered row of the engine's rule application (see
 	// Engine.next); it lives here so Step stays allocation-free.
 	scratch []color.Color
 }

@@ -41,7 +41,7 @@ type stripeTask struct {
 	// lost reports that a target-colored vertex of the stripe lost the
 	// color this round; same, that the stripe's range equals its slice of
 	// the configuration two rounds back (see trace); leftTable, that a
-	// color outside the rule table sent the stripe to the counts path.
+	// color outside the rule table sent the stripe to the rule's Next.
 	lost, same, leftTable bool
 }
 

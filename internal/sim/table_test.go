@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/color"
@@ -18,34 +19,26 @@ type mintRule struct{}
 
 func (mintRule) Name() string { return "mint" }
 
-func (m mintRule) Next(c color.Color, ns []color.Color) color.Color {
-	var cs rules.Counts
-	for _, n := range ns {
-		cs.Add(n)
-	}
-	return m.NextFromCounts(c, cs)
-}
-
-func (mintRule) NextFromCounts(c color.Color, cs rules.Counts) color.Color {
+func (mintRule) Next(c color.Color, ns []color.Color) color.Color {
 	if c >= 9 {
 		return 9 + (c-8)%4
 	}
 	for minted := color.Color(12); minted >= 9; minted-- {
-		if cs.Of(minted) > 0 {
+		if slices.Contains(ns, minted) {
 			return minted
 		}
 	}
-	if best, count, _ := cs.Max(); count == 4 && best != c && best <= 4 {
-		return 8 + best
+	if a := ns[0]; ns[1] == a && ns[2] == a && ns[3] == a && a != c && a <= 4 {
+		return 8 + a
 	}
-	return rules.SMP{}.NextFromCounts(c, cs)
+	return rules.SMP{}.Next(c, ns)
 }
 
 // TestTableFallbackMatchesOracle runs mintRule, whose colors leave the
 // rule table mid-run, on every tabulated scalar tier — the frontier (a
-// vertex outside the table takes the counts path), the one-stripe sweep and
-// 2 to 4 stripes (a stripe that meets such a vertex finishes on the counts
-// path and the run drops the table), and a uniform-async schedule — and
+// vertex outside the table takes the rule's Next), the one-stripe sweep and
+// 2 to 4 stripes (a stripe that meets such a vertex finishes on the rule's
+// Next and the run drops the table), and a uniform-async schedule — and
 // pins each Result's bytes to the untabulated oracle's.
 func TestTableFallbackMatchesOracle(t *testing.T) {
 	modes := []struct {
@@ -122,7 +115,7 @@ func TestStripeLeavesTable(t *testing.T) {
 		t.Fatal("no round met a color outside the table")
 	}
 
-	// One range: the stripe switches to the counts path at the first
+	// One range: the stripe switches to the rule's Next at the first
 	// vertex outside the table and reports it.
 	cur := eng.table()
 	cells := want.Cells()
