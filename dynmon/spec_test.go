@@ -513,3 +513,48 @@ func TestParseCheckpointRejectsOverflowingDims(t *testing.T) {
 		t.Fatalf("ParseCheckpoint accepted a %v config", cp.Config.Dims())
 	}
 }
+
+// TestParseCheckpointRejectsRoundZeroPrev: no run knows a previous
+// configuration before round 1, so a round-0 checkpoint that carries one is
+// forged.  On an 8x8 mesh with two colors (random seed 5, target 1, stop on
+// monochromatic, detect cycles) such a checkpoint, whose prev is the run's
+// round-1 configuration, once resumed to the fresh run's six rounds under
+// the frontier but to a one-round cycle under the sweep, which seeds its
+// period-2 trace from prev.  It must fail to parse and fail to resume.
+func TestParseCheckpointRejectsRoundZeroPrev(t *testing.T) {
+	fs, err := ParseFileSpec([]byte(`{"system": {"substrate": {"topology": {"name": "toroidal-mesh", "rows": 8, "cols": 8}},
+		"colors": 2, "rule": "smp"}, "initial": {"config": "random", "seed": 5},
+		"run": {"target": 1, "stop_when_monochromatic": true, "detect_cycles": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, cons, _, err := fs.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	for st, err := range sys.Steps(context.Background(), cons.Coloring, WithRunSpec(fs.Run)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	forged := *cp
+	forged.Round, forged.Config, forged.Prev = 0, cp.Prev, cp.Config
+	forged.ChangesPerRound, forged.FirstReached = []int{}, nil
+	body, err := forged.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseCheckpoint(body); err == nil {
+		t.Fatal("ParseCheckpoint accepted a round-0 checkpoint with a prev")
+	}
+	for _, k := range []KernelTier{KernelAuto, KernelFrontier, KernelSweep, KernelParallel} {
+		if res, err := sys.Resume(context.Background(), &forged, Kernel(k)); err == nil {
+			t.Fatalf("%v: resumed a round-0 checkpoint with a prev to %d rounds", k, res.Rounds)
+		}
+	}
+}

@@ -213,6 +213,9 @@ func (cp *Checkpoint) validate() error {
 	if cp.Round < 0 {
 		return fmt.Errorf("dynmon: checkpoint with negative round %d", cp.Round)
 	}
+	if cp.Round == 0 && cp.Prev != nil {
+		return fmt.Errorf("dynmon: checkpoint at round 0 with a previous configuration")
+	}
 	if cp.Round != len(cp.ChangesPerRound) {
 		return fmt.Errorf("dynmon: checkpoint round %d does not match its %d-round change trace", cp.Round, len(cp.ChangesPerRound))
 	}

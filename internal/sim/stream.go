@@ -820,6 +820,9 @@ func (rs *Resume) validate(d grid.Dims) error {
 	if rs.Round < 0 {
 		return fmt.Errorf("sim: Resume with negative round %d", rs.Round)
 	}
+	if rs.Round == 0 && rs.Prev != nil {
+		return fmt.Errorf("sim: Resume at round 0 with a previous configuration")
+	}
 	if rs.Round != len(rs.ChangesPerRound) {
 		return fmt.Errorf("sim: Resume round %d does not match its %d-round change trace", rs.Round, len(rs.ChangesPerRound))
 	}

@@ -258,6 +258,31 @@ func TestResumeCycleAcrossBoundary(t *testing.T) {
 	}
 }
 
+// TestStreamFromRejectsRoundZeroPrev: no run knows a previous configuration
+// before round 1, and the sweep would seed its period-2 trace from one, so
+// a round-0 resume state that carries one is refused on every tier.
+func TestStreamFromRejectsRoundZeroPrev(t *testing.T) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 8, 8)
+	eng := NewEngine(topo, rules.SMP{})
+	initial := randomTestColoring(5, topo.Dims(), 2)
+	opt := Options{Target: 1, StopWhenMonochromatic: true, DetectCycles: true}
+	after := checkpointAt(t, eng, initial, opt, 1)
+	forged := &Resume{Config: initial, Prev: after.Config, ChangesPerRound: []int{}}
+	for _, k := range []Kernel{KernelAuto, KernelFrontier, KernelSweep, KernelParallel} {
+		opt.Kernel = k
+		yielded := 0
+		for st, err := range eng.StreamFrom(context.Background(), forged, opt) {
+			yielded++
+			if err == nil || st != nil {
+				t.Fatalf("%v: StreamFrom yielded (%v, %v), want one error", k, st, err)
+			}
+		}
+		if yielded != 1 {
+			t.Fatalf("%v: StreamFrom yielded %d times, want one error", k, yielded)
+		}
+	}
+}
+
 // TestResumeFromCanceledResult exercises the Result-side checkpoint: cancel
 // a run mid-flight, emit ResumeState from the partial result, resume, and
 // compare against the uninterrupted run.
