@@ -234,20 +234,12 @@ func (s *System) String() string {
 // modified.
 //
 // The options fold into a RunSpec — Run and a spec file describe a run the
-// same way — and Run itself is a drain of the Steps stream.
+// same way — and Run is a drain of the Steps stream, as the engine's
+// RunContext is of its Stream, so the CheckpointEvery cadence holds here
+// too.  A coloring whose dimensions do not match the system's is an
+// error.
 func (s *System) Run(ctx context.Context, initial *Coloring, opts ...RunOption) (*Result, error) {
-	rs := runSpecOf(opts)
-	if rs.cpEvery > 0 {
-		// The CheckpointEvery cadence lives in the public stream wrapper;
-		// honor it by draining the stream — which is all RunContext does
-		// anyway, so the result is bit-identical.
-		return drainSteps(s.stepsSpec(ctx, initial, rs))
-	}
-	opt, err := rs.engineOptions(s.palette.K)
-	if err != nil {
-		return nil, err
-	}
-	return s.engine.RunContext(ctx, initial, opt)
+	return drainSteps(s.Steps(ctx, initial, opts...))
 }
 
 // RunSpecced is Run driven entirely by a parsed RunSpec, the spec-file path

@@ -66,13 +66,6 @@ func (st *Step) Checkpoint() (*Checkpoint, error) {
 // word-parallel speed.
 func (s *System) Steps(ctx context.Context, initial *Coloring, opts ...RunOption) iter.Seq2[*Step, error] {
 	rs := runSpecOf(opts)
-	return s.stepsSpec(ctx, initial, rs)
-}
-
-// stepsSpec is Steps over an already-folded RunSpec: engine-option lowering,
-// the Step wrapper and the CheckpointEvery cadence, shared by Steps,
-// ResumeSteps and the cadence-honoring path of Run.
-func (s *System) stepsSpec(ctx context.Context, initial *Coloring, rs RunSpec) iter.Seq2[*Step, error] {
 	return func(yield func(*Step, error) bool) {
 		opt, err := rs.engineOptions(s.palette.K)
 		if err != nil {
@@ -116,7 +109,13 @@ func (s *System) wrapStream(inner iter.Seq2[*sim.Step, error], rs *RunSpec, yiel
 
 // Checkpoint is the serializable state of an interrupted run: everything
 // needed to continue it — in this process or another — bit-identically to a
-// run that was never interrupted.  Produce one with Step.Checkpoint (from a
+// run that was never interrupted.  It is the engine's resume state plus the
+// system and run pins: the embedded Resume carries the round, the
+// configuration at its end (config), the one before it (prev, which a
+// round-0 checkpoint never has), and the trace so far (changes_per_round,
+// first_reached, monotone_target).  A checkpoint without prev still
+// resumes exactly, except that a cycle spanning the checkpoint boundary is
+// detected two rounds later.  Produce one with Step.Checkpoint (from a
 // stream) or System.CheckpointFromResult (from a canceled run's partial
 // Result); consume it with System.Resume.
 type Checkpoint struct {
@@ -127,24 +126,10 @@ type Checkpoint struct {
 	// Run is the run description in force; Resume re-applies it, with any
 	// extra options layered on top.
 	Run *RunSpec `json:"run,omitempty"`
-	// Round is the last completed round.
-	Round int `json:"round"`
-	// Config is the configuration at the end of Round.
-	Config *Coloring `json:"config"`
-	// Prev is the configuration one round earlier — the period-2
-	// stop-detector's state.  Without it a resumed run is still exact
-	// except that a cycle spanning the checkpoint boundary is detected two
-	// rounds later.
-	Prev *Coloring `json:"prev,omitempty"`
-	// ChangesPerRound, FirstReached and MonotoneTarget carry the per-run
-	// trace accumulated up to Round, so the resumed Result equals an
-	// uninterrupted one.
-	ChangesPerRound []int `json:"changes_per_round"`
-	FirstReached    []int `json:"first_reached,omitempty"`
-	MonotoneTarget  bool  `json:"monotone_target,omitempty"`
+	sim.Resume
 }
 
-// checkpointOf assembles the public checkpoint from the engine snapshot.
+// checkpointOf pins the engine snapshot to its system and run.
 func checkpointOf(sys *System, rs *RunSpec, snap *sim.Resume) (*Checkpoint, error) {
 	run := rs.wireClone()
 	if rs.availability != nil {
@@ -154,18 +139,7 @@ func checkpointOf(sys *System, rs *RunSpec, snap *sim.Resume) (*Checkpoint, erro
 		}
 		run.TimeVarying = spec
 	}
-	cp := &Checkpoint{
-		Run:             &run,
-		Round:           snap.Round,
-		Config:          snap.Config,
-		Prev:            snap.Prev,
-		ChangesPerRound: snap.ChangesPerRound,
-		FirstReached:    snap.FirstReached,
-		MonotoneTarget:  snap.MonotoneTarget,
-	}
-	if cp.ChangesPerRound == nil {
-		cp.ChangesPerRound = []int{}
-	}
+	cp := &Checkpoint{Run: &run, Resume: *snap}
 	// The system spec is a convenience pin, not a requirement: systems
 	// without a wire form still checkpoint, they just cannot be validated
 	// against on resume.
@@ -201,34 +175,18 @@ func (cp *Checkpoint) JSON() ([]byte, error) {
 // ParseCheckpoint decodes a checkpoint, strictly: unknown fields, malformed
 // values and structural inconsistencies are errors, never panics.
 func ParseCheckpoint(data []byte) (*Checkpoint, error) {
-	return parseStrict(data, "checkpoint", (*Checkpoint).validate)
+	return parseStrict(data, "checkpoint", (*Checkpoint).Validate)
 }
 
-// validate checks the checkpoint's internal consistency (system fit is
-// checked by Resume, which knows the system).
-func (cp *Checkpoint) validate() error {
-	if cp.Config == nil {
-		return fmt.Errorf("dynmon: checkpoint without a configuration")
-	}
-	if cp.Round < 0 {
-		return fmt.Errorf("dynmon: checkpoint with negative round %d", cp.Round)
-	}
-	if cp.Round == 0 && cp.Prev != nil {
-		return fmt.Errorf("dynmon: checkpoint at round 0 with a previous configuration")
-	}
-	if cp.Round != len(cp.ChangesPerRound) {
-		return fmt.Errorf("dynmon: checkpoint round %d does not match its %d-round change trace", cp.Round, len(cp.ChangesPerRound))
-	}
-	if cp.Prev != nil && cp.Prev.Dims() != cp.Config.Dims() {
-		return fmt.Errorf("dynmon: checkpoint prev dimensions %v differ from config %v", cp.Prev.Dims(), cp.Config.Dims())
-	}
-	if cp.FirstReached != nil && len(cp.FirstReached) != cp.Config.N() {
-		return fmt.Errorf("dynmon: checkpoint first-reached trace has %d entries, want %d", len(cp.FirstReached), cp.Config.N())
+// Validate checks the checkpoint's internal consistency: its resume state
+// (Resume.Validate) and its system pin.  The fit to a system is checked by
+// System.Resume, which knows the system.
+func (cp *Checkpoint) Validate() error {
+	if err := cp.Resume.Validate(); err != nil {
+		return err
 	}
 	if cp.System != nil {
-		if err := cp.System.Validate(); err != nil {
-			return err
-		}
+		return cp.System.Validate()
 	}
 	return nil
 }
@@ -237,27 +195,16 @@ func (cp *Checkpoint) validate() error {
 // run that was never interrupted: rounds restart at cp.Round+1 under the
 // checkpoint's run spec, with any extra options layered on top.  It is the
 // primitive that lets long runs migrate across processes — checkpoint,
-// ship the JSON, resume elsewhere.
+// ship the JSON, resume elsewhere.  It is a drain of ResumeSteps, as Run is
+// of Steps, so the CheckpointEvery cadence holds here too.
 //
-// The checkpoint must fit the system (matching dimensions; matching system
-// spec when the checkpoint pins one).  Resuming never re-enters the
-// bitplane tier — a checkpoint carries scalar state — which changes nothing
-// about the result, by the engine's tier contract.
+// The checkpoint must fit the system (a valid resume state of matching
+// dimensions; matching system spec when the checkpoint pins one).
+// Resuming never re-enters the bitplane tier — a checkpoint carries scalar
+// state — which changes nothing about the result, by the engine's tier
+// contract.
 func (s *System) Resume(ctx context.Context, cp *Checkpoint, opts ...RunOption) (*Result, error) {
-	rs, snap, err := s.resumeSpec(cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := rs.engineOptions(s.palette.K)
-	if err != nil {
-		return nil, err
-	}
-	if rs.cpEvery > 0 {
-		return drainSteps(func(yield func(*Step, error) bool) {
-			s.wrapStream(s.engine.StreamFrom(ctx, snap, opt), &rs, yield)
-		})
-	}
-	return s.engine.ResumeContext(ctx, snap, opt)
+	return drainSteps(s.ResumeSteps(ctx, cp, opts...))
 }
 
 // ResumeSteps is Resume in streaming form — the Steps iterator continuing a
@@ -283,19 +230,13 @@ func (s *System) ResumeSteps(ctx context.Context, cp *Checkpoint, opts ...RunOpt
 	}
 }
 
-// resumeSpec validates a checkpoint against this system and lowers it to the
-// effective RunSpec and engine-level resume state, shared by Resume and
-// ResumeSteps.
+// resumeSpec checks a checkpoint's system pin against this system and
+// lowers it to the effective RunSpec and its embedded resume state, which
+// the engine validates.
 func (s *System) resumeSpec(cp *Checkpoint, opts []RunOption) (RunSpec, *sim.Resume, error) {
 	var rs RunSpec
 	if cp == nil {
 		return rs, nil, fmt.Errorf("dynmon: nil checkpoint")
-	}
-	if err := cp.validate(); err != nil {
-		return rs, nil, err
-	}
-	if cp.Config.Dims() != s.Dims() {
-		return rs, nil, fmt.Errorf("dynmon: checkpoint is %v, system is %v", cp.Config.Dims(), s.Dims())
 	}
 	if cp.System != nil {
 		own, err := s.Spec()
@@ -312,21 +253,12 @@ func (s *System) resumeSpec(cp *Checkpoint, opts []RunOption) (RunSpec, *sim.Res
 	for _, opt := range opts {
 		opt(&rs)
 	}
-	snap := &sim.Resume{
-		Round:           cp.Round,
-		Config:          cp.Config,
-		Prev:            cp.Prev,
-		ChangesPerRound: cp.ChangesPerRound,
-		FirstReached:    cp.FirstReached,
-		MonotoneTarget:  cp.MonotoneTarget,
-	}
-	return rs, snap, nil
+	return rs, &cp.Resume, nil
 }
 
 // drainSteps runs a public step stream to completion and returns its final
 // (or, under cancellation, partial) Result — the public-surface twin of the
-// engine's stream drain, used by the cadence-honoring paths of Run and
-// Resume.
+// engine's stream drain, behind Run and Resume.
 func drainSteps(seq iter.Seq2[*Step, error]) (*Result, error) {
 	var res *Result
 	for st, err := range seq {

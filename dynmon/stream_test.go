@@ -1,6 +1,7 @@
 package dynmon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -463,3 +464,142 @@ func TestAvailabilitySpecValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointWireIsPinned pins the checkpoint wire, which round-trip
+// tests alone would let drift: the bytes Checkpoint.JSON writes for a fixed
+// run, keys in the order system, run, round, config, prev,
+// changes_per_round, first_reached, monotone_target.  A round-0 checkpoint
+// (a run canceled before its first round) has no prev and writes its empty
+// change trace as [].
+func TestCheckpointWireIsPinned(t *testing.T) {
+	sys, err := New(Mesh(3, 3), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	for st, err := range sys.Steps(context.Background(), sys.RandomColoring(5), Target(1), DetectCycles(), MaxRounds(8)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Round() == 2 {
+			if cp, err = st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	got, err := cp.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pinnedCheckpoint; string(got) != want {
+		t.Fatalf("checkpoint wire drifted\n got: %s\nwant: %s", got, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := sys.Run(ctx, sys.RandomColoring(5), Target(1))
+	if res == nil || res.Rounds != 0 || err == nil {
+		t.Fatalf("canceled run: rounds %v, err %v", res, err)
+	}
+	if cp, err = sys.CheckpointFromResult(res, Target(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = cp.JSON(); err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, got); err != nil {
+		t.Fatal(err)
+	}
+	if s := compact.String(); !strings.Contains(s, `"round":0,"config":{"rows":3,"cols":3,"cells":[1,2,1,1,1,1,2,2,1]},"changes_per_round":[],"first_reached":`) {
+		t.Fatalf("round-0 checkpoint wire: %s", s)
+	}
+}
+
+// TestRunRejectsWrongDimensions: a fresh run on a coloring whose dimensions
+// do not match the system's returns an error, as a resumed one does,
+// instead of panicking.
+func TestRunRejectsWrongDimensions(t *testing.T) {
+	sys, err := New(Mesh(4, 4), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(Mesh(4, 5), Colors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []KernelTier{KernelAuto, KernelBitplane, KernelFrontier, KernelSweep, KernelParallel} {
+		res, err := sys.Run(context.Background(), other.RandomColoring(1), Kernel(k))
+		if err == nil || res != nil {
+			t.Fatalf("%v: a 4x5 coloring on a 4x4 system gave (%v, %v), want an error", k, res, err)
+		}
+	}
+}
+
+const pinnedCheckpoint = `{
+  "system": {
+    "substrate": {
+      "topology": {
+        "name": "toroidal-mesh",
+        "rows": 3,
+        "cols": 3
+      }
+    },
+    "colors": 2,
+    "rule": "smp"
+  },
+  "run": {
+    "max_rounds": 8,
+    "target": 1,
+    "detect_cycles": true
+  },
+  "round": 2,
+  "config": {
+    "rows": 3,
+    "cols": 3,
+    "cells": [
+      1,
+      1,
+      1,
+      1,
+      1,
+      1,
+      1,
+      1,
+      1
+    ]
+  },
+  "prev": {
+    "rows": 3,
+    "cols": 3,
+    "cells": [
+      1,
+      1,
+      1,
+      1,
+      1,
+      1,
+      1,
+      2,
+      1
+    ]
+  },
+  "changes_per_round": [
+    2,
+    1
+  ],
+  "first_reached": [
+    0,
+    1,
+    0,
+    0,
+    0,
+    0,
+    1,
+    2,
+    0
+  ],
+  "monotone_target": true
+}
+`

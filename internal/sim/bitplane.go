@@ -62,8 +62,6 @@ type Bitplane struct {
 	// detection (maintained only while detectCycles is set).
 	prevPrev  [rules.MaxBitPlanes][]uint64
 	cycleBase int
-	// changed[w] is the per-word diff mask of the last Step.
-	changed []uint64
 	// tgtEver/tgtPrev/tgtCur back the engine's word-parallel target-spread
 	// bookkeeping (FirstReached / MonotoneTarget).
 	tgtEver, tgtPrev, tgtCur []uint64
@@ -79,7 +77,6 @@ type Bitplane struct {
 
 	detectCycles bool
 	cycle        bool
-	prevChanged  int
 	round        int
 }
 
@@ -169,7 +166,6 @@ func (e *Engine) newBitplaneBuffers() *Bitplane {
 			bp.st.Nbr[p][b] = make([]uint64, bp.words)
 		}
 	}
-	bp.changed = make([]uint64, bp.words)
 	bp.tgtEver = make([]uint64, bp.words)
 	bp.tgtPrev = make([]uint64, bp.words)
 	bp.tgtCur = make([]uint64, bp.words)
@@ -187,7 +183,7 @@ func (bp *Bitplane) resetWith(initial *color.Coloring, k int, plan *grid.ShiftPl
 	if !color.PackPlanes(initial.Cells(), bp.st.Cur[:bp.planes]) {
 		return fmt.Errorf("%w: coloring not representable in %d planes", ErrBitplaneIneligible, bp.planes)
 	}
-	bp.round, bp.prevChanged = 0, 0
+	bp.round = 0
 	bp.noise = nil
 	bp.cycle, bp.detectCycles = false, false
 	bp.cycleBase = 0
@@ -352,11 +348,9 @@ func (bp *Bitplane) finishStep() int {
 		for b := 0; b < bp.planes; b++ {
 			d |= st.Cur[b][w] ^ st.Next[b][w]
 		}
-		bp.changed[w] = d
 		changed += bits.OnesCount64(d)
 	}
 	st.Cur, st.Next = st.Next, st.Cur
-	bp.prevChanged = changed
 	return changed
 }
 
@@ -422,24 +416,6 @@ func (bp *Bitplane) targetMask(dst []uint64, t color.Color) {
 		dst[w] = m
 	}
 	dst[bp.words-1] &= bp.tailMask
-}
-
-// lastChanges calls fn for every vertex that changed in the last Step,
-// passing its color before the change (read from the previous configuration,
-// which the step's buffer swap left in st.Next).
-func (bp *Bitplane) lastChanges(fn func(v int32, old color.Color)) {
-	for w := 0; w < bp.words; w++ {
-		dw := bp.changed[w]
-		for dw != 0 {
-			b := bits.TrailingZeros64(dw)
-			dw &= dw - 1
-			e := 0
-			for pl := 0; pl < bp.planes; pl++ {
-				e |= int(bp.st.Next[pl][w]>>uint(b)&1) << pl
-			}
-			fn(int32(w<<6+b), color.Color(e+1))
-		}
-	}
 }
 
 // shiftPlaneRange gathers one plane through one neighbor port for the dst

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -126,11 +128,12 @@ func TestBitplaneAutoHybridMatchesOracle(t *testing.T) {
 	})
 }
 
-// TestFrontierSeedFromBitplaneCycleHandoff drives the handoff by hand and
-// checks that the seeded change journal lets the frontier detect a period-2
-// cycle that straddles the switch boundary at exactly the same round as the
-// oracle — the subtlest part of the hybrid's exactness.
-func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
+// TestBitplaneHandoffCycleAcrossBoundary drives the downshift's handoff by
+// hand and checks that the frontier, seeded through seedFromCheckpoint from
+// the bitplane's last two configurations, detects a period-2 cycle that
+// straddles the handoff at exactly the same round as the oracle — the
+// subtlest part of the hybrid's exactness.
+func TestBitplaneHandoffCycleAcrossBoundary(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 16, 16)
 	eng := NewEngine(topo, rules.SimpleMajorityPB{Black: 2})
 	initial := color.NewColoring(topo.Dims(), 1)
@@ -139,19 +142,24 @@ func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
 
 	// One bitplane round, then hand off: the configuration now equals the
 	// anti-diagonal phase, and round 2 must flip it straight back — a cycle
-	// the frontier can only see through the seeded journal.
-	bp, err := eng.NewBitplane(initial)
+	// the frontier can only see through the journal its seed rebuilt.
+	st := eng.getState()
+	defer eng.putState(st)
+	opt := Options{DetectCycles: true}
+	bd, err := eng.newBitplaneDriver(st, initial, opt, nil, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.DetectCycles(true)
-	if changed := bp.Step(); changed == 0 {
+	if changed := bd.stepRound(1, &Result{}, opt); changed == 0 {
 		t.Fatal("oscillator died on the bitplane")
 	}
-	f := newFrontier(eng)
-	f.seedFromBitplane(bp)
+	fd := bd.handoff()
+	f := fd.f
 	if f.round != 1 {
 		t.Fatalf("seeded frontier at round %d, want 1", f.round)
+	}
+	if prev := fd.prevConfig(); prev == nil || !prev.Equal(initial) {
+		t.Fatal("the handoff lost the previous configuration")
 	}
 	if changed := f.Step(); changed == 0 {
 		t.Fatal("oscillator died on the frontier")
@@ -166,6 +174,102 @@ func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
 	if !f.cfg.Equal(cur) {
 		t.Fatal("handoff diverged from the sweep trajectory")
 	}
+}
+
+// handoverAt is a bitplane driver whose downshift fires after round at,
+// whatever the churn, through the downshift's own handoff.
+type handoverAt struct {
+	*bitplaneDriver
+	at     int
+	handed *bool
+}
+
+func (d handoverAt) downshift(round, _, _ int, _ *Result) runDriver {
+	if round != d.at {
+		return nil
+	}
+	*d.handed = true
+	return d.handoff()
+}
+
+// TestDownshiftHandoffEveryRoundMatchesOracle hands short bitplane runs over
+// to the frontier after every round 1..R-1 of the oracle's R rounds and
+// requires the KernelSweep oracle's Result bytes: every rule with a
+// word-parallel kernel, on the three tori (a 2×n one included), with 2–4
+// colors, a tracked target and cycle detection on.
+func TestDownshiftHandoffEveryRoundMatchesOracle(t *testing.T) {
+	sizes := [][2]int{{2, 9}, {6, 7}, {9, 9}}
+	handoffs := 0
+	for _, name := range rules.RegisteredNames() {
+		rule, err := rules.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rule.(rules.BitRule); !ok {
+			continue
+		}
+		for _, kind := range grid.Kinds() {
+			for _, sz := range sizes {
+				topo := grid.MustNew(kind, sz[0], sz[1])
+				eng := NewEngine(topo, rule)
+				for k := 2; k <= 4; k++ {
+					initial := randomTestColoring(uint64(10*k+sz[0]), topo.Dims(), k)
+					opt := Options{MaxRounds: 12, Target: 1, DetectCycles: true}
+					oracle := opt
+					oracle.Kernel = KernelSweep
+					ref := eng.Run(initial, oracle)
+					want, err := json.Marshal(ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for at := 1; at < ref.Rounds; at++ {
+						label := fmt.Sprintf("%s/%s-%dx%d/k=%d/handoff-after-%d", name, kind, sz[0], sz[1], k, at)
+						res, ok := runHandingOverAt(t, eng, initial, opt, at)
+						if !ok {
+							continue // no word-parallel kernel for this palette
+						}
+						got, err := json.Marshal(res)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: Result differs from the sweep oracle\n got: %s\nwant: %s", label, got, want)
+						}
+						handoffs++
+					}
+				}
+			}
+		}
+	}
+	if handoffs == 0 {
+		t.Fatal("no run handed over")
+	}
+}
+
+// runHandingOverAt runs initial on the bitplane tier as streamRun would,
+// handing over to the frontier after round at; ok is false when the run has
+// no bitplane form.
+func runHandingOverAt(t *testing.T, eng *Engine, initial *color.Coloring, opt Options, at int) (res *Result, ok bool) {
+	t.Helper()
+	st := eng.getState()
+	defer eng.putState(st)
+	bd, err := eng.newBitplaneDriver(st, initial, opt, nil, 1, false)
+	if errors.Is(err, ErrBitplaneIneligible) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRounds, handed := opt.MaxRounds, false
+	res = initRunResult(bd, &Resume{Config: initial}, opt, 1, KernelBitplane, &maxRounds, true)
+	res, err = eng.drive(context.Background(), handoverAt{bd, at, &handed}, res, opt, 1, maxRounds, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !handed {
+		t.Fatalf("the run never handed over after round %d", at)
+	}
+	return res, true
 }
 
 // TestBitplaneParallelStripesMatchSequential forces the bitplane tier with
@@ -454,7 +558,7 @@ func TestBitplaneNoisyCheckpointResume(t *testing.T) {
 			t.Fatalf("workers=%d: uninterrupted run took the %v tier", workers, full.Kernel)
 		}
 		cp := checkpointAt(t, eng, initial, opt, 17)
-		resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+		resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 		if err != nil {
 			t.Fatal(err)
 		}

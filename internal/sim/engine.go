@@ -703,9 +703,9 @@ func (e *Engine) Step(cur, next *color.Coloring) int {
 
 // Run evolves the initial coloring under the engine's rule until a stop
 // condition holds.  The initial coloring is not modified.  It is RunContext
-// with a background context (which can never abort the run); it panics when
-// a forced Options.Kernel does not qualify, the only other error RunContext
-// can produce.
+// with a background context (which can never abort the run); it panics on
+// the other errors RunContext can produce, a coloring of the wrong
+// dimensions and a forced Options.Kernel that does not qualify.
 func (e *Engine) Run(initial *color.Coloring, opt Options) *Result {
 	res, err := e.RunContext(context.Background(), initial, opt)
 	if res == nil && err != nil {
@@ -723,10 +723,13 @@ func (e *Engine) Run(initial *color.Coloring, opt Options) *Result {
 // The stepping tier follows Options.Kernel (see the Kernel constants for
 // the automatic selection).  All tiers are bit-identical; a forced
 // KernelBitplane that does not qualify returns a nil Result and an error
-// wrapping ErrBitplaneIneligible.
+// wrapping ErrBitplaneIneligible, and so does a coloring whose dimensions
+// do not match the substrate, with an error naming both.
 //
-// RunContext is a drain of Stream: the round loop, the stop conditions and
-// the Observer plumbing are the streaming ones, so batch and streaming
+// RunContext is a drain of Stream, which enters the engine with the
+// round-0 state &Resume{Config: initial} exactly as StreamFrom enters it
+// with a checkpoint: the round loop, the stop conditions and the Observer
+// plumbing are the streaming ones, so batch, streaming and resumed
 // consumers cannot drift.
 func (e *Engine) RunContext(ctx context.Context, initial *color.Coloring, opt Options) (*Result, error) {
 	return drainStream(e.Stream(ctx, initial, opt))

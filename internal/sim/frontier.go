@@ -29,11 +29,17 @@ import (
 // only pre-round state (changes are journaled and applied after the scan),
 // and the paper's rules are pure functions of the neighborhood.
 //
+// Every run enters the frontier one way, seedFromCheckpoint, from the
+// state it continues: the round-0 state of a fresh run (Reset), a resumed
+// run's checkpoint, or the last two configurations of a bitplane run that
+// downshifts.  The previous configuration, when the state has one, rebuilds
+// the last round's change journal.
+//
 // A Frontier is single-goroutine state.  All of its buffers are allocated at
-// construction and recycled by Reset, so steady-state Step calls perform
-// zero heap allocations (pinned by TestFrontierStepDoesNotAllocate); engines
-// pool Frontier values across runs, which extends the guarantee across
-// dynmon Session batches.
+// construction and recycled by every seed, so steady-state Step calls
+// perform zero heap allocations (pinned by TestFrontierStepDoesNotAllocate);
+// engines pool Frontier values across runs, which extends the guarantee
+// across dynmon Session batches.
 type Frontier struct {
 	e   *Engine
 	cfg *color.Coloring
@@ -97,24 +103,14 @@ func (e *Engine) NewFrontier(initial *color.Coloring) *Frontier {
 }
 
 // Reset rewinds the frontier to round 0 on a new initial configuration,
-// reusing every buffer.  The configuration is copied; the argument is not
-// retained.
-func (f *Frontier) Reset(initial *color.Coloring) {
-	if initial.Dims() != f.cfg.Dims() {
-		panic(fmt.Sprintf("sim: Frontier.Reset dimension mismatch %v vs %v", initial.Dims(), f.cfg.Dims()))
-	}
-	f.cfg.CopyFrom(initial)
-	f.round = 0
-	f.clearTrace()
-	f.scheduleAll()
-}
+// reusing every buffer: the round-0 seed of seedFromCheckpoint.  The
+// configuration is copied; the argument is not retained.
+func (f *Frontier) Reset(initial *color.Coloring) { f.seedFromCheckpoint(initial, nil, 0) }
 
 // clearTrace rewinds every piece of per-run bookkeeping — epoch marks,
 // period-2 trace, change journal, cycle state — and rebuilds the color
-// histogram from the current configuration.  It is the shared tail of
-// Reset, seedFromBitplane and seedFromCheckpoint; callers overwrite the
-// fields their seed state knows better (prevChanged, cycle, lastRound
-// entries) afterwards.
+// histogram from the current configuration.  seedFromCheckpoint then
+// writes what its seed state knows about the last round.
 func (f *Frontier) clearTrace() {
 	f.prevChanged = 0
 	f.cycle = false
@@ -135,8 +131,7 @@ func (f *Frontier) clearTrace() {
 }
 
 // scheduleAll queues every vertex for round f.round+1 — the "nothing is
-// known about the last round" schedule used at round 0 and by prev-less
-// checkpoint seeds.
+// known about the last round" schedule of round 0 and of prev-less seeds.
 func (f *Frontier) scheduleAll() {
 	mark := int32(f.round) + 1
 	f.queue = f.queue[:0]
@@ -241,50 +236,28 @@ func (f *Frontier) schedule(q []int32, v, mark int32) []int32 {
 	return q
 }
 
-// seedFromBitplane rewinds the frontier onto a bitplane stepper's mid-run
-// state: configuration, change-journal bookkeeping (period-2 trace, previous
-// change count, histogram) and the dirty queue for the next round.  It is
-// the handoff behind the auto-tier downshift, and it is exact: the hybrid
-// run produces the same Result, round for round, as either pure stepper.
-func (f *Frontier) seedFromBitplane(bp *Bitplane) {
-	bp.Unpack(f.cfg)
-	f.round = bp.round
-	f.clearTrace()
-	f.prevChanged = bp.prevChanged
-	f.cycle = bp.cycle
-	// Schedule round bp.round+1 exactly as Step would have: the vertices
-	// that changed in the bitplane's last round and everyone who reads them,
-	// while seeding the period-2 trace with those vertices' previous colors.
-	r := int32(bp.round)
-	f.queue = f.queue[:0]
-	bp.lastChanges(func(v int32, old color.Color) {
-		f.lastRound[v] = r
-		f.lastOld[v] = old
-		f.queue = f.schedule(f.queue, v, r+1)
-	})
-}
-
-// seedFromCheckpoint rewinds the frontier onto an interrupted run's state:
-// the configuration at the end of round `round` plus, when known, the
-// configuration one round earlier.  Diffing the two reconstructs exactly the
-// change journal of round `round` — the vertices that changed, with their
-// colors before the change — which seeds the period-2 trace, the previous
-// change count and the dirty queue for round round+1 precisely as Step would
-// have left them, so the resumed run is bit-identical to an uninterrupted
-// one.  With prev == nil the journal is unknown: the next round re-evaluates
-// every vertex (a sound superset — untouched vertices reproduce their
-// colors) and cycle detection restarts, so a period-2 oscillation spanning
-// the checkpoint boundary is detected two rounds later than an uninterrupted
-// run would have.
+// seedFromCheckpoint rewinds the frontier onto a run's state: the
+// configuration at the end of round `round` plus, when known, the
+// configuration one round earlier.  It is the frontier's one entry, for
+// runs from round 0 (Reset), resumed runs and the bitplane's downshift.
+// Diffing the two configurations reconstructs exactly the change journal
+// of round `round` — the vertices that changed, with their colors before
+// and after — which seeds the period-2 trace, the previous change count
+// and the dirty queue for round round+1 precisely as Step would have left
+// them, so the resumed run is bit-identical to an uninterrupted one.  With
+// prev == nil the journal is unknown: the next round re-evaluates every
+// vertex (a sound superset — untouched vertices reproduce their colors)
+// and, after round 0, cycle detection restarts, so a period-2 oscillation
+// spanning the checkpoint boundary is detected two rounds later than an
+// uninterrupted run would have.
 func (f *Frontier) seedFromCheckpoint(cfg, prev *color.Coloring, round int) {
 	if cfg.Dims() != f.cfg.Dims() {
-		panic(fmt.Sprintf("sim: Frontier.seedFromCheckpoint dimension mismatch %v vs %v", cfg.Dims(), f.cfg.Dims()))
+		panic(fmt.Sprintf("sim: Frontier seed dimension mismatch %v vs %v", cfg.Dims(), f.cfg.Dims()))
 	}
 	f.cfg.CopyFrom(cfg)
 	f.round = round
 	f.clearTrace()
 	if prev == nil {
-		// Nothing is known about round `round`: schedule everything.
 		f.scheduleAll()
 		return
 	}
@@ -292,14 +265,15 @@ func (f *Frontier) seedFromCheckpoint(cfg, prev *color.Coloring, round int) {
 	r := int32(round)
 	f.queue = f.queue[:0]
 	cells := f.cfg.Cells()
-	prevCells := prev.Cells()
-	for v := range cells {
-		if prevCells[v] == cells[v] {
-			continue
+	for v, old := range prev.Cells() {
+		if nc := cells[v]; old != nc {
+			f.chV = append(f.chV, int32(v))
+			f.chOld = append(f.chOld, old)
+			f.chNew = append(f.chNew, nc)
+			f.lastRound[v] = r
+			f.lastOld[v] = old
+			f.queue = f.schedule(f.queue, int32(v), r+1)
 		}
-		f.prevChanged++
-		f.lastRound[v] = r
-		f.lastOld[v] = prevCells[v]
-		f.queue = f.schedule(f.queue, int32(v), r+1)
 	}
+	f.prevChanged = len(f.chV)
 }

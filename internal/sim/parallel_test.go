@@ -290,7 +290,7 @@ func TestParallelResumeMidRun(t *testing.T) {
 			if cp == nil {
 				t.Fatalf("%s: no checkpoint at round %d", ruleName, cutAt)
 			}
-			resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+			resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 			if err != nil {
 				t.Fatal(err)
 			}

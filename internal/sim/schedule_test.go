@@ -139,7 +139,7 @@ func TestStochasticCheckpointResume(t *testing.T) {
 		if cp == nil {
 			t.Fatalf("%s: never reached round %d", c.name, cutAt)
 		}
-		resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+		resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 		if err != nil {
 			t.Fatalf("%s: resume: %v", c.name, err)
 		}
@@ -407,7 +407,7 @@ func TestSequentialScheduleDetectsCycle(t *testing.T) {
 			t.Errorf("%s: rounds %d cycle %v back at the initial coloring %v, want rounds %d cycle %v",
 				c.name, res.Rounds, res.Cycle, res.Final.Equal(initial), c.rounds, c.cycle)
 		}
-		resumed, err := eng.ResumeContext(context.Background(), checkpointAt(t, eng, initial, opt, 1), opt)
+		resumed, err := drainStream(eng.StreamFrom(context.Background(), checkpointAt(t, eng, initial, opt, 1), opt))
 		if err != nil {
 			t.Fatal(err)
 		}

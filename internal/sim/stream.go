@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 
 	"repro/internal/color"
-	"repro/internal/grid"
 	"repro/internal/rules"
 )
 
@@ -42,46 +42,80 @@ type Step struct {
 // the word-parallel fast path.
 func (s *Step) Config() *color.Coloring { return s.drv.config() }
 
-// Checkpoint snapshots the resumable state of the run after this step: the
-// configuration, the round counter, the previous round's configuration (the
-// stop-detector state behind period-2 cycle detection) and the accumulated
-// per-run trace.  The snapshot is deep — it shares no memory with the engine
-// — and feeding it to Engine.ResumeContext with the same Options continues
-// the run bit-identically to one that was never interrupted.
-func (s *Step) Checkpoint() *Resume {
-	cp := &Resume{
-		Round:          s.Round,
-		Config:         s.drv.config().Clone(),
-		Prev:           s.drv.prevConfig(),
-		MonotoneTarget: s.res.MonotoneTarget,
-	}
-	cp.ChangesPerRound = append([]int(nil), s.res.ChangesPerRound...)
-	if s.res.FirstReached != nil {
-		cp.FirstReached = append([]int(nil), s.res.FirstReached...)
-	}
-	return cp
-}
+// Checkpoint snapshots the run's state after this step: the round, the
+// configuration, the previous round's configuration (the stop-detector
+// state behind period-2 cycle detection) and the accumulated per-run trace.
+// The snapshot is deep — it shares no memory with the engine — and feeding
+// it to StreamFrom with the same Options continues the run bit-identically
+// to one that was never interrupted.
+func (s *Step) Checkpoint() *Resume { return s.res.snapshot(s.drv.config(), s.drv.prevConfig()) }
 
-// Resume is the engine-level resumable state of an interrupted run: the
-// plain-struct form behind the public dynmon Checkpoint.  Build one with
-// Step.Checkpoint or Result.ResumeState rather than by hand — bit-identical
+// Resume is the state a run continues from, and the one way into the
+// engine's round loop: a fresh run is the round-0 state of its coloring
+// (Stream passes &Resume{Config: initial}), a resumed run the state a
+// Step.Checkpoint or Result.ResumeState snapshot carries, and the auto
+// tier's bitplane→frontier downshift resumes the frontier from the state
+// the bitplane reached.  The JSON tags are the checkpoint wire: the public
+// dynmon Checkpoint embeds a Resume beside its system and run pins.  Past
+// round 0, take one by snapshot rather than by hand — bit-identical
 // continuation needs every field, including the accumulated trace.
 type Resume struct {
 	// Round is the last completed round (0 resumes from the start).
-	Round int
+	Round int `json:"round"`
 	// Config is the configuration at the end of Round.
-	Config *color.Coloring
-	// Prev is the configuration at the end of Round-1.  It seeds the
-	// period-2 cycle detector and the dirty frontier; when nil, the first
-	// resumed round re-evaluates every vertex and a cycle spanning the
-	// checkpoint boundary goes undetected.
-	Prev *color.Coloring
+	Config *color.Coloring `json:"config"`
+	// Prev is the configuration at the end of Round-1; a round-0 state has
+	// none.  It seeds the period-2 cycle detector and the dirty frontier;
+	// when nil after round 0, the first resumed round re-evaluates every
+	// vertex and a cycle spanning the checkpoint boundary is detected two
+	// rounds late.
+	Prev *color.Coloring `json:"prev,omitempty"`
 	// ChangesPerRound, FirstReached and MonotoneTarget carry the per-run
 	// trace accumulated up to Round, so the resumed Result equals an
 	// uninterrupted one.
-	ChangesPerRound []int
-	FirstReached    []int
-	MonotoneTarget  bool
+	ChangesPerRound []int `json:"changes_per_round"`
+	FirstReached    []int `json:"first_reached,omitempty"`
+	MonotoneTarget  bool  `json:"monotone_target,omitempty"`
+}
+
+// Validate checks a resume state's own consistency: a configuration, a
+// round that is not negative and matches the change trace, a previous
+// configuration only after round 0 and of the configuration's dimensions,
+// and one first-reached entry per vertex.  The engine also checks the
+// dimensions against its substrate.
+func (rs *Resume) Validate() error {
+	switch {
+	case rs == nil || rs.Config == nil:
+		return fmt.Errorf("sim: resume state without a configuration")
+	case rs.Round < 0:
+		return fmt.Errorf("sim: resume state at negative round %d", rs.Round)
+	case rs.Round != len(rs.ChangesPerRound):
+		return fmt.Errorf("sim: resume state at round %d has a %d-round change trace", rs.Round, len(rs.ChangesPerRound))
+	case rs.Prev != nil && rs.Round == 0:
+		return fmt.Errorf("sim: resume state at round 0 has a previous configuration")
+	case rs.Prev != nil && rs.Prev.Dims() != rs.Config.Dims():
+		return fmt.Errorf("sim: resume state's previous configuration is %v, its configuration %v", rs.Prev.Dims(), rs.Config.Dims())
+	case rs.FirstReached != nil && len(rs.FirstReached) != rs.Config.N():
+		return fmt.Errorf("sim: resume state's first-reached trace has %d entries, want %d", len(rs.FirstReached), rs.Config.N())
+	}
+	return nil
+}
+
+// snapshot returns the run's state at its last round r.Rounds, given the
+// configuration cfg at its end and the one before it prev (nil when
+// unknown): the one constructor behind Step.Checkpoint and
+// Result.ResumeState.  cfg and the trace are copied and prev is kept, so
+// callers pass a copy of their own.  An empty change trace stays a non-nil
+// slice, which a checkpoint writes as [].
+func (r *Result) snapshot(cfg, prev *color.Coloring) *Resume {
+	return &Resume{
+		Round:           r.Rounds,
+		Config:          cfg.Clone(),
+		Prev:            prev,
+		ChangesPerRound: append([]int{}, r.ChangesPerRound...),
+		FirstReached:    slices.Clone(r.FirstReached),
+		MonotoneTarget:  r.MonotoneTarget,
+	}
 }
 
 // runDriver is one stepping tier viewed through the single round loop of
@@ -95,9 +129,9 @@ type runDriver interface {
 	stepRound(round int, res *Result, opt Options) int
 	// config returns the live post-round configuration.
 	config() *color.Coloring
-	// prevConfig returns a fresh clone of the previous round's
-	// configuration, or nil when no round has been stepped and no seed is
-	// known.
+	// prevConfig returns a fresh copy of the previous round's
+	// configuration, or nil when it is unknown: before round 1, and before
+	// the first round of a resume whose state carries none.
 	prevConfig() *color.Coloring
 	// mono reports whether the current configuration is monochromatic; it is
 	// only called when Options.StopWhenMonochromatic is set.
@@ -111,8 +145,8 @@ type runDriver interface {
 }
 
 // drive is the engine's single round loop: every tier, streamed or not,
-// fresh or resumed, runs through it, so stop-condition ordering and result
-// bookkeeping cannot drift between paths.  It advances drv over rounds
+// from round 0 or resumed, runs through it, so stop-condition ordering and
+// result bookkeeping cannot drift between paths.  It advances drv over rounds
 // [from, maxRounds], accumulating into res, and yields one Step per round
 // when yield is non-nil (a false yield return is the streaming equivalent of
 // cancellation: the loop stops, without the terminal bookkeeping of a run
@@ -241,14 +275,16 @@ type sweepDriver struct {
 	prevPrev     []color.Color
 
 	cycleFlag bool
-	stepped   bool
-	seedPrev  *color.Coloring
+	// prevKnown reports that next holds the previous configuration: after
+	// a round's swap, or from the resume state's Prev.
+	prevKnown bool
 }
 
-// newSweepDriver builds the sweep tier over the pooled state; sched and
-// noise are the run's stochastic parameters, both nil for a deterministic
-// run, and fixedPointStops reports whether a zero-change round ends it.
-func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, fixedPointStops bool, rs *Resume) *sweepDriver {
+// newSweepDriver builds the sweep tier over the pooled state, at the run's
+// resume state rs; sched and noise are the run's stochastic parameters,
+// both nil for a deterministic run, and fixedPointStops reports whether a
+// zero-change round ends it.
+func (e *Engine) newSweepDriver(st *runState, rs *Resume, opt Options, sched *Schedule, noise *Noise, workers int, fixedPointStops bool) *sweepDriver {
 	cur, next := st.buffers(e)
 	d := &st.sweep
 	*d = sweepDriver{e: e, st: st, run: runSweepTask, workers: workers, cur: cur, next: next,
@@ -270,7 +306,14 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 	if opt.Kernel != KernelSweep && opt.TimeVarying == nil {
 		d.tab = e.table()
 	}
-	d.cur.CopyFrom(initial)
+	d.cur.CopyFrom(rs.Config)
+	// A known previous configuration goes where a round leaves it, in next;
+	// it is also the configuration two rounds back from the first round.
+	twoBack := rs.Config
+	if rs.Prev != nil {
+		d.next.CopyFrom(rs.Prev)
+		d.prevKnown, twoBack = true, rs.Prev
+	}
 	// The period-2 trace costs an O(n) compare-and-copy per round, so it is
 	// kept only when its verdict can stop the run.  drive consults it only
 	// when a zero-change round is a fixed point (a static network, no
@@ -285,15 +328,8 @@ func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Optio
 		if st.prevPrev == nil {
 			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
 		}
-		if rs != nil && rs.Prev != nil {
-			st.prevPrev.CopyFrom(rs.Prev)
-		} else {
-			st.prevPrev.CopyFrom(initial)
-		}
+		st.prevPrev.CopyFrom(twoBack)
 		d.prevPrev = st.prevPrev.Cells()
-	}
-	if rs != nil && rs.Prev != nil {
-		d.seedPrev = rs.Prev
 	}
 	return d
 }
@@ -328,20 +364,16 @@ func (d *sweepDriver) stepRound(round int, res *Result, opt Options) int {
 		res.MonotoneTarget = false
 	}
 	d.cur, d.next = d.next, d.cur
-	d.stepped = true
+	d.prevKnown = true
 	return changed
 }
 
 func (d *sweepDriver) config() *color.Coloring { return d.cur }
 
 func (d *sweepDriver) prevConfig() *color.Coloring {
-	if !d.stepped {
-		if d.seedPrev != nil {
-			return d.seedPrev.Clone()
-		}
+	if !d.prevKnown {
 		return nil
 	}
-	// After the swap in stepRound, next holds the previous configuration.
 	return d.next.Clone()
 }
 
@@ -385,10 +417,20 @@ func (e *Engine) StepParallel(cur, next *color.Coloring, workers int) int {
 
 // frontierDriver is the dirty-frontier tier behind drive, with all per-round
 // bookkeeping done on the change journal instead of the full lattice.
+// prevKnown reports that the journal holds the last round's changes: after
+// a Step, or from a seed that carried the previous configuration.
 type frontierDriver struct {
-	f        *Frontier
-	stepped  bool
-	seedPrev *color.Coloring
+	f         *Frontier
+	prevKnown bool
+}
+
+// frontierFrom seeds the pooled frontier with a run's state: the one way
+// into the frontier tier, for runs from round 0, resumed runs and the
+// bitplane's downshift alike.
+func (e *Engine) frontierFrom(st *runState, rs *Resume) *frontierDriver {
+	f := st.frontier(e)
+	f.seedFromCheckpoint(rs.Config, rs.Prev, rs.Round)
+	return &frontierDriver{f: f, prevKnown: rs.Prev != nil}
 }
 
 func (d *frontierDriver) stepRound(round int, res *Result, opt Options) int {
@@ -405,17 +447,14 @@ func (d *frontierDriver) stepRound(round int, res *Result, opt Options) int {
 			}
 		}
 	}
-	d.stepped = true
+	d.prevKnown = true
 	return changed
 }
 
 func (d *frontierDriver) config() *color.Coloring { return d.f.cfg }
 
 func (d *frontierDriver) prevConfig() *color.Coloring {
-	if !d.stepped {
-		if d.seedPrev != nil {
-			return d.seedPrev.Clone()
-		}
+	if !d.prevKnown {
 		return nil
 	}
 	// Undo the last round's journal on a copy of the configuration.
@@ -509,10 +548,9 @@ func (d *bitplaneDriver) prevConfig() *color.Coloring {
 	if bp.round == 0 {
 		return nil
 	}
-	prev := bp.Config().Clone()
-	bp.lastChanges(func(v int32, old color.Color) {
-		prev.Set(int(v), old)
-	})
+	// The step's buffer swap left the previous planes in Next.
+	prev := color.NewColoring(d.e.sub.Dims(), color.None)
+	color.UnpackPlanes(bp.st.Next[:bp.planes], prev.Cells())
 	return prev
 }
 
@@ -522,8 +560,9 @@ func (d *bitplaneDriver) cycle() bool { return d.bp.Cycle() }
 // downshift hands the run to the dirty-frontier stepper once the change rate
 // stays low (sequential auto-tier noise-free runs only — the frontier is
 // single-goroutine and has no stochastic form, and a forced tier is a
-// contract).  The handoff is exact: the hybrid run produces the same Result,
-// round for round, as either pure stepper.
+// contract).  The handoff is a resume (see handoff), so it is exact: the
+// hybrid run produces the same Result, round for round, as either pure
+// stepper.
 func (d *bitplaneDriver) downshift(round, changed, maxRounds int, res *Result) runDriver {
 	if d.forced || d.workers != 1 || d.bp.noise != nil || round >= maxRounds {
 		return nil
@@ -536,48 +575,51 @@ func (d *bitplaneDriver) downshift(round, changed, maxRounds int, res *Result) r
 	if d.lowChurn < downshiftRounds {
 		return nil
 	}
-	f := d.st.frontier(d.e)
-	f.seedFromBitplane(d.bp)
 	res.Downshift = round + 1
-	// Hand over the previous round's configuration too, so a checkpoint
-	// taken at exactly the handoff round keeps its cycle-detector seed.
-	return &frontierDriver{f: f, seedPrev: d.prevConfig()}
+	return d.handoff()
+}
+
+// handoff resumes the run on the dirty frontier from the state a checkpoint
+// taken now would carry: the bitplane's round, its configuration and the
+// previous one.  The previous configuration rebuilds the last round's
+// change journal, which seeds the frontier's dirty queue and its period-2
+// trace.
+func (d *bitplaneDriver) handoff() *frontierDriver {
+	return d.e.frontierFrom(d.st, &Resume{Round: d.bp.round, Config: d.config(), Prev: d.prevConfig()})
 }
 
 // Stream returns the run as a pull-based sequence of per-round steps: the
-// streaming form of RunContext, bit-identical to it (both consume the same
-// single round loop).  The iterator yields one Step after every synchronous
-// round; the terminal step has Done set and carries the completed Result.
+// streaming form of RunContext, bit-identical to it (RunContext drains it).
+// The run starts from the round-0 state of initial, &Resume{Config:
+// initial}, and enters the engine exactly as StreamFrom does.  The iterator
+// yields one Step after every synchronous round; the terminal step has Done
+// set and carries the completed Result.
 // Breaking out of the loop early is the streaming equivalent of
 // cancellation: the run stops at that round boundary and its pooled buffers
 // are returned to the engine.  When ctx is canceled the stream yields a
 // final (partial-result) step together with ctx.Err().
 //
-// Errors that would make RunContext return (nil, error) — an ineligible
-// forced kernel, a time-varying run forcing an incremental kernel — are
-// yielded once as (nil, error).
+// Errors that would make RunContext return (nil, error) — a coloring of
+// the wrong dimensions, an ineligible forced kernel, a time-varying run
+// forcing an incremental kernel — are yielded once as (nil, error).
 //
 // Observers in opt are honored exactly as in RunContext, through the
 // ObserveStream adapter.
 func (e *Engine) Stream(ctx context.Context, initial *color.Coloring, opt Options) iter.Seq2[*Step, error] {
-	return ObserveStream(e.streamRun(ctx, initial, nil, opt), opt.Observers)
+	return ObserveStream(e.streamRun(ctx, &Resume{Config: initial}, false, opt), opt.Observers)
 }
 
-// StreamFrom is Stream continuing from a checkpoint instead of an initial
+// StreamFrom is Stream continuing from a resume state instead of an initial
 // coloring: rounds resume at rs.Round+1 under the same Options the original
-// run used, bit-identically to a run that was never interrupted.  The
-// bitplane tier cannot be resumed into (its journal state is not captured by
-// Resume): forcing KernelBitplane returns an error and automatic selection
-// picks a scalar tier — which, by the engine's tier contract, changes
-// nothing about the result.
+// run used, bit-identically to a run that was never interrupted.  A state
+// that fails Resume.Validate or does not fit the substrate is yielded as an
+// error.  The bitplane tier cannot be resumed into (a resume state carries
+// scalar configurations only): forcing KernelBitplane returns an error and
+// automatic selection picks a scalar tier — which, by the engine's tier
+// contract, changes nothing about the result.  Drain it for the Result, as
+// RunContext drains Stream.
 func (e *Engine) StreamFrom(ctx context.Context, rs *Resume, opt Options) iter.Seq2[*Step, error] {
-	return ObserveStream(e.streamRun(ctx, nil, rs, opt), opt.Observers)
-}
-
-// ResumeContext is RunContext continuing from a checkpoint: it drains
-// StreamFrom and returns the completed Result.
-func (e *Engine) ResumeContext(ctx context.Context, rs *Resume, opt Options) (*Result, error) {
-	return drainStream(e.StreamFrom(ctx, rs, opt))
+	return ObserveStream(e.streamRun(ctx, rs, true, opt), opt.Observers)
 }
 
 // ObserveStream attaches observers to a step stream: OnRound after every
@@ -627,21 +669,21 @@ func drainStream(seq iter.Seq2[*Step, error]) (*Result, error) {
 	return res, nil
 }
 
-// streamRun is the generator behind Stream, StreamFrom, RunContext and
-// ResumeContext: kernel selection (identical for all four — the automatic
-// tier choice depends only on Options), driver construction, then the drive
-// loop.  Exactly one of initial and rs is non-nil.
-func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Resume, opt Options) iter.Seq2[*Step, error] {
+// streamRun is the generator behind Stream, StreamFrom and RunContext:
+// validation of the run's state rs, kernel selection (the automatic tier
+// choice depends only on Options and on whether the run is resumed), driver
+// construction at rs, then the drive loop from round rs.Round+1.  resumed
+// marks a run continuing a checkpoint, which the bitplane tier refuses.
+func (e *Engine) streamRun(ctx context.Context, rs *Resume, resumed bool, opt Options) iter.Seq2[*Step, error] {
 	return func(yield func(*Step, error) bool) {
 		d := e.sub.Dims()
-		if rs != nil {
-			if err := rs.validate(d); err != nil {
-				yield(nil, err)
-				return
-			}
-			initial = rs.Config
-		} else if initial.Dims() != d {
-			panic(fmt.Sprintf("sim: Run dimension mismatch %v vs %v", initial.Dims(), d))
+		if err := rs.Validate(); err != nil {
+			yield(nil, err)
+			return
+		}
+		if rs.Config.Dims() != d {
+			yield(nil, fmt.Errorf("sim: configuration dimensions %v do not match substrate %v", rs.Config.Dims(), d))
+			return
 		}
 		maxRounds := opt.MaxRounds
 		if maxRounds <= 0 {
@@ -652,7 +694,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 
 		sched, noise, err := opt.stochasticParams()
 		if err == nil {
-			err = kernelConflict(opt, sched, rs != nil)
+			err = kernelConflict(opt, sched, resumed)
 		}
 		if err != nil {
 			yield(nil, err)
@@ -679,7 +721,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		// needScalar marks runs the bitplane tier is never auto-selected for:
 		// observers and history would force an unpack per round, erasing its
 		// advantage, and a checkpoint carries scalar state only.
-		needScalar := rs != nil || opt.RecordHistory || len(opt.Observers) > 0
+		needScalar := resumed || opt.RecordHistory || len(opt.Observers) > 0
 		// A forced parallel run takes its worker count as if Parallel were
 		// set.
 		par := opt
@@ -697,7 +739,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 			kernel Kernel
 		)
 		if opt.Kernel == KernelBitplane || (opt.Kernel == KernelAuto && tv == nil && !needScalar && (sched == nil || sched.Kind == ScheduleSynchronous)) {
-			bd, err := e.newBitplaneDriver(st, initial, opt, noise, workers, opt.Kernel == KernelBitplane)
+			bd, err := e.newBitplaneDriver(st, rs.Config, opt, noise, workers, opt.Kernel == KernelBitplane)
 			switch {
 			case err == nil:
 				drv, kernel = bd, KernelBitplane
@@ -709,7 +751,7 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		switch {
 		case drv != nil:
 		case opt.Kernel == KernelFrontier || (opt.Kernel == KernelAuto && sched == nil && tv == nil && workers == 1):
-			drv, kernel, workers = e.newFrontierDriver(st, initial, rs), KernelFrontier, 1
+			drv, kernel, workers = e.frontierFrom(st, rs), KernelFrontier, 1
 		default:
 			// The sequential schedules commit within a round, so they step
 			// as one stripe.
@@ -720,15 +762,11 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 			if workers > 1 || opt.Kernel == KernelParallel {
 				kernel = KernelParallel
 			}
-			drv = e.newSweepDriver(st, initial, opt, sched, noise, workers, fixedPointStops, rs)
+			drv = e.newSweepDriver(st, rs, opt, sched, noise, workers, fixedPointStops)
 		}
 
-		res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
-		from := 1
-		if rs != nil {
-			from = rs.Round + 1
-		}
-		e.drive(ctx, drv, res, opt, from, maxRounds, fixedPointStops, yield)
+		res := initRunResult(drv, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
+		e.drive(ctx, drv, res, opt, rs.Round+1, maxRounds, fixedPointStops, yield)
 	}
 }
 
@@ -757,30 +795,26 @@ func kernelConflict(opt Options, sched *Schedule, resumed bool) error {
 	return nil
 }
 
-// initRunResult builds the Result shell of a run — effective workers and
-// kernel, the (possibly checkpoint-seeded) target trace — and applies the
-// terminal-checkpoint no-op rule: a checkpoint whose state already satisfies
-// a stop condition resumes without stepping past the round its run stopped
-// at, by clamping maxRounds.  Genuine mid-run checkpoints never trip this:
-// their run would have stopped there instead of continuing.  (A run that
-// stopped on a detected cycle is the exception — the oscillation is not
-// recognizable from one configuration, so resuming it continues the
-// oscillation and re-detects the cycle within two rounds.)
-func (e *Engine) initRunResult(drv runDriver, initial *color.Coloring, rs *Resume, opt Options, workers int, kernel Kernel, maxRounds *int, fixedPointStops bool) *Result {
-	res := &Result{MonotoneTarget: true, Workers: workers, Kernel: kernel}
-	if rs == nil {
-		initTargetTrace(res, initial, opt.Target)
-		return res
-	}
-	res.Rounds = rs.Round
+// initRunResult builds the Result shell of a run at its state rs —
+// effective workers and kernel, the trace so far, a target trace seeded
+// from rs.Config when rs carries none — and applies the terminal-checkpoint
+// no-op rule: a checkpoint whose state already satisfies a stop condition
+// resumes without stepping past the round its run stopped at, by clamping
+// maxRounds.  Genuine mid-run checkpoints never trip this: their run would
+// have stopped there instead of continuing.  (A run that stopped on a
+// detected cycle is the exception — the oscillation is not recognizable
+// from one configuration, so resuming it continues the oscillation and
+// re-detects the cycle within two rounds.)
+func initRunResult(drv runDriver, rs *Resume, opt Options, workers int, kernel Kernel, maxRounds *int, fixedPointStops bool) *Result {
+	res := &Result{Rounds: rs.Round, MonotoneTarget: true, Workers: workers, Kernel: kernel}
 	res.ChangesPerRound = append([]int(nil), rs.ChangesPerRound...)
-	if opt.Target != color.None {
-		if rs.FirstReached != nil {
-			res.FirstReached = append([]int(nil), rs.FirstReached...)
-			res.MonotoneTarget = rs.MonotoneTarget
-		} else {
-			initTargetTrace(res, initial, opt.Target)
-		}
+	switch {
+	case opt.Target == color.None:
+	case rs.FirstReached != nil:
+		res.FirstReached = slices.Clone(rs.FirstReached)
+		res.MonotoneTarget = rs.MonotoneTarget
+	default:
+		initTargetTrace(res, rs.Config, opt.Target)
 	}
 	if rs.Round > 0 {
 		switch {
@@ -794,65 +828,20 @@ func (e *Engine) initRunResult(drv runDriver, initial *color.Coloring, rs *Resum
 	return res
 }
 
-// newFrontierDriver builds the frontier tier over the pooled state, seeded
-// either fresh from the initial coloring or from a checkpoint.
-func (e *Engine) newFrontierDriver(st *runState, initial *color.Coloring, rs *Resume) *frontierDriver {
-	f := st.frontier(e)
-	if rs == nil || rs.Round == 0 {
-		f.Reset(initial)
-		return &frontierDriver{f: f}
-	}
-	f.seedFromCheckpoint(rs.Config, rs.Prev, rs.Round)
-	return &frontierDriver{f: f, seedPrev: rs.Prev}
-}
-
-// validate checks a Resume against the engine's substrate.
-func (rs *Resume) validate(d grid.Dims) error {
-	if rs == nil || rs.Config == nil {
-		return fmt.Errorf("sim: Resume without a configuration")
-	}
-	if rs.Config.Dims() != d {
-		return fmt.Errorf("sim: Resume configuration dimensions %v do not match substrate %v", rs.Config.Dims(), d)
-	}
-	if rs.Prev != nil && rs.Prev.Dims() != d {
-		return fmt.Errorf("sim: Resume previous-configuration dimensions %v do not match substrate %v", rs.Prev.Dims(), d)
-	}
-	if rs.Round < 0 {
-		return fmt.Errorf("sim: Resume with negative round %d", rs.Round)
-	}
-	if rs.Round == 0 && rs.Prev != nil {
-		return fmt.Errorf("sim: Resume at round 0 with a previous configuration")
-	}
-	if rs.Round != len(rs.ChangesPerRound) {
-		return fmt.Errorf("sim: Resume round %d does not match its %d-round change trace", rs.Round, len(rs.ChangesPerRound))
-	}
-	if rs.FirstReached != nil && len(rs.FirstReached) != rs.Config.N() {
-		return fmt.Errorf("sim: Resume first-reached trace has %d entries, want %d", len(rs.FirstReached), rs.Config.N())
-	}
-	return nil
-}
-
-// ResumeState returns the resumable state at the end of the run — the
-// "emit a checkpoint from a Result" primitive.  It is a deep snapshot; ok is
-// false when the result carries no final configuration (a zero Result).
-// Resuming a finished run is a no-op continuation (its stop condition holds
-// immediately unless the options changed); the intended use is the partial
-// Result of a context-canceled run.
+// ResumeState returns the state at the end of the run — the "emit a
+// checkpoint from a Result" primitive, built like Step.Checkpoint.  It is a
+// deep snapshot; ok is false when the result carries no final
+// configuration (a zero Result).  Resuming a finished run is a no-op
+// continuation (its stop condition holds immediately unless the options
+// changed); the intended use is the partial Result of a context-canceled
+// run.
 func (r *Result) ResumeState() (*Resume, bool) {
 	if r == nil || r.Final == nil {
 		return nil, false
 	}
-	rs := &Resume{
-		Round:          r.Rounds,
-		Config:         r.Final.Clone(),
-		MonotoneTarget: r.MonotoneTarget,
-	}
+	rs := r.snapshot(r.Final, nil)
 	if r.prev != nil {
 		rs.Prev = r.prev.Clone()
-	}
-	rs.ChangesPerRound = append([]int(nil), r.ChangesPerRound...)
-	if r.FirstReached != nil {
-		rs.FirstReached = append([]int(nil), r.FirstReached...)
 	}
 	return rs, true
 }

@@ -185,7 +185,7 @@ func TestResumeBitIdenticalEveryRuleTopologyKernel(t *testing.T) {
 				}
 				at := full.Rounds / 2
 				cp := checkpointAt(t, eng, initial, opt, at)
-				resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+				resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 				if err != nil {
 					t.Fatalf("%s/%s/%v: resume: %v", name, topo.Name(), kernel, err)
 				}
@@ -208,7 +208,7 @@ func TestResumeEveryRound(t *testing.T) {
 	full := eng.Run(initial, opt)
 	for at := 1; at <= full.Rounds; at++ {
 		cp := checkpointAt(t, eng, initial, opt, at)
-		resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+		resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", at, err)
 		}
@@ -237,7 +237,7 @@ func TestResumeCycleAcrossBoundary(t *testing.T) {
 	if cp.Prev == nil {
 		t.Fatal("checkpoint at round 1 lost the previous configuration")
 	}
-	resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+	resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestResumeCycleAcrossBoundary(t *testing.T) {
 	// Drop the detector seed: the resume is still sound, just later.
 	blind := *cp
 	blind.Prev = nil
-	late, err := eng.ResumeContext(context.Background(), &blind, opt)
+	late, err := drainStream(eng.StreamFrom(context.Background(), &blind, opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +283,20 @@ func TestStreamFromRejectsRoundZeroPrev(t *testing.T) {
 	}
 }
 
+// TestRunContextRejectsWrongDimensions: a fresh run on a coloring whose
+// dimensions do not match the substrate enters the engine as a resumed one
+// does and returns an error instead of panicking, on every tier.
+func TestRunContextRejectsWrongDimensions(t *testing.T) {
+	eng := NewEngine(grid.MustNew(grid.KindToroidalMesh, 4, 4), rules.SMP{})
+	wrong := randomTestColoring(1, grid.Dims{Rows: 4, Cols: 5}, 2)
+	for _, k := range []Kernel{KernelAuto, KernelBitplane, KernelFrontier, KernelSweep, KernelParallel} {
+		res, err := eng.RunContext(context.Background(), wrong, Options{Kernel: k})
+		if err == nil || res != nil {
+			t.Fatalf("%v: a 4x5 coloring on a 4x4 torus gave (%v, %v), want an error", k, res, err)
+		}
+	}
+}
+
 // TestResumeFromCanceledResult exercises the Result-side checkpoint: cancel
 // a run mid-flight, emit ResumeState from the partial result, resume, and
 // compare against the uninterrupted run.
@@ -312,7 +326,7 @@ func TestResumeFromCanceledResult(t *testing.T) {
 	if !ok {
 		t.Fatal("partial result has no resume state")
 	}
-	resumed, err := eng.ResumeContext(context.Background(), rs, opt)
+	resumed, err := drainStream(eng.StreamFrom(context.Background(), rs, opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +349,7 @@ func TestResumeOnBitplaneEligibleRun(t *testing.T) {
 	}
 	for at := 1; at < full.Rounds; at++ {
 		cp := checkpointAt(t, eng, initial, opt, at)
-		resumed, err := eng.ResumeContext(context.Background(), cp, opt)
+		resumed, err := drainStream(eng.StreamFrom(context.Background(), cp, opt))
 		if err != nil {
 			t.Fatalf("resume at %d: %v", at, err)
 		}
@@ -347,7 +361,7 @@ func TestResumeOnBitplaneEligibleRun(t *testing.T) {
 	cp := checkpointAt(t, eng, initial, opt, 1)
 	forced := opt
 	forced.Kernel = KernelBitplane
-	if _, err := eng.ResumeContext(context.Background(), cp, forced); !errors.Is(err, ErrBitplaneIneligible) {
+	if _, err := drainStream(eng.StreamFrom(context.Background(), cp, forced)); !errors.Is(err, ErrBitplaneIneligible) {
 		t.Fatalf("forced bitplane resume: err = %v, want ErrBitplaneIneligible", err)
 	}
 }

@@ -92,7 +92,7 @@ func TestStripeLeavesTable(t *testing.T) {
 	opt := Options{Kernel: KernelParallel, Workers: 3}
 	st := eng.getState()
 	defer eng.putState(st)
-	d := eng.newSweepDriver(st, initial, opt, nil, nil, 3, true, nil)
+	d := eng.newSweepDriver(st, &Resume{Config: initial}, opt, nil, nil, 3, true)
 	if d.tab == nil {
 		t.Fatal("the striped sweep got no rule table")
 	}
