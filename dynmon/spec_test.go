@@ -518,7 +518,7 @@ func TestParseCheckpointRejectsOverflowingDims(t *testing.T) {
 // configuration before round 1, so a round-0 checkpoint that carries one is
 // forged.  On an 8x8 mesh with two colors (random seed 5, target 1, stop on
 // monochromatic, detect cycles) such a checkpoint, whose prev is the run's
-// round-1 configuration, once resumed to the fresh run's six rounds under
+// round-1 configuration, would resume to the fresh run's six rounds under
 // the frontier but to a one-round cycle under the sweep, which seeds its
 // period-2 trace from prev.  It must fail to parse and fail to resume.
 func TestParseCheckpointRejectsRoundZeroPrev(t *testing.T) {

@@ -808,12 +808,10 @@ func kernelConflict(opt Options, sched *Schedule, resumed bool) error {
 func initRunResult(drv runDriver, rs *Resume, opt Options, workers int, kernel Kernel, maxRounds *int, fixedPointStops bool) *Result {
 	res := &Result{Rounds: rs.Round, MonotoneTarget: true, Workers: workers, Kernel: kernel}
 	res.ChangesPerRound = append([]int(nil), rs.ChangesPerRound...)
-	switch {
-	case opt.Target == color.None:
-	case rs.FirstReached != nil:
+	if opt.Target != color.None && rs.FirstReached != nil {
 		res.FirstReached = slices.Clone(rs.FirstReached)
 		res.MonotoneTarget = rs.MonotoneTarget
-	default:
+	} else {
 		initTargetTrace(res, rs.Config, opt.Target)
 	}
 	if rs.Round > 0 {
