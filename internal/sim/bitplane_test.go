@@ -128,12 +128,12 @@ func TestBitplaneAutoHybridMatchesOracle(t *testing.T) {
 	})
 }
 
-// TestBitplaneHandoffCycleAcrossBoundary drives the downshift's handoff by
+// TestFrontierSeedFromBitplaneCycleHandoff drives the downshift's handoff by
 // hand and checks that the frontier, seeded through seedFromCheckpoint from
 // the bitplane's last two configurations, detects a period-2 cycle that
 // straddles the handoff at exactly the same round as the oracle — the
 // subtlest part of the hybrid's exactness.
-func TestBitplaneHandoffCycleAcrossBoundary(t *testing.T) {
+func TestFrontierSeedFromBitplaneCycleHandoff(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 16, 16)
 	eng := NewEngine(topo, rules.SimpleMajorityPB{Black: 2})
 	initial := color.NewColoring(topo.Dims(), 1)

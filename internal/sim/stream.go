@@ -57,8 +57,9 @@ func (s *Step) Checkpoint() *Resume { return s.res.snapshot(s.drv.config(), s.dr
 // tier's bitplane→frontier downshift resumes the frontier from the state
 // the bitplane reached.  The JSON tags are the checkpoint wire: the public
 // dynmon Checkpoint embeds a Resume beside its system and run pins.  Past
-// round 0, take one by snapshot rather than by hand — bit-identical
-// continuation needs every field, including the accumulated trace.
+// round 0, take one from Step.Checkpoint or Result.ResumeState rather than
+// by hand — bit-identical continuation needs every field, including the
+// accumulated trace.
 type Resume struct {
 	// Round is the last completed round (0 resumes from the start).
 	Round int `json:"round"`
