@@ -13,7 +13,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -756,5 +758,42 @@ func BenchmarkEnsemble(b *testing.B) {
 		spec := noisy()
 		spec.Run.Kernel = "sweep"
 		run(b, spec, 0)
+	})
+}
+
+// BenchmarkResultEncode times the two encoders of one Result: json.Marshal,
+// the reference, and AppendJSON into a reused buffer, as dynserve writes
+// Results.  The Result is a 64-round two-color 256x256 mesh run in
+// serve-mixed's shape (target 1, detect_cycles), so it carries the
+// first_reached trace, the change counts and the final coloring.  The CI
+// gate requires append to be at least 3x faster within the same run.
+func BenchmarkResultEncode(b *testing.B) {
+	topo := grid.MustNew(grid.KindToroidalMesh, 256, 256)
+	res := sim.NewEngine(topo, rules.SMP{}).Run(randomColoring(1, topo.Dims(), 2),
+		sim.Options{Target: 1, MaxRounds: 64, DetectCycles: true})
+	want, err := json.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal-256x256", func(b *testing.B) {
+		b.SetBytes(int64(len(want)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("append-256x256", func(b *testing.B) {
+		buf := res.AppendJSON(nil)
+		if !bytes.Equal(buf, want) {
+			b.Fatal("AppendJSON differs from json.Marshal")
+		}
+		b.SetBytes(int64(len(want)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = res.AppendJSON(buf[:0])
+		}
 	})
 }

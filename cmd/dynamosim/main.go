@@ -164,11 +164,15 @@ func runResultJSON(ctx context.Context, sys *dynmon.System, cons *dynmon.Constru
 	if err != nil {
 		fatal(err)
 	}
-	out, err := json.Marshal(res)
-	if err != nil {
+	printResultJSON(res)
+}
+
+// printResultJSON writes res as one compact JSON line, json.Marshal(res)'s
+// bytes written once by Result.AppendJSON.
+func printResultJSON(res *dynmon.Result) {
+	if _, err := os.Stdout.Write(append(res.AppendJSON(nil), '\n')); err != nil {
 		fatal(err)
 	}
-	fmt.Println(string(out))
 }
 
 // runBatchSpec runs every item of a batch spec over one shared Session —
@@ -364,11 +368,7 @@ func resumeRun(ctx context.Context, file string, resJSON bool) {
 		fatal(err)
 	}
 	if resJSON {
-		out, err := json.Marshal(res)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(out))
+		printResultJSON(res)
 		return
 	}
 	fmt.Printf("resumed at round %d on %s\n", cp.Round+1, sys)

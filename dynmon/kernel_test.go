@@ -21,7 +21,9 @@ import (
 // (3 workers) and, where it qualifies, the bitplane — must marshal to the
 // bytes of its GOMAXPROCS-1 as-is run.  Session.RunBatch items, including
 // two-color lanes that step on the bit-sliced tier, must marshal to the
-// bytes of System.Run on the same item.  No field is normalized.
+// bytes of System.Run on the same item.  No field is normalized.  Every
+// Result, and each spec's run through Spec.New and Steps with its history
+// recorded (dynserve's path), must also append to its marshaled bytes.
 func TestGoldenResultBytesHostIndependent(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "specs", "*.json"))
 	if err != nil {
@@ -39,6 +41,9 @@ func TestGoldenResultBytesHostIndependent(t *testing.T) {
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		if a := res.AppendJSON(nil); !bytes.Equal(a, b) {
+			t.Fatalf("%s: AppendJSON differs from json.Marshal\n got: %s\nwant: %s", label, a, b)
 		}
 		return b
 	}
@@ -63,6 +68,25 @@ func TestGoldenResultBytesHostIndependent(t *testing.T) {
 			return marshal(f+"/"+label, res, err)
 		}
 		want := run("as-is", fs.Run, 1)
+		stepSys, err := fs.System.New()
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		hist := fs.Run
+		hist.RecordHistory = true
+		var stepped *dynmon.Result
+		for st, err := range stepSys.Steps(ctx, cons.Coloring, dynmon.WithRunSpec(hist)) {
+			if err != nil {
+				t.Fatalf("%s/steps: %v", f, err)
+			}
+			if st.Done() {
+				stepped = st.Result()
+			}
+		}
+		if stepped == nil || len(stepped.History) == 0 {
+			t.Fatalf("%s/steps: no terminal Result with a history", f)
+		}
+		marshal(f+"/steps", stepped, nil)
 		check := func(label string, got []byte) {
 			t.Helper()
 			if !bytes.Equal(got, want) {

@@ -105,12 +105,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for j, i := range misses {
-			b, merr := s.settleInline(results[j], true, digests[i])
-			if merr != nil {
-				httpError(w, http.StatusInternalServerError, merr.Error())
-				return
-			}
-			items[i].Result = b
+			items[i].Result = s.settleInline(results[j], true, digests[i])
 		}
 	}
 

@@ -196,6 +196,23 @@ type cachedResult struct {
 	json []byte
 }
 
+// encodeBufs holds the buffers encodeResult writes Results into.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeResult returns res's wire bytes, json.Marshal(res)'s, in a slice
+// whose capacity is its length: the result cache keeps up to its bound of
+// them, so none may carry the slack of a buffer grown while writing.  The
+// Result is written once, into a pooled buffer, and copied out.
+func encodeResult(res *dynmon.Result) []byte {
+	buf := encodeBufs.Get().(*[]byte)
+	enc := res.AppendJSON((*buf)[:0])
+	b := make([]byte, len(enc))
+	copy(b, enc)
+	*buf = enc
+	encodeBufs.Put(buf)
+	return b
+}
+
 // New returns a ready Server.  With Config.DataDir set it opens the durable
 // job store and recovers persisted jobs: every job is registered before New
 // returns (so ids resolve immediately), while previously-running jobs
@@ -491,10 +508,7 @@ func (s *Server) rebuildJob(pj persistedJob) (*job, bool) {
 		if err := json.Unmarshal(pj.result, &res); err != nil {
 			return fail(fmt.Errorf("persisted result corrupted: %w", err))
 		}
-		resJSON, err := json.Marshal(&res)
-		if err != nil {
-			return fail(fmt.Errorf("persisted result unencodable: %w", err))
-		}
+		resJSON := encodeResult(&res)
 		j.state = jobDone
 		j.resultJSON = resJSON
 		j.finishedAt = finishedAtOf(pj.meta)

@@ -264,11 +264,7 @@ func (s *Server) runBuffered(w http.ResponseWriter, seq stepSeq, cacheable bool,
 		}
 		s.metrics.Steps.Add(1)
 		if st.Done() {
-			var merr error
-			if resJSON, merr = s.settleInline(st.Result(), cacheable, digest); merr != nil {
-				httpError(w, http.StatusInternalServerError, merr.Error())
-				return
-			}
+			resJSON = s.settleInline(st.Result(), cacheable, digest)
 		}
 	}
 	if resJSON == nil {
@@ -301,11 +297,7 @@ func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, seq stepSe
 		}
 		s.metrics.Steps.Add(1)
 		if st.Done() {
-			resJSON, merr := s.settleInline(st.Result(), cacheable, digest)
-			if merr != nil {
-				out.event(streamEvent{kind: eventError, err: merr.Error()})
-				return
-			}
+			resJSON := s.settleInline(st.Result(), cacheable, digest)
 			s.observeRunDuration(time.Since(started))
 			out.event(resultEvent(resJSON, false))
 			return
@@ -321,19 +313,16 @@ func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, seq stepSe
 }
 
 // settleInline records an inline run's terminal Result: metrics, kernel
-// counts and (for spec submissions) the result cache.
-func (s *Server) settleInline(res *dynmon.Result, cacheable bool, digest string) ([]byte, error) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		s.metrics.RunsFailed.Add(1)
-		return nil, err
-	}
+// counts and (for spec submissions) the result cache.  It returns the
+// Result's wire bytes.
+func (s *Server) settleInline(res *dynmon.Result, cacheable bool, digest string) []byte {
+	b := encodeResult(res)
 	s.metrics.RunsCompleted.Add(1)
 	s.metrics.CountKernel(res.Kernel.String())
 	if cacheable {
 		s.results.Put(digest, &cachedResult{json: b})
 	}
-	return b, nil
+	return b
 }
 
 // serveResult answers with an already-terminal result in the client's

@@ -2,7 +2,6 @@ package dynserve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"iter"
@@ -539,11 +538,7 @@ func (s *Server) park(j *job, cp *dynmon.Checkpoint) {
 // immutable answer, and — because the digest addresses the run's complete
 // description — exactly the bytes the result cache may serve for it.
 func (s *Server) settleDone(j *job, res *dynmon.Result) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		s.settleErr(j, err)
-		return
-	}
+	b := encodeResult(res)
 	j.mu.Lock()
 	j.state = jobDone
 	j.resultJSON = b

@@ -376,3 +376,68 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestResultBytesOnEveryPath pins the bytes dynserve writes for a Result to
+// json.Marshal of the offline run on every path that encodes one: the
+// buffered body, the NDJSON result event (cold and cached), a job attach and
+// a job recovered from the store.  The spec records its history, so every
+// wire field is written.  The bytes the result cache keeps must have no
+// spare capacity, since the cache holds up to its bound of them.
+func TestResultBytesOnEveryPath(t *testing.T) {
+	spec := []byte(`{"system":{"substrate":{"topology":{"name":"torus-cordalis","rows":7,"cols":9}},"colors":5,"rule":"smp"},` +
+		`"initial":{"config":"random","seed":3},"run":{"target":2,"max_rounds":40,"detect_cycles":true,"record_history":true}}`)
+	want := offlineResult(t, spec)
+	if !bytes.Contains(want, []byte(`"history":[`)) {
+		t.Fatalf("the offline Result carries no history: %s", want)
+	}
+	fs, err := dynmon.ParseFileSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := fs.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(label string, srv *Server) {
+		t.Helper()
+		v, ok := srv.results.Get(digest)
+		if !ok {
+			t.Fatalf("%s: Result not cached", label)
+		}
+		if b := v.(*cachedResult).json; !bytes.Equal(b, want) || cap(b) != len(b) {
+			t.Fatalf("%s: cache keeps %d bytes at cap %d, want the offline bytes at cap == len", label, len(b), cap(b))
+		}
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	if got := readAll(t, postRun(t, ts.URL, spec, "application/json")); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("buffered body differs from the offline Result:\n got %s\nwant %s", got, want)
+	}
+	cached("buffered", srv)
+
+	srv, ts = newTestServer(t, Config{Workers: 1})
+	for _, envelope := range []string{`{"event":"result","result":`, `{"event":"result","cached":true,"result":`} {
+		body := readAll(t, postRun(t, ts.URL, spec, "application/x-ndjson"))
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		if got, wantLine := lines[len(lines)-1], envelope+string(want)+"}"; string(got) != wantLine {
+			t.Fatalf("NDJSON result event:\n got %s\nwant %s", got, wantLine)
+		}
+	}
+	cached("ndjson", srv)
+
+	dir := t.TempDir()
+	srv, ts = newTestServer(t, Config{Workers: 1, DataDir: dir})
+	waitReady(t, srv)
+	id := submitJob(t, ts.URL, spec).ID
+	if code, got := attachBuffered(t, ts.URL, id); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("job attach (status %d) differs from the offline Result:\n got %s\nwant %s", code, got, want)
+	}
+	cached("job", srv)
+
+	srv, ts = newTestServer(t, Config{Workers: 1, DataDir: dir})
+	waitReady(t, srv)
+	if code, got := attachBuffered(t, ts.URL, id); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("recovered job attach (status %d) differs from the offline Result:\n got %s\nwant %s", code, got, want)
+	}
+	cached("recovered job", srv)
+}

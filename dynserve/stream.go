@@ -24,7 +24,7 @@ const (
 )
 
 // streamEvent is one wire event.  Result carries the terminal Result's
-// exact marshaled bytes (json.RawMessage, not a re-marshal), so the bytes a
+// exact encoded bytes, written into the event as they are, so the bytes a
 // stream delivers are identical to the bytes an offline run prints — the
 // determinism contract is preserved through the transport.
 type streamEvent struct {
@@ -62,11 +62,14 @@ func (ev streamEvent) wireForm() ([]byte, error) {
 			Job   JobStatus `json:"job"`
 		}{eventJob, *ev.status})
 	case eventResult:
-		return json.Marshal(struct {
-			Event  string          `json:"event"`
-			Cached bool            `json:"cached,omitempty"`
-			Result json.RawMessage `json:"result"`
-		}{eventResult, ev.cached, json.RawMessage(ev.result)})
+		// Appended rather than marshaled around a json.RawMessage, which
+		// encoding/json would scan whole again.  The spare capacity holds
+		// the NDJSON newline.
+		b := append(make([]byte, 0, len(ev.result)+48), `{"event":"result"`...)
+		if ev.cached {
+			b = append(b, `,"cached":true`...)
+		}
+		return append(append(append(b, `,"result":`...), ev.result...), '}'), nil
 	case eventError:
 		return json.Marshal(struct {
 			Event string `json:"event"`

@@ -119,13 +119,21 @@ func (c *Coloring) Counts() map[Color]int {
 // Vertices returns the dense indices of all vertices with color col, in
 // increasing order.  The paper writes this set V^col.
 func (c *Coloring) Vertices(col Color) []int {
-	out := make([]int, 0)
+	// Counted first, then written without a data-dependent branch: every
+	// index lands in the next slot, which advances only on a match.  The
+	// one spare slot takes the writes that follow the last match.
+	n := c.Count(col)
+	out := make([]int, n+1)
+	i := 0
 	for v, cv := range c.cells {
+		out[i] = v
+		inc := 0
 		if cv == col {
-			out = append(out, v)
+			inc = 1
 		}
+		i += inc
 	}
-	return out
+	return out[:n:n]
 }
 
 // IsMonochromatic reports whether all vertices share one color and, if so,

@@ -2,6 +2,7 @@ package color
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,34 @@ func TestVertices(t *testing.T) {
 	}
 	if len(c.Vertices(5)) != 0 {
 		t.Error("Vertices of absent color should be empty")
+	}
+}
+
+// TestVerticesMatchesPlainLoop pins the counted, branch-free Vertices to the
+// plain append loop on random colorings: the same indices in order, and a
+// non-nil empty slice for an absent color and for an empty coloring.
+func TestVerticesMatchesPlainLoop(t *testing.T) {
+	plain := func(c *Coloring, col Color) []int {
+		out := make([]int, 0)
+		for v, cv := range c.cells {
+			if cv == col {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	src := rng.New(11)
+	for i := 0; i < 300; i++ {
+		k := 1 + src.Intn(5)
+		c := RandomColoring(grid.Dims{Rows: 1 + src.Intn(20), Cols: 1 + src.Intn(20)}, Palette{K: k}, func() int { return src.Intn(k) })
+		for col := None; col <= Color(k+1); col++ { // None and k+1 are absent
+			if got, want := c.Vertices(col), plain(c, col); got == nil || !slices.Equal(got, want) {
+				t.Fatalf("%v: Vertices(%d) = %v, want %v", c.Dims(), col, got, want)
+			}
+		}
+	}
+	if got := (&Coloring{}).Vertices(1); got == nil || len(got) != 0 {
+		t.Fatalf("empty coloring: Vertices = %#v, want a non-nil empty slice", got)
 	}
 }
 

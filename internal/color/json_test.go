@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/rng"
 )
 
 // TestColoringJSONRoundTrip pins the wire form of a coloring, including the
@@ -80,5 +81,45 @@ func TestColoringJSONBoundsCellColors(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &c); !errors.Is(err, ErrCellColorTooLarge) {
 			t.Errorf("cell color %s: err = %v, want ErrCellColorTooLarge", v, err)
 		}
+	}
+}
+
+// TestColoringAppendJSONMatchesMirror pins the wire writer to encoding/json.
+// Over random colorings (1×n layouts, an empty one, colors 0 and 255 and
+// every digit count between), AppendJSON and MarshalJSON must give the bytes
+// json.Marshal writes for coloringJSON, a mirror with no Marshaler, and a
+// nil coloring must write null, as encoding/json does for a nil *Coloring.
+func TestColoringAppendJSONMatchesMirror(t *testing.T) {
+	src := rng.New(7)
+	edges := []Color{0, 1, 2, 9, 10, 99, 100, 255}
+	for i := 0; i < 2000; i++ {
+		c := &Coloring{}
+		if i > 0 {
+			c = NewColoring(grid.Dims{Rows: 1 + src.Intn(4), Cols: 1 + src.Intn(9)}, None)
+			for v := range c.cells {
+				c.cells[v] = Color(src.Intn(256))
+				if src.Intn(2) == 0 {
+					c.cells[v] = edges[src.Intn(len(edges))]
+				}
+			}
+		}
+		mirror := coloringJSON{Rows: c.dims.Rows, Cols: c.dims.Cols, Cells: make([]int, len(c.cells))}
+		for v, cv := range c.cells {
+			mirror.Cells[v] = int(cv)
+		}
+		want, err := json.Marshal(mirror)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+			t.Fatalf("AppendJSON after a prefix:\n got %s\nwant x%s", got, want)
+		}
+		if got, err := json.Marshal(c); err != nil || string(got) != string(want) {
+			t.Fatalf("json.Marshal through MarshalJSON:\n got %s (%v)\nwant %s", got, err, want)
+		}
+	}
+	want, _ := json.Marshal((*Coloring)(nil))
+	if got := (*Coloring)(nil).AppendJSON(nil); string(got) != string(want) {
+		t.Fatalf("nil coloring writes %s, encoding/json %s", got, want)
 	}
 }

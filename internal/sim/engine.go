@@ -53,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/color"
@@ -315,7 +316,8 @@ func DefaultMaxRounds(d grid.Dims) int { return d.N() + 2*(d.Rows+d.Cols) + 16 }
 // no second DTO layer (colorings marshal as {rows, cols, cells} objects).
 // The wire says what happened, never how it ran: Workers, Kernel and
 // Downshift are in-process diagnostics, so equal runs marshal to equal
-// bytes on any host, worker count and tier.
+// bytes on any host, worker count and tier.  AppendJSON writes the same
+// bytes as json.Marshal without reflection.
 type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds int `json:"rounds"`
@@ -360,6 +362,40 @@ type Result struct {
 	// a finished or aborted result.  Not serialized: the public checkpoint
 	// format lives in the dynmon package.
 	prev *color.Coloring
+}
+
+// AppendJSON appends json.Marshal(r)'s bytes to b and returns the extended
+// buffer.  The struct tags stay the one schema (decoding goes through them)
+// and encoding/json the reference a differential test pins this to.  Result
+// has no MarshalJSON on purpose: encoding/json scans every Marshaler's
+// output again, which costs more than writing it, so callers that hold a
+// Result call this directly.
+func (r *Result) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"rounds":`...), int64(r.Rounds), 10)
+	b = strconv.AppendBool(append(b, `,"fixed_point":`...), r.FixedPoint)
+	b = strconv.AppendBool(append(b, `,"cycle":`...), r.Cycle)
+	b = strconv.AppendBool(append(b, `,"monochromatic":`...), r.Monochromatic)
+	b = strconv.AppendInt(append(b, `,"final_color":`...), int64(r.FinalColor), 10)
+	b = strconv.AppendBool(append(b, `,"monotone_target":`...), r.MonotoneTarget)
+	if len(r.FirstReached) > 0 {
+		b = color.AppendInts(append(b, `,"first_reached":`...), r.FirstReached)
+	}
+	if len(r.ChangesPerRound) > 0 {
+		b = color.AppendInts(append(b, `,"changes_per_round":`...), r.ChangesPerRound)
+	}
+	if r.Final != nil {
+		b = r.Final.AppendJSON(append(b, `,"final":`...))
+	}
+	if len(r.History) > 0 {
+		b = append(b, `,"history":`...)
+		sep := byte('[')
+		for _, h := range r.History {
+			b = h.AppendJSON(append(b, sep))
+			sep = ','
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 // TimesMatrix lays the FirstReached trace out as a row-major matrix, the
